@@ -147,9 +147,12 @@ def _load_gamma(gamma_arg: str | None, config: LangConfig):
     if gamma_arg in (None, "zero"):
         return zero_gamma(config)
     raw = json.loads(Path(gamma_arg).read_text())
+    if not isinstance(raw, dict):
+        raise click.UsageError(
+            f"valuation table must be a JSON object, got {type(raw).__name__}")
     try:
         table = {k: parse_reward(v) for k, v in raw.items()}
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, ZeroDivisionError) as e:
         raise click.UsageError(f"bad valuation table: {e}")
     for k, v in table.items():
         if not config.has_constant(k):
@@ -238,6 +241,9 @@ def _run_cases(lo: int, hi: int, fn) -> SuiteResult:
         except AssertionError as e:
             if len(failures) < 5:
                 failures.append(f"case {i}: {e}")
+        except Exception as e:  # a raising case fails; the others still run
+            if len(failures) < 5:
+                failures.append(f"case {i}: {type(e).__name__}: {e}")
     return SuiteResult(passed, hi - lo, failures)
 
 
@@ -744,8 +750,11 @@ def suites() -> list[str]:
 
 def _suite_slice(name: str, seed: int, cases: int, monad: str | None,
                  lo: int, hi: int) -> SuiteResult:
-    fn = SUITES[name][0]
-    return fn(seed, cases, monad, lo, hi)
+    """Cases lo..hi-1 of a suite; each failure names its suite, seed and
+    case index, so it can be found again."""
+    res = SUITES[name][0](seed, cases, monad, lo, hi)
+    res.failures = [f"{name} seed {seed} {f}" for f in res.failures]
+    return res
 
 
 def run_suite(name: str, seed: int = 0, cases: int | None = None,
@@ -753,13 +762,13 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None,
     """Run a property suite, fanning cases out over a process pool.  Case
     results are reduced in index order, so the report does not depend on
     scheduling."""
-    fn, default_cases, total_of = SUITES[name]
+    _, default_cases, total_of = SUITES[name]
     n = default_cases if cases is None else cases
     total = total_of(n)
     if jobs is None:
         jobs = min(os.cpu_count() or 1, 8)
     if jobs <= 1 or total < 2 * jobs:
-        return fn(seed, n, monad, 0, total)
+        return _suite_slice(name, seed, n, monad, 0, total)
     step = -(-total // jobs)
     bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
     from concurrent.futures import ProcessPoolExecutor

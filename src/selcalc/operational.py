@@ -7,6 +7,18 @@ operation redexes suspend, and the context is pushed into every branch
 (commutation of contexts with operations).  Iterating this turns a program
 into an effect value: a tree of or / reward / probabilistic-choice nodes
 with values at the leaves.
+
+``step`` (with ``decompose`` and ``plug``) is that small-step relation
+written out literally, one root-to-redex decomposition per step; it is the
+reference the ``--trace`` output follows.  ``eval_effect`` computes the same
+effect value by refocusing (Danvy and Nielsen, *Refocusing in reduction
+semantics*, 2004): it keeps the evaluation context as a linked stack of
+frames, descends to the next redex, and after a reduction resumes at the
+frame where the redex sat instead of restarting from the root.  At an
+operation both branches resume with the same continuation object, which is
+the commutation rule without re-plugging.  Frames and pending branches
+live on explicit stacks, so neither term depth nor effect depth uses
+Python recursion.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from fractions import Fraction
 
 from .syntax import (
     App, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, Pair, PChoice,
-    Rew, RewConst, Snd, Term, Var, is_value, plug, substitute,
+    Rew, RewConst, Snd, Star, Term, Var, is_value, plug, substitute,
 )
 
 
@@ -158,30 +170,155 @@ def step(t: Term, config: LangConfig):
 DEFAULT_BUDGET = 10 ** 6
 
 
+# Frames of the evaluation context, innermost first: (tag, data, outer).
+# ``data`` is the sub-term still to evaluate, the value already found, or
+# the node whose hole the frame stands for.
+_APP_FN = 0     # [-] a            data: a
+_APP_ARG = 1    # f [-]            data: the value f
+_PAIR_L = 2     # <[-], b>         data: the Pair node
+_PAIR_R = 3     # <a, [-]>         data: (the value a, the Pair node)
+_FST = 4        # fst [-]
+_SND = 5        # snd [-]
+_IF = 6         # if [-] then a else b     data: the If node
+_FN = 7         # sym(v1..vi, [-], ...)    data: (FnApp node, i, (v1..vi))
+_REW = 8        # [-] . m          data: the Rew node
+
+# Entries of the work stack besides (_EVAL, term, continuation): rebuild an
+# operation node from the effect values of its finished branches.
+_EVAL, _BUILD_OR, _BUILD_REW, _BUILD_PC = range(4)
+
+_VALUE_LEAVES = (Const, RewConst, Star, Lam)
+
+
 def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Term:
-    """Big-step evaluation to an effect value.  ``budget`` bounds the total
-    number of ordinary steps across all branches."""
-    remaining = [budget]
-
-    def go(t: Term) -> Term:
+    """Big-step evaluation to an effect value, by the refocused machine
+    described in the module docstring.  ``budget`` bounds the total number
+    of ordinary steps across all branches.  Redexes fire in the order
+    ``step`` fires them, branches left before right, so the result, the
+    step count and the fresh names ``substitute`` makes are the same."""
+    remaining = budget
+    done: list[Term] = []      # effect values of finished branches
+    work = [(_EVAL, t, None)]
+    while work:
+        kind, t, k = work.pop()
+        if kind == _BUILD_REW:
+            done.append(Rew(t, done.pop()))
+            continue
+        if kind != _EVAL:
+            b = done.pop()
+            a = done.pop()
+            done.append(Or(a, b) if kind == _BUILD_OR else PChoice(t, a, b))
+            continue
         while True:
-            r = step(t, config)
-            match r:
-                case Value(v):
-                    return v
-                case Ordinary(nxt):
-                    remaining[0] -= 1
-                    if remaining[0] < 0:
-                        raise BudgetExceeded(f"exceeded {budget} evaluation steps")
-                    t = nxt
-                case Branch("or", _, (a, b)):
-                    return Or(go(a), go(b))
-                case Branch("reward", (c,), (m,)):
-                    return Rew(RewConst(c), go(m))
-                case Branch("pchoice", (p,), (a, b)):
-                    return PChoice(p, go(a), go(b))
-
-    return go(t)
+            # descend to the next value or operation, pushing frames
+            cls = type(t)
+            if cls is App:
+                k = (_APP_FN, t.arg, k)
+                t = t.fn
+                continue
+            if cls is Pair:
+                k = (_PAIR_L, t, k)
+                t = t.fst
+                continue
+            if cls is Fst or cls is Snd:
+                k = (_FST if cls is Fst else _SND, None, k)
+                t = t.arg
+                continue
+            if cls is If:
+                k = (_IF, t, k)
+                t = t.cond
+                continue
+            if cls is Rew:
+                k = (_REW, t, k)
+                t = t.param
+                continue
+            if cls is FnApp:
+                if t.args:
+                    k = (_FN, (t, 0, ()), k)
+                    t = t.args[0]
+                    continue
+                t = _eval_fn(t.sym, t.args, t.weight, config)
+                remaining -= 1
+                if remaining < 0:
+                    raise BudgetExceeded(f"exceeded {budget} evaluation steps")
+                continue
+            if cls is Or:
+                work.append((_BUILD_OR, None, None))
+                work.append((_EVAL, t.right, k))
+                t = t.left
+                continue
+            if cls is PChoice:
+                if config.mode != "prob":
+                    raise StuckTerm("probabilistic choice outside mode prob")
+                work.append((_BUILD_PC, t.weight, None))
+                work.append((_EVAL, t.right, k))
+                t = t.left
+                continue
+            if cls not in _VALUE_LEAVES:
+                if cls is Var:
+                    raise StuckTerm(f"unbound variable {t.name}")
+                raise StuckTerm(f"cannot decompose {t!r}")
+            # plug the value into frames until a frame needs another
+            # sub-term evaluated or a redex fires
+            v = t
+            while k is not None:
+                tag, data, outer = k
+                if tag == _PAIR_R:
+                    a, node = data
+                    v = node if a is node.fst and v is node.snd else Pair(a, v)
+                    k = outer
+                    continue
+                if tag == _APP_FN:
+                    k = (_APP_ARG, v, outer)
+                    t = data
+                    break
+                if tag == _PAIR_L:
+                    k = (_PAIR_R, (v, data), outer)
+                    t = data.snd
+                    break
+                if tag == _FN:
+                    node, i, vals = data
+                    vals += (v,)
+                    i += 1
+                    if i < len(node.args):
+                        k = (_FN, (node, i, vals), outer)
+                        t = node.args[i]
+                        break
+                    t = _eval_fn(node.sym, vals, node.weight, config)
+                elif tag == _APP_ARG:
+                    if type(data) is not Lam:
+                        raise StuckTerm(f"stuck redex {App(data, v)!r}")
+                    t = substitute(data.body, data.var, v)
+                elif tag == _REW:
+                    if type(v) is not RewConst:
+                        raise StuckTerm(f"stuck redex {Rew(v, data.body)!r}")
+                    config.structure.check_member(v.value)
+                    work.append((_BUILD_REW, v, None))
+                    k = outer
+                    t = data.body
+                    break
+                elif tag == _IF:
+                    if type(v) is Const and v.base == "Bool" and v.name == "tt":
+                        t = data.then
+                    elif type(v) is Const and v.base == "Bool" and v.name == "ff":
+                        t = data.els
+                    else:
+                        raise StuckTerm(f"stuck redex {If(v, data.then, data.els)!r}")
+                elif type(v) is Pair:
+                    t = v.fst if tag == _FST else v.snd
+                else:
+                    raise StuckTerm(
+                        f"stuck redex {(Fst(v) if tag == _FST else Snd(v))!r}")
+                # an ordinary step fired; resume focus where the redex sat
+                remaining -= 1
+                if remaining < 0:
+                    raise BudgetExceeded(f"exceeded {budget} evaluation steps")
+                k = outer
+                break
+            else:
+                done.append(v)
+                break
+    return done[0]
 
 
 def trace_eval(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET):

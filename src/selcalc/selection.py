@@ -117,19 +117,28 @@ def sel_unit(x, monad) -> SelComp:
     return SelComp(monad, lambda gamma: monad.unit(x))
 
 
-def sel_expect(f: SelComp, gamma) -> Fraction:
-    """Expected reward of a computation under a continuation."""
-    return f.monad.expect(f(gamma), gamma)
-
-
 def sel_bind(f: SelComp, k) -> SelComp:
     """Sequence: run f under the continuation that scores each x by the
-    expected reward of k(x), then continue each result with k."""
+    expected reward of k(x), then continue each result with k.
+
+    Scoring and continuing both need k(x)(gamma), a function of x alone
+    once gamma is fixed; computing it twice per bind would make nested
+    binds exponential in their depth.  So each run keeps a dict from x to
+    it.  The dict lasts for one run(gamma) call and is keyed by the
+    semantic value x (frozen dataclasses; a function value by its uid),
+    so nothing is shared across valuations or calls."""
     monad = f.monad
 
     def run(gamma):
-        scored = f(lambda x: sel_expect(k(x), gamma))
-        return monad.bind(scored, lambda x: k(x)(gamma))
+        memo = {}
+
+        def cont(x):
+            if x not in memo:
+                memo[x] = k(x)(gamma)
+            return memo[x]
+
+        scored = f(lambda x: monad.expect(cont(x), gamma))
+        return monad.bind(scored, cont)
 
     return SelComp(monad, run)
 

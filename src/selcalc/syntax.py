@@ -619,6 +619,14 @@ class _Parser:
             raise SelSyntaxError(f"expected {want!r}, found {v!r} (token {self.pos})")
         return v
 
+    def rational(self) -> Fraction:
+        text = self.expect("rat")
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise SelSyntaxError(
+                f"zero denominator in {text!r} (token {self.pos})") from None
+
     def at(self, kind: str, text: str | None = None) -> bool:
         k, v = self.peek()
         return k == kind and (text is None or v == text)
@@ -665,7 +673,7 @@ class _Parser:
         t = self.cmpterm()
         while self.at("punct", "+["):
             self.next()
-            p = Fraction(self.expect("rat"))
+            p = self.rational()
             self.expect("punct", "]")
             t = PChoice(p, t, self.cmpterm())
         return t
@@ -713,8 +721,7 @@ class _Parser:
     def atom(self) -> Term:
         k, v = self.peek()
         if k == "rat":
-            self.next()
-            return RewConst(Fraction(v))
+            return RewConst(self.rational())
         if k == "hole":
             self.next()
             return Hole()
@@ -732,7 +739,7 @@ class _Parser:
         if k == "kw" and v == "oplus":
             self.next()
             self.expect("punct", "[")
-            p = Fraction(self.expect("rat"))
+            p = self.rational()
             self.expect("punct", "]")
             self.expect("punct", "(")
             a = self.term()

@@ -264,3 +264,48 @@ def test_suites_registry():
     assert "adequacy-rewards" in names
     assert "mr-fullab" in names
     assert len(names) == 19
+
+
+@pytest.mark.parametrize("src", ["mode prob;\ntt +[1/0] ff", "(1/0) . tt",
+                                 "mode prob;\noplus[1/0](1, 2) . tt"])
+def test_zero_denominator_is_a_syntax_error(sel, capsys, src):
+    rc, _, err = run(capsys, "eval", "--semantics", "selection", sel(src))
+    assert rc == 3
+    assert "zero denominator" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("table", [[1, 2], "tt", 3, None])
+def test_eval_gamma_must_be_an_object(sel, capsys, tmp_path, table):
+    g = tmp_path / "gamma.json"
+    g.write_text(json.dumps(table))
+    rc, _, err = run(capsys, "eval", "--semantics", "denotational",
+                     "--gamma", str(g), sel(E1))
+    assert rc == 3
+    assert "JSON object" in err and "internal error" not in err
+
+
+def test_eval_gamma_zero_denominator(sel, capsys, tmp_path):
+    g = tmp_path / "gamma.json"
+    g.write_text(json.dumps({"tt": "1/0"}))
+    rc, _, err = run(capsys, "eval", "--semantics", "denotational",
+                     "--gamma", str(g), sel(E1))
+    assert rc == 3
+    assert "internal error" not in err
+
+
+def test_raising_case_fails_alone(monkeypatch):
+    from selcalc import cli
+
+    def fake_suite(seed, cases, monad, lo, hi):
+        def one(i):
+            if i == 2:
+                raise ValueError("boom")
+            if i == 4:
+                raise AssertionError("four")
+        return cli._run_cases(lo, hi, one)
+
+    monkeypatch.setitem(cli.SUITES, "fake", (fake_suite, 6, lambda c: c))
+    res = cli.run_suite("fake", seed=9, jobs=1)
+    assert (res.passed, res.total) == (4, 6)
+    assert res.failures == ["fake seed 9 case 2: ValueError: boom",
+                            "fake seed 9 case 4: four"]

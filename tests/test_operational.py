@@ -85,3 +85,207 @@ def test_generated_programs_terminate_in_effect_values(seed, mode):
     t = gen_program(cfg, BOOL, config=config)
     e = eval_effect(t, config)
     assert is_effect_value(e), pretty(e)
+
+
+# --- the refocused machine against the small-step reference ---------------
+
+import itertools
+import sys
+
+from selcalc import syntax
+from selcalc.operational import Branch, Ordinary, Value, step
+from selcalc.selection import denote, zero_gamma
+from selcalc.monads import make_monad
+from selcalc.rewards import NONNEG_ADD
+from selcalc.syntax import (
+    Const, FnApp, Fst, LangConfig, Pair, PChoice, Snd, Star,
+)
+
+
+def step_effect(t, config, budget=10 ** 6):
+    """Reference: fold ``step`` into an effect value, re-decomposing from
+    the root after every step.  Returns (effect value, ordinary steps)."""
+    remaining = [budget]
+
+    def go(t):
+        while True:
+            match step(t, config):
+                case Value(v):
+                    return v
+                case Ordinary(nxt):
+                    remaining[0] -= 1
+                    if remaining[0] < 0:
+                        raise BudgetExceeded(f"exceeded {budget} evaluation steps")
+                    t = nxt
+                case Branch("or", _, (a, b)):
+                    return Or(go(a), go(b))
+                case Branch("reward", (c,), (m,)):
+                    return Rew(RewConst(c), go(m))
+                case Branch("pchoice", (p,), (a, b)):
+                    return PChoice(p, go(a), go(b))
+
+    e = go(t)
+    return e, budget - remaining[0]
+
+
+def same_run(t, config):
+    """Run the machine and the reference from the same fresh-name counter;
+    both must give equal effect values and use up the same fresh names."""
+    start = next(syntax._fresh_counter)
+    syntax._fresh_counter = itertools.count(start)
+    got = eval_effect(t, config)
+    after_machine = next(syntax._fresh_counter)
+    syntax._fresh_counter = itertools.count(start)
+    want, _ = step_effect(t, config)
+    after_reference = next(syntax._fresh_counter)
+    return got == want and after_machine == after_reference
+
+
+@pytest.mark.parametrize("mode", ["rewards", "prob"])
+def test_machine_matches_step_reference_on_generated_programs(mode):
+    for seed in range(400):
+        cfg = GenConfig(seed=seed, max_term_size=40, mode=mode)
+        config = cfg.lang()
+        t = gen_program(cfg, BOOL, config=config)
+        assert same_run(t, config), f"seed {seed}: {pretty(t)}"
+
+
+# The benchmark's deep families at their benchmark sizes, with fixed
+# constants.
+DEEP_FAMILIES = {
+    "sum150": "(" + " + ".join(str(1 + i % 3) for i in range(150)) + ") . tt",
+    "app60": "let f : Bool -> Bool = fun (x:Bool) -> if x then 1 . ff "
+             "else 2 . tt in " + "f (" * 60 + "tt" + ")" * 60,
+    "let-select9": "".join(
+        f"let x{i} : Bool = ({1 + i % 3} . tt) or ({3 - i % 3} . ff) in "
+        for i in range(9)) + "x0",
+    "plet-select5": "mode prob; " + "".join(
+        f"let x{i} : Bool = (1 . tt) +[1/{2 + i % 3}] ((2 . ff) or ({i} . tt)) in "
+        for i in range(5)) + "x0",
+}
+
+
+@pytest.mark.parametrize("family", list(DEEP_FAMILIES))
+def test_machine_matches_step_reference_on_deep_families(family):
+    p = parse_program(DEEP_FAMILIES[family])
+    assert same_run(p.term, p.config)
+
+
+def test_machine_renames_like_the_reference():
+    # the argument is open under its binder, so substitution must rename
+    arg = Lam("z", BOOL, Var("y"))
+    t = App(Lam("x", BOOL, Or(Lam("y", BOOL, Var("x")), Lam("y", BOOL, Var("x")))), arg)
+    e = eval_effect(t, REWARDS)
+    assert "%" in e.left.var and e.left.var != e.right.var
+    assert same_run(t, REWARDS)
+
+
+BUDGET_PROGRAMS = [
+    "(fun (x:Bool) -> 1 . x) (tt or ff)",
+    "let f : Bool -> Bool = fun (x:Bool) -> if x then 1 . ff else 2 . tt in "
+    "f (f (tt or ff))",
+    "mode prob; fst <(1 + 2) . tt, ff> +[1/3] (snd <tt, ff> or (3 <= 4))",
+    "let x : Rew = 1 + 2 in (x + x) . (if x == x then tt else ff)",
+]
+
+
+@pytest.mark.parametrize("src", BUDGET_PROGRAMS)
+def test_budget_counts_steps_across_branches(src):
+    p = parse_program(src)
+    _, n = step_effect(p.term, p.config)
+    assert n > 0
+    eval_effect(p.term, p.config, budget=n)
+    with pytest.raises(BudgetExceeded):
+        eval_effect(p.term, p.config, budget=n - 1)
+
+
+def _error_of(fn):
+    try:
+        fn()
+    except (StuckTerm, BudgetExceeded, ValueError) as e:
+        return type(e), str(e)
+    return None
+
+
+REWARDS = LangConfig()
+NONNEG = LangConfig(structure=NONNEG_ADD)
+PROB = LangConfig(mode="prob")
+
+
+@pytest.mark.parametrize("t, config", [
+    (Var("x"), REWARDS),
+    (App(TT, FF), REWARDS),
+    (Fst(TT), REWARDS),
+    (Snd(Lam("x", BOOL, Var("x"))), REWARDS),
+    (If(RewConst(F(1)), TT, FF), REWARDS),
+    (Rew(TT, FF), REWARDS),
+    (Rew(RewConst(F(-1)), TT), NONNEG),
+    (PChoice(F(1, 2), TT, FF), REWARDS),
+    (FnApp("max", (RewConst(F(1)),)), REWARDS),
+    (Pair(TT, Hole()), REWARDS),
+    (Or(TT, App(Lam("y", BOOL, Var("z")), Star())), PROB),
+    (Rew(RewConst(F(1)), PChoice(F(1, 2), TT, Fst(FF))), PROB),
+])
+def test_machine_fails_like_the_reference(t, config):
+    got = _error_of(lambda: eval_effect(t, config))
+    want = _error_of(lambda: step_effect(t, config))
+    assert got is not None and got == want
+
+
+def _leaves(e):
+    """Values of an effect value, left to right, without recursion."""
+    out, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Or):
+            stack += [x.right, x.left]
+        elif isinstance(x, Rew):
+            out.append(("reward", x.param.value))
+            stack.append(x.body)
+        else:
+            out.append(x)
+    return out
+
+
+DEEP = 5000
+
+
+def test_deep_sum_chain_runs_without_recursion():
+    assert DEEP > sys.getrecursionlimit()
+    left = RewConst(F(1))
+    right = RewConst(F(1))
+    for _ in range(DEEP - 1):
+        left = FnApp("+", (left, RewConst(F(1))))
+        right = FnApp("+", (RewConst(F(1)), right))
+    for chain in (left, right):
+        e = eval_effect(Rew(chain, TT), REWARDS)
+        assert _leaves(e) == [("reward", F(DEEP)), TT]
+
+
+def test_deep_or_chain_runs_without_recursion():
+    consts = [TT, FF, Star()]
+    leaves = [consts[i % 3] for i in range(DEEP)]
+    t = leaves[0]
+    for v in leaves[1:]:
+        t = Or(t, v)
+    e = eval_effect(t, REWARDS)
+    assert _leaves(e) == leaves
+    # the or nodes sit under a context: each branch resumes it
+    e = eval_effect(Pair(t, TT), REWARDS)
+    assert _leaves(e) == [Pair(v, TT) for v in leaves]
+
+
+def _let_chain(n):
+    pairs = [(1 + i % 3, 3 - (i * 2) % 3) for i in range(n)]
+    src = "".join(f"let x{i} : Bool = ({a} . tt) or ({b} . ff) in "
+                  for i, (a, b) in enumerate(pairs)) + "x0"
+    a0, b0 = pairs[0]
+    return src, sum(max(a, b) for a, b in pairs), "tt" if a0 >= b0 else "ff"
+
+
+def test_let_chain_denotes_its_closed_form_in_W():
+    src, reward, value = _let_chain(12)
+    p = parse_program(src)
+    r, v = denote(p.term, p.config, make_monad("W", p.config.structure))(
+        zero_gamma(p.config))
+    assert (r, v.name) == (reward, value)

@@ -165,3 +165,22 @@ def test_constant_renaming_commutes_with_selection():
     r2, v2 = select_program(swapped, p.config)
     assert r1 == r2
     assert {v1, v2} == {tt, ff}
+
+
+def test_sel_bind_runs_each_continuation_once_per_valuation():
+    from collections import Counter
+    from selcalc.selection import TT_ELEM, FF_ELEM, sel_bind, sel_or, sel_unit
+    mon = make_monad("W", parse_program("tt").config.structure)
+    calls = Counter()
+
+    def k(x):
+        calls[x] += 1
+        return sel_unit(x, mon)
+
+    f = sel_bind(sel_or(sel_unit(TT_ELEM, mon), sel_unit(FF_ELEM, mon)), k)
+    gamma = gamma_from_table({"ff": F(1)}, parse_program("tt").config)
+    assert f(gamma) == (F(0), FF_ELEM)
+    assert calls == {TT_ELEM: 1, FF_ELEM: 1}
+    # the memo lives for one run: a second valuation calls k afresh
+    assert f(zero_gamma(parse_program("tt").config)) == (F(0), TT_ELEM)
+    assert calls == {TT_ELEM: 2, FF_ELEM: 2}
