@@ -13,8 +13,8 @@ from .syntax import (
     App, Arrow, BOOL, Base, Const, FF, FnApp, Fst, Hole, If, Lam, LangConfig,
     Or, PChoice, Pair, Prod, Program, REW, Rew, RewConst, SelSyntaxError,
     SelTypeError, Snd, Star, TT, Term, Type, UNIT, Var, alpha_eq,
-    is_effect_value, is_value, parse_program, plug, pretty, type_rank,
-    typecheck,
+    is_effect_value, is_value, parse_program, plug, pretty, replace_at,
+    subterm_at, type_rank, typecheck,
 )
 from .operational import (
     BudgetExceeded, DEFAULT_BUDGET, StuckTerm, eval_effect, trace_eval,
@@ -35,9 +35,8 @@ from .selection import (
 from .equations import (
     AXIOMS, NoMatch, PurityResult, apply_axiom, canon_equal, canon_rewards,
     canonical_term, decide_equiv_prob, decide_equiv_rewards, decide_pure_prob,
-    decide_pure_rewards, distinguish_rewards, replace_at,
-    rewards_impurity_witness, subterm_at, weak_canon_prob,
-    weak_canonical_term,
+    decide_pure_rewards, distinguish_rewards, rewards_impurity_witness,
+    weak_canon_prob, weak_canonical_term,
 )
 from .testgen import (
     FIG3_AXIOMS, FIG4_AXIOMS, GenConfig, default_gammas, gamma_tables,

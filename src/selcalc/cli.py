@@ -21,9 +21,10 @@ from pathlib import Path
 import click
 
 from .equations import (
-    canon_rewards, canonical_term, decide_equiv_prob, decide_equiv_rewards,
-    decide_pure_prob, decide_pure_rewards, distinguish_rewards,
-    rewards_impurity_witness, weak_canon_prob, weak_canonical_term,
+    NoDistinguishingContext, canon_rewards, canonical_term, decide_equiv_prob,
+    decide_equiv_rewards, decide_pure_prob, decide_pure_rewards,
+    distinguish_rewards, rewards_impurity_witness, weak_canon_prob,
+    weak_canonical_term,
 )
 from .monads import k_gamma, make_monad, mr_of_effect, mrval, theta
 from .operational import BudgetExceeded, StuckTerm, eval_effect, trace_eval
@@ -40,9 +41,9 @@ from .strategies import (
     select_fast, select_program,
 )
 from .syntax import (
-    App, Arrow, BOOL, Base, FF, Hole, LangConfig, Or, PChoice, Prod, REW,
-    Rew, RewConst, SelSyntaxError, SelTypeError, TT, Term, Type, UNIT,
-    parse_program, plug, pretty, typecheck,
+    App, BOOL, Base, FF, Hole, LangConfig, Or, PChoice, REW, Rew, RewConst,
+    SelSyntaxError, SelTypeError, TT, Term, _Parser, _lex, parse_program,
+    plug, pretty, typecheck,
 )
 from .testgen import (
     AXIOM_MONADS, FIG3_AXIOMS, FIG4_AXIOMS, GenConfig, default_gammas,
@@ -161,55 +162,6 @@ def _load_gamma(gamma_arg: str | None, config: LangConfig):
             raise click.UsageError(
                 f"gamma entry {k}={v} lies outside {config.structure.name}")
     return gamma_from_table(table, config)
-
-
-def _parse_type(text: str, config: LangConfig) -> Type:
-    toks = [t for t in
-            __import__("re").findall(r"->|\*|\(|\)|[A-Za-z]\w*", text)]
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
-
-    def eat(t):
-        if peek() != t:
-            raise click.UsageError(f"bad type {text!r}")
-        pos[0] += 1
-
-    def arrow():
-        left = prod()
-        if peek() == "->":
-            eat("->")
-            return Arrow(left, arrow())
-        return left
-
-    def prod():
-        left = atom()
-        while peek() == "*":
-            eat("*")
-            left = Prod(left, atom())
-        return left
-
-    def atom():
-        t = peek()
-        if t == "(":
-            eat("(")
-            inner = arrow()
-            eat(")")
-            return inner
-        pos[0] += 1
-        if t == "Unit":
-            return UNIT
-        if t == "Rew":
-            return REW
-        if t in config.bases:
-            return Base(t)
-        raise click.UsageError(f"unknown base type {t!r}")
-
-    ty = arrow()
-    if pos[0] != len(toks):
-        raise click.UsageError(f"bad type {text!r}")
-    return ty
 
 
 ### property suites
@@ -1072,7 +1024,9 @@ def gen(seed, size, type_text, mode, structure_name, max_order, count):
     cfg = GenConfig(seed=seed, max_term_size=size, max_order=max_order,
                     mode=mode, structure=structure)
     config = cfg.lang()
-    target = _parse_type(type_text, config)
+    parser = _Parser(_lex(type_text), config)
+    target = parser.type_()
+    parser.expect("eof")
     if target == REW:
         raise click.UsageError("generation targets value types, not Rew")
     from .syntax import type_rank
@@ -1139,7 +1093,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceeded, StrategyCapExceeded, StuckTerm) as e:
         print(f"resource or invariant failure: {e}", file=sys.stderr)
         return 4
-    except ConditionCUnavailable as e:
+    except (ConditionCUnavailable, NoDistinguishingContext) as e:
         print(f"indeterminate: {e}", file=sys.stderr)
         return 2
     except click.Abort:

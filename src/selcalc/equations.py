@@ -15,15 +15,16 @@ provably picks something else.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .monads import Dist, make_monad, theta, vdis
 from .operational import DEFAULT_BUDGET, eval_effect
 from .syntax import (
-    App, Base, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, Pair,
-    PChoice, Rew, RewConst, Snd, Term, TT, FF, Var, alpha_eq, is_value,
-    pretty,
+    App, Base, Const, FnApp, Hole, If, LangConfig, Lam, Or, PChoice, Rew,
+    RewConst, Term, TT, FF, Var, alpha_eq, fold_effect, is_value, pretty,
+    replace_at, subterm_at,
 )
 
 
@@ -40,22 +41,12 @@ def canon_rewards(m: Term, config: LangConfig,
     Both moves are instances of the choice axioms, so the result is provably
     equal to the program.
     """
-    e = eval_effect(m, config, budget)
     st = config.structure
-
-    def flatten(e, acc):
-        if is_value(e):
-            return [(acc, e)]
-        match e:
-            case Rew(RewConst(c), body):
-                return flatten(body, st.add(acc, c))
-            case Or(a, b):
-                return flatten(a, acc) + flatten(b, acc)
-            case _:
-                raise ValueError(f"not a rewards-mode effect value: {e!r}")
-
+    entries = fold_effect(eval_effect(m, config, budget),
+                          lambda v: [(st.zero, v)], operator.add,
+                          lambda c, es: [(st.add(c, r), v) for r, v in es])
     out: list[tuple[Fraction, Term]] = []
-    for c, v in flatten(e, st.zero):
+    for c, v in entries:
         for k, (ck, vk) in enumerate(out):
             if alpha_eq(v, vk):
                 if st.leq(c, ck):
@@ -137,6 +128,12 @@ def rewards_impurity_witness(m: Term, config: LangConfig,
 
 ### distinguishing contexts, rewards mode
 
+class NoDistinguishingContext(Exception):
+    """Raised when two programs' canonical forms differ but the reward
+    structure has no procedure for building a context that separates
+    them."""
+
+
 def distinguish_rewards(m: Term, n: Term, config: LangConfig,
                         budget: int = DEFAULT_BUDGET) -> Term | None:
     """A context C with a hole such that C[m] and C[n] have different
@@ -153,7 +150,8 @@ def distinguish_rewards(m: Term, n: Term, config: LangConfig,
         return None
     st = config.structure
     if st.name != "AddRationals":
-        raise ValueError("distinguishing contexts are built over AddRationals")
+        raise NoDistinguishingContext(
+            f"distinguishing contexts are built over AddRationals, not {st.name}")
     low, high = Fraction(0), Fraction(1)
 
     def find(entries, v):
@@ -213,32 +211,11 @@ def pr_branches(e: Term, config: LangConfig) -> list[Dist]:
     represented as a distribution of (reward, value) atoms.  The cross
     product of a probabilistic choice enumerates left branches in the outer
     position."""
-    st = config.structure
-
-    def shift(c, d: Dist) -> Dist:
-        return d.map(lambda rx: (st.add(c, rx[0]), rx[1]))
-
-    def mix(p, d1: Dist, d2: Dist) -> Dist:
-        if p == 1:
-            return d1
-        if p == 0:
-            return d2
-        return Dist.mix([(p, d1), (1 - p, d2)])
-
-    def go(e) -> list[Dist]:
-        if is_value(e):
-            return [Dist.unit((st.zero, e))]
-        match e:
-            case Or(a, b):
-                return go(a) + go(b)
-            case Rew(RewConst(c), body):
-                return [shift(c, d) for d in go(body)]
-            case PChoice(p, a, b):
-                return [mix(p, da, db) for da in go(a) for db in go(b)]
-            case _:
-                raise ValueError(f"not an effect value: {e!r}")
-
-    return go(e)
+    dw = make_monad("DW", config.structure)
+    return fold_effect(
+        e, lambda v: [dw.unit(v)], operator.add,
+        lambda c, ds: [dw.reward(c, d) for d in ds],
+        lambda p, das, dbs: [dw.pchoice(p, da, db) for da in das for db in dbs])
 
 
 def weak_canon_prob(m: Term, config: LangConfig, monad_name: str = "DW",
@@ -394,20 +371,8 @@ def decide_pure_prob(m: Term, config: LangConfig, monad_name: str = "DW",
 
 def _value_support(m: Term, config: LangConfig) -> list[Const]:
     """Constants of the program's base type (used to build valuations)."""
-    e = eval_effect(m, config)
-
-    def leaves(e):
-        if is_value(e):
-            return [e]
-        match e:
-            case Or(a, b) | PChoice(_, a, b):
-                return leaves(a) + leaves(b)
-            case Rew(_, body):
-                return leaves(body)
-            case _:
-                raise ValueError(f"not an effect value: {e!r}")
-
-    vs = leaves(e)
+    vs = fold_effect(eval_effect(m, config), lambda v: [v], operator.add,
+                     lambda c, b: b, lambda p, a, b: a + b)
     if not all(isinstance(v, Const) for v in vs):
         raise ValueError("purity decision applies to programs of base type")
     return config.constants_of(vs[0].base)
@@ -419,76 +384,22 @@ class NoMatch(Exception):
     pass
 
 
-def _children(t: Term) -> list[Term]:
-    match t:
-        case Pair(a, b) | App(a, b) | Or(a, b) | Rew(a, b):
-            return [a, b]
-        case PChoice(_, a, b):
-            return [a, b]
-        case Fst(a) | Snd(a) | Lam(_, _, a):
-            return [a]
-        case If(c, a, b):
-            return [c, a, b]
-        case FnApp(_, args, _):
-            return list(args)
-        case _:
-            return []
-
-
-def _rebuild(t: Term, kids: list[Term]) -> Term:
-    match t:
-        case Pair(_, _):
-            return Pair(*kids)
-        case App(_, _):
-            return App(*kids)
-        case Or(_, _):
-            return Or(*kids)
-        case Rew(_, _):
-            return Rew(*kids)
-        case PChoice(p, _, _):
-            return PChoice(p, *kids)
-        case Fst(_):
-            return Fst(*kids)
-        case Snd(_):
-            return Snd(*kids)
-        case Lam(v, ty, _):
-            return Lam(v, ty, kids[0])
-        case If(_, _, _):
-            return If(*kids)
-        case FnApp(sym, _, w):
-            return FnApp(sym, tuple(kids), w)
-        case _:
-            return t
-
-
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
-    for i in path:
-        t = _children(t)[i]
-    return t
-
-
-def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    kids = _children(t)
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return _rebuild(t, kids)
-
-
 def _pr_flatten(t: Term) -> list[tuple[Fraction, Term, Term]] | None:
     """Flatten a term in probabilistic-reward form into weighted
-    (reward term, target) leaves; None if it is not of that shape."""
-    match t:
-        case Rew(param, l):
-            return [(Fraction(1), param, l)]
-        case PChoice(p, a, b):
-            fa, fb = _pr_flatten(a), _pr_flatten(b)
-            if fa is None or fb is None:
+    (reward term, target) leaves, left to right; None if it is not of that
+    shape."""
+    out = []
+    stack = [(Fraction(1), t)]
+    while stack:
+        w, s = stack.pop()
+        match s:
+            case Rew(param, l):
+                out.append((w, param, l))
+            case PChoice(p, a, b):
+                stack += [((1 - p) * w, b), (p * w, a)]
+            case _:
                 return None
-            return ([(p * w, r, l) for w, r, l in fa]
-                    + [((1 - p) * w, r, l) for w, r, l in fb])
-        case _:
-            return None
+    return out
 
 
 def _pr_value_info(t: Term, config: LangConfig):

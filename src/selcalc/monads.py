@@ -454,19 +454,7 @@ def k_gamma(gamma, u, monad):
 def mr_of_effect(e, structure: RewardStructure = DEFAULT_STRUCTURE) -> MRVal:
     """Fold an effect value of the rewards calculus into a value set tagged
     with best rewards."""
-    from .syntax import Or, Rew, RewConst, is_value
+    from .syntax import fold_effect
 
     m = MRMonad(structure)
-
-    def go(e):
-        match e:
-            case Or(a, b):
-                return m.or_op(go(a), go(b))
-            case Rew(RewConst(c), body):
-                return m.reward(c, go(body))
-            case v if is_value(v):
-                return m.unit(v)
-            case _:
-                raise ValueError(f"not an effect value: {e!r}")
-
-    return go(e)
+    return fold_effect(e, m.unit, m.or_op, m.reward)

@@ -324,24 +324,22 @@ def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Te
 def trace_eval(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET):
     """Yield (depth, term) snapshots of the evaluation, one per ordinary
     step, descending into branches left to right."""
-    remaining = [budget]
-
-    def go(t, depth):
+    remaining = budget
+    pending = [(0, t)]
+    while pending:
+        depth, t = pending.pop()
         yield (depth, t)
         while True:
             r = step(t, config)
             match r:
                 case Value(_):
-                    return
+                    break
                 case Ordinary(nxt):
-                    remaining[0] -= 1
-                    if remaining[0] < 0:
+                    remaining -= 1
+                    if remaining < 0:
                         raise BudgetExceeded(f"exceeded {budget} evaluation steps")
                     t = nxt
                     yield (depth, t)
                 case Branch(_, _, branches):
-                    for b in branches:
-                        yield from go(b, depth + 1)
-                    return
-
-    yield from go(t, 0)
+                    pending += [(depth + 1, b) for b in reversed(branches)]
+                    break

@@ -8,17 +8,20 @@ strategy maximizing expected reward, so ties resolve to the leftmost
 option.
 
 ``select_bruteforce`` enumerates everything and is the reference oracle;
-``select_fast`` computes the same outcome by structural recursion.
+``select_fast`` computes the same outcome by one fold of the effect value.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .monads import expect0, make_monad
 from .operational import DEFAULT_BUDGET, eval_effect
-from .syntax import LangConfig, Or, PChoice, Rew, RewConst, Term, is_value
+from .syntax import (
+    LangConfig, Or, PChoice, Rew, RewConst, Term, fold_effect, is_value,
+)
 
 
 class StrategyCapExceeded(Exception):
@@ -75,17 +78,8 @@ DEFAULT_CAP = 2 ** 20
 
 
 def strategy_count(e: Term) -> int:
-    if is_value(e):
-        return 1
-    match e:
-        case Or(a, b):
-            return strategy_count(a) + strategy_count(b)
-        case Rew(_, m):
-            return strategy_count(m)
-        case PChoice(_, a, b):
-            return strategy_count(a) * strategy_count(b)
-        case _:
-            raise ValueError(f"not an effect value: {e!r}")
+    return fold_effect(e, lambda v: 1, operator.add, lambda c, n: n,
+                       lambda p, m, n: m * n)
 
 
 def enumerate_strategies(e: Term, cap: int = DEFAULT_CAP):
@@ -190,28 +184,18 @@ def select_bruteforce(m: Term, config: LangConfig, cap: int = DEFAULT_CAP,
 
 
 def select_fast(e: Term, config: LangConfig):
-    """Outcome of the optimal strategy, by structural recursion: values give
-    the unit outcome, rewards shift, probabilistic choice mixes, and ``or``
-    takes the expected-reward maximum of its sides, preferring the left."""
+    """Outcome of the optimal strategy, by one fold of the effect value:
+    values give the unit outcome, rewards shift, probabilistic choice
+    mixes, and ``or`` takes the expected-reward maximum of its sides,
+    preferring the left."""
     if config.mode == "rewards":
         monad = make_monad("W", config.structure)
     else:
         monad = make_monad("DW", config.structure)
-
-    def go(e):
-        if is_value(e):
-            return monad.unit(e)
-        match e:
-            case Or(a, b):
-                return max_by(lambda u: outcome_score(u, config), go(a), go(b))
-            case Rew(RewConst(c), m):
-                return monad.reward(c, go(m))
-            case PChoice(p, a, b):
-                return monad.pchoice(p, go(a), go(b))
-            case _:
-                raise ValueError(f"not an effect value: {e!r}")
-
-    return go(e)
+    return fold_effect(
+        e, monad.unit,
+        lambda u, v: max_by(lambda w: outcome_score(w, config), u, v),
+        monad.reward, monad.pchoice if monad.has_pchoice else None)
 
 
 def select_program(m: Term, config: LangConfig, budget: int = DEFAULT_BUDGET):

@@ -249,15 +249,45 @@ def is_value(t: Term) -> bool:
 def is_effect_value(t: Term) -> bool:
     """Value, or an operation applied to evaluated parameters and effect
     value continuations."""
-    if is_value(t):
-        return True
-    if isinstance(t, Or):
-        return is_effect_value(t.left) and is_effect_value(t.right)
-    if isinstance(t, Rew):
-        return isinstance(t.param, RewConst) and is_effect_value(t.body)
-    if isinstance(t, PChoice):
-        return is_effect_value(t.left) and is_effect_value(t.right)
-    return False
+    def nothing(*_):
+        return None
+
+    try:
+        fold_effect(t, nothing, nothing, nothing, nothing)
+    except ValueError:
+        return False
+    return True
+
+
+def fold_effect(e: Term, leaf, or_, rew, pchoice=None):
+    """Fold an effect value bottom-up: ``leaf(v)`` at each value,
+    ``or_(a, b)``, ``rew(c, b)`` and ``pchoice(p, a, b)`` at the operation
+    nodes, where ``c`` is the reward constant's value and ``a``, ``b`` are
+    the folds of the branches.  Left branches fold before right ones, on an
+    explicit stack, so effect depth uses no Python recursion.  Raises
+    ValueError on any other node, and at a ``+[p]`` node when ``pchoice``
+    is None."""
+    done = []
+    work = [(False, e)]
+    while work:
+        built, t = work.pop()
+        cls = type(t)
+        if built:
+            if cls is Rew:
+                done.append(rew(t.param.value, done.pop()))
+                continue
+            b = done.pop()
+            a = done.pop()
+            done.append(or_(a, b) if cls is Or else pchoice(t.weight, a, b))
+        elif cls is Or or (cls is PChoice and pchoice is not None):
+            work += ((True, t), (False, t.right), (False, t.left))
+        elif cls is Rew and type(t.param) is RewConst:
+            work += ((True, t), (False, t.body))
+        elif is_value(t):
+            done.append(leaf(t))
+        else:
+            raise ValueError(f"not an effect value: {t!r}")
+    return done[0]
 
 
 ### free variables and substitution
@@ -327,36 +357,6 @@ def substitute(t: Term, var: str, val: Term) -> Term:
             return t
 
 
-def plug(ctx: Term, t: Term) -> Term:
-    """Replace the hole of a context by a term.  No binding is involved:
-    contexts built here never capture."""
-    match ctx:
-        case Hole():
-            return t
-        case Lam(v, ty, body):
-            return Lam(v, ty, plug(body, t))
-        case Pair(a, b):
-            return Pair(plug(a, t), plug(b, t))
-        case App(a, b):
-            return App(plug(a, t), plug(b, t))
-        case Fst(a):
-            return Fst(plug(a, t))
-        case Snd(a):
-            return Snd(plug(a, t))
-        case If(c, a, b):
-            return If(plug(c, t), plug(a, t), plug(b, t))
-        case FnApp(sym, args, w):
-            return FnApp(sym, tuple(plug(a, t) for a in args), w)
-        case Or(a, b):
-            return Or(plug(a, t), plug(b, t))
-        case Rew(a, b):
-            return Rew(plug(a, t), plug(b, t))
-        case PChoice(p, a, b):
-            return PChoice(p, plug(a, t), plug(b, t))
-        case _:
-            return ctx
-
-
 def alpha_eq(s: Term, t: Term) -> bool:
     """Structural equality up to renaming of bound variables."""
     if type(s) is not type(t):
@@ -388,6 +388,91 @@ def alpha_eq(s: Term, t: Term) -> bool:
             return p == t.weight and alpha_eq(a, t.left) and alpha_eq(b, t.right)
         case _:
             return s == t
+
+
+### generic term structure
+
+def children(t: Term) -> list[Term]:
+    """Immediate subterms, in the order ``rebuild`` takes them."""
+    match t:
+        case Pair(a, b) | App(a, b) | Or(a, b) | Rew(a, b) | PChoice(_, a, b):
+            return [a, b]
+        case Fst(a) | Snd(a) | Lam(_, _, a):
+            return [a]
+        case If(c, a, b):
+            return [c, a, b]
+        case FnApp(_, args, _):
+            return list(args)
+        case _:
+            return []
+
+
+def rebuild(t: Term, kids: list[Term]) -> Term:
+    """A node like t with its immediate subterms replaced by kids."""
+    match t:
+        case Pair(_, _):
+            return Pair(*kids)
+        case App(_, _):
+            return App(*kids)
+        case Or(_, _):
+            return Or(*kids)
+        case Rew(_, _):
+            return Rew(*kids)
+        case PChoice(p, _, _):
+            return PChoice(p, *kids)
+        case Fst(_):
+            return Fst(*kids)
+        case Snd(_):
+            return Snd(*kids)
+        case Lam(v, ty, _):
+            return Lam(v, ty, kids[0])
+        case If(_, _, _):
+            return If(*kids)
+        case FnApp(sym, _, w):
+            return FnApp(sym, tuple(kids), w)
+        case _:
+            return t
+
+
+def subterms(t: Term):
+    """Yield (path, subterm) for every subterm of t, t itself first, in
+    preorder; a path lists child indices from the root.  The walk keeps an
+    explicit stack, so term depth uses no Python recursion."""
+    stack = [((), t)]
+    while stack:
+        path, s = stack.pop()
+        yield path, s
+        kids = children(s)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i]))
+
+
+def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
+    """The subterm at a path of child indices."""
+    for i in path:
+        t = children(t)[i]
+    return t
+
+
+def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
+    """t with the subterm at path replaced by new."""
+    spine = []
+    for i in path:
+        kids = children(t)
+        spine.append((t, kids, i))
+        t = kids[i]
+    for node, kids, i in reversed(spine):
+        kids[i] = new
+        new = rebuild(node, kids)
+    return new
+
+
+def plug(ctx: Term, t: Term) -> Term:
+    """Replace the hole of a context by a term.  No binding is involved:
+    contexts built here never capture."""
+    for path in [p for p, s in subterms(ctx) if isinstance(s, Hole)]:
+        ctx = replace_at(ctx, path, t)
+    return ctx
 
 
 ### typechecking
@@ -510,19 +595,15 @@ def typecheck(t: Term, env: dict[str, Type] | None = None,
 def subst_constants(e: Term, g: dict[Const, Term]) -> Term:
     """Homomorphically replace every base constant of an effect value using
     g; operations and reward parameters are left alone."""
-    match e:
-        case Const():
-            if e not in g:
-                raise KeyError(f"no image for constant {e.name}")
-            return g[e]
-        case Or(a, b):
-            return Or(subst_constants(a, g), subst_constants(b, g))
-        case Rew(c, m):
-            return Rew(c, subst_constants(m, g))
-        case PChoice(p, a, b):
-            return PChoice(p, subst_constants(a, g), subst_constants(b, g))
-        case _:
-            raise ValueError(f"not an effect value over base constants: {e!r}")
+    def image(v):
+        if not isinstance(v, Const):
+            raise ValueError(f"not an effect value over base constants: {v!r}")
+        if v not in g:
+            raise KeyError(f"no image for constant {v.name}")
+        return g[v]
+
+    return fold_effect(e, image, Or, lambda c, m: Rew(RewConst(c), m),
+                       PChoice)
 
 
 def make_dispatcher(consts: list[Const], g) -> Lam:
@@ -806,21 +887,8 @@ def parse(src: str, config: LangConfig | None = None) -> Term:
 
 
 def _contains_prob_op(t: Term) -> bool:
-    match t:
-        case PChoice():
-            return True
-        case FnApp("oplus", args, _):
-            return True
-        case Pair(a, b) | App(a, b) | Or(a, b) | Rew(a, b):
-            return _contains_prob_op(a) or _contains_prob_op(b)
-        case Fst(a) | Snd(a) | Lam(_, _, a):
-            return _contains_prob_op(a)
-        case If(c, a, b):
-            return any(map(_contains_prob_op, (c, a, b)))
-        case FnApp(_, args, _):
-            return any(map(_contains_prob_op, args))
-        case _:
-            return False
+    return any(isinstance(s, PChoice) or (isinstance(s, FnApp) and s.sym == "oplus")
+               for _, s in subterms(t))
 
 
 def parse_program(src: str, mode: str | None = None,

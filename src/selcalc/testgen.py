@@ -21,7 +21,7 @@ from .strategies import outcome_score, select_fast
 from .syntax import (
     App, Arrow, BOOL, Base, FnApp, Fst, If, LangConfig, Lam, Or, Pair,
     PChoice, Prod, REW, Rew, RewConst, Snd, Star, Term, Type, UNIT, Var,
-    type_rank, typecheck,
+    fold_effect, replace_at, subterm_at, subterms, type_rank, typecheck,
 )
 
 GAMMA_POOL = tuple(Fraction(n) for n in range(-3, 4)) + (
@@ -261,31 +261,8 @@ def gen_program(cfg: GenConfig, target_type: Type = BOOL,
 
 def node_tally(t: Term) -> Counter:
     """Constructor counts of a term, keyed by node kind."""
-    out: Counter = Counter()
-
-    def walk(t):
-        label = type(t).__name__
-        if isinstance(t, FnApp):
-            label = f"FnApp:{t.sym}"
-        out[label] += 1
-        match t:
-            case Lam(_, _, b):
-                walk(b)
-            case Pair(a, b) | App(a, b) | Or(a, b) | Rew(a, b) | PChoice(_, a, b):
-                walk(a)
-                walk(b)
-            case Fst(a) | Snd(a):
-                walk(a)
-            case If(c, a, b):
-                walk(c)
-                walk(a)
-                walk(b)
-            case FnApp(_, args, _):
-                for a in args:
-                    walk(a)
-
-    walk(t)
-    return out
+    return Counter(f"FnApp:{s.sym}" if isinstance(s, FnApp) else type(s).__name__
+                   for _, s in subterms(t))
 
 
 def constructor_coverage(cfg: GenConfig, target_type: Type = BOOL,
@@ -541,40 +518,26 @@ def gen_equivalent_pair(cfg: GenConfig, rng: random.Random | None = None,
     return inst, rewritten
 
 
-def _or_paths(e: Term, path=()):
-    match e:
-        case Or(a, b):
-            yield path
-            yield from _or_paths(a, path + (0,))
-            yield from _or_paths(b, path + (1,))
-        case PChoice(_, a, b):
-            yield from _or_paths(a, path + (0,))
-            yield from _or_paths(b, path + (1,))
-        case Rew(_, b):
-            yield from _or_paths(b, path + (1,))
+def _or_paths(e: Term) -> list[tuple[int, ...]]:
+    """Paths of the ``or`` nodes of an effect value, in preorder."""
+    def under(i, paths):
+        return [(i,) + p for p in paths]
+
+    return fold_effect(e, lambda v: [],
+                       lambda a, b: [()] + under(0, a) + under(1, b),
+                       lambda c, b: under(1, b),
+                       lambda p, a, b: under(0, a) + under(1, b))
 
 
 def or_swap(e: Term, rng: random.Random) -> Term:
     """Flip the arguments of one random choice node of an effect value;
     returns the term unchanged when there is none."""
-    paths = list(_or_paths(e))
+    paths = _or_paths(e)
     if not paths:
         return e
     target = rng.choice(paths)
-
-    def go(t, path):
-        if not path:
-            return Or(t.right, t.left)
-        match t:
-            case Or(a, b):
-                return Or(go(a, path[1:]), b) if path[0] == 0 else Or(a, go(b, path[1:]))
-            case PChoice(w, a, b):
-                return (PChoice(w, go(a, path[1:]), b) if path[0] == 0
-                        else PChoice(w, a, go(b, path[1:])))
-            case Rew(p, b):
-                return Rew(p, go(b, path[1:]))
-
-    return go(e, target)
+    node = subterm_at(e, target)
+    return replace_at(e, target, Or(node.right, node.left))
 
 
 def _pr_instance(g: _TermGen, cfg: GenConfig, config: LangConfig,

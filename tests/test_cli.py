@@ -3,6 +3,7 @@ import json
 import pytest
 
 from selcalc.cli import main, suites
+from selcalc.syntax import BOOL, Arrow, Prod, parse_program, typecheck
 
 
 @pytest.fixture
@@ -309,3 +310,33 @@ def test_raising_case_fails_alone(monkeypatch):
     assert (res.passed, res.total) == (4, 6)
     assert res.failures == ["fake seed 9 case 2: ValueError: boom",
                             "fake seed 9 case 4: four"]
+
+
+@pytest.mark.parametrize("type_text, want", [
+    ("Bool * Bool", Prod(BOOL, BOOL)), ("Bool -> Bool", Arrow(BOOL, BOOL))])
+def test_gen_type_targets_that_type(capsys, type_text, want):
+    rc, out, _ = run(capsys, "gen", "--seed", "3", "--count", "3",
+                     "--type", type_text)
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        p = parse_program(line, mode="rewards")
+        assert typecheck(p.term, config=p.config) == want
+
+
+@pytest.mark.parametrize("type_text", ["Bool )", "Bool!", "Nat"])
+def test_gen_bad_type_is_a_usage_error(capsys, type_text):
+    rc, out, err = run(capsys, "gen", "--type", type_text)
+    assert rc == 3
+    assert out == "" and "internal error" not in err
+
+
+@pytest.mark.parametrize("structure", ["MulPositiveRationals", "NonNegAdd"])
+def test_equiv_without_context_procedure_is_indeterminate(sel, capsys,
+                                                          structure):
+    rc, out, err = run(capsys, "equiv",
+                       sel(f"structure {structure};\n(2 . tt) or (3 . ff)", "a.sel"),
+                       sel(f"structure {structure};\n(3 . tt) or (2 . ff)", "b.sel"))
+    assert rc == 2
+    assert err.startswith("indeterminate:") and "internal error" not in err

@@ -1,0 +1,158 @@
+"""The effect-value fold and the generic term walk, checked on deep terms at
+the default recursion limit, plus the names the package exports."""
+
+import sys
+from fractions import Fraction as F
+
+import pytest
+
+import selcalc
+from selcalc import equations, syntax
+from selcalc.equations import (
+    canon_rewards, decide_pure_prob, decide_pure_rewards, weak_canon_prob,
+)
+from selcalc.monads import Dist, mr_of_effect, mrval
+from selcalc.strategies import select_fast, select_program, strategy_count
+from selcalc.syntax import (
+    App, FF, FnApp, Hole, If, LangConfig, Lam, Or, Pair, PChoice, Rew,
+    RewConst, TT, Var, BOOL, children, fold_effect, is_effect_value,
+    parse_program, plug, rebuild, replace_at, subterm_at, subterms,
+)
+
+REWARDS = LangConfig()
+PROB = LangConfig(mode="prob")
+DEEP = 5000
+
+
+def _or_chain(n):
+    """A left-nested n-way or; branch i carries reward i and tt or ff by
+    parity, so the last branch (ff for even n) wins."""
+    t = Rew(RewConst(F(0)), TT)
+    for i in range(1, n):
+        t = Or(t, Rew(RewConst(F(i)), (TT, FF)[i % 2]))
+    return t
+
+
+def _rew_chain(n):
+    t = PChoice(F(1, 2), TT, FF)
+    for _ in range(n):
+        t = Rew(RewConst(F(1)), t)
+    return t
+
+
+### fold_effect
+
+def test_fold_effect_visits_left_before_right():
+    e = Or(Rew(RewConst(F(2)), TT), PChoice(F(1, 3), FF, Pair(TT, FF)))
+    seen = []
+
+    def leaf(v):
+        seen.append(v)
+        return ("v", v)
+
+    got = fold_effect(e, leaf, lambda a, b: ("or", a, b),
+                      lambda c, b: ("rew", c, b), lambda p, a, b: ("pc", p, a, b))
+    assert seen == [TT, FF, Pair(TT, FF)]
+    assert got == ("or", ("rew", F(2), ("v", TT)),
+                   ("pc", F(1, 3), ("v", FF), ("v", Pair(TT, FF))))
+
+
+def _count(*_):
+    return 1
+
+
+@pytest.mark.parametrize("e", [
+    Or(TT, Var("x")),
+    Rew(FnApp("+", (RewConst(F(1)), RewConst(F(1)))), TT),
+    Or(TT, App(Lam("x", BOOL, Var("x")), TT)),
+])
+def test_fold_effect_rejects_other_nodes(e):
+    with pytest.raises(ValueError, match="not an effect value"):
+        fold_effect(e, _count, _count, _count, _count)
+    assert not is_effect_value(e)
+
+
+def test_fold_effect_without_pchoice_rejects_it():
+    e = Rew(RewConst(F(1)), PChoice(F(1, 2), TT, FF))
+    with pytest.raises(ValueError, match="not an effect value"):
+        fold_effect(e, _count, _count, _count)
+    assert fold_effect(e, _count, _count, lambda c, n: n,
+                       lambda p, m, n: m + n) == 2
+
+
+### the term walk
+
+def test_subterms_is_a_preorder_with_paths():
+    t = If(TT, Pair(FF, Hole()), Lam("x", BOOL, Var("x")))
+    walk = list(subterms(t))
+    assert [p for p, _ in walk] == [(), (0,), (1,), (1, 0), (1, 1), (2,), (2, 0)]
+    assert all(subterm_at(t, p) is s for p, s in walk)
+    assert all(rebuild(s, children(s)) == s for _, s in walk)
+
+
+def test_plug_fills_every_hole():
+    ctx = Pair(Hole(), Or(Hole(), FF))
+    assert plug(ctx, TT) == Pair(TT, Or(TT, FF))
+
+
+### deep terms at the default recursion limit
+
+def test_effect_folds_on_a_deep_or_chain():
+    assert DEEP > sys.getrecursionlimit()
+    e = _or_chain(DEEP)
+    assert is_effect_value(e)
+    assert strategy_count(e) == DEEP
+    assert select_fast(e, REWARDS) == (F(DEEP - 1), FF)
+    assert mr_of_effect(e) == mrval({TT: F(DEEP - 2), FF: F(DEEP - 1)})
+    assert canon_rewards(e, REWARDS) == [(F(DEEP - 2), TT), (F(DEEP - 1), FF)]
+    assert decide_pure_rewards(e, REWARDS) is None
+    bottom = (0,) * (DEEP - 1)
+    assert subterm_at(e, bottom) == Rew(RewConst(F(0)), TT)
+    assert not is_effect_value(replace_at(e, bottom, Var("x")))
+
+
+def test_prob_canon_and_purity_on_a_deep_reward_chain():
+    e = _rew_chain(DEEP)
+    half = F(1, 2)
+    assert weak_canon_prob(e, PROB) == [
+        Dist([(half, (F(DEEP), TT)), (half, (F(DEEP), FF))])]
+    res = decide_pure_prob(e, PROB)
+    assert res.constant is None
+    assert res.witness == {"tt": F(0), "ff": F(0)}
+
+
+def test_long_sum_parses_and_selects():
+    p = parse_program("(" + " + ".join(["1"] * DEEP) + ") . tt")
+    assert p.config.mode == "rewards"
+    assert select_program(p.term, p.config) == (F(DEEP), TT)
+
+
+### the package's names
+
+EXPORTS = """
+    ConditionCUnavailable DEFAULT_STRUCTURE RewardStructure STRUCTURES
+    parse_reward App Arrow BOOL Base Const FF FnApp Fst Hole If Lam
+    LangConfig Or PChoice Pair Prod Program REW Rew RewConst SelSyntaxError
+    SelTypeError Snd Star TT Term Type UNIT Var alpha_eq is_effect_value
+    is_value parse_program plug pretty type_rank typecheck BudgetExceeded
+    DEFAULT_BUDGET StuckTerm eval_effect trace_eval StrategyCapExceeded
+    argmax max_by outcome_score select_bruteforce select_fast select_program
+    Dist MRVal T2Val T3Val atom_key cond_reward expect0 k_gamma make_monad
+    mr_of_effect mrval t2val theta vdis ConstElem FnElem PairElem RewElem
+    UnitElem agree_at denote denote_value embed_outcome gamma_from_table
+    kappa_term observe zero_gamma AXIOMS NoMatch PurityResult apply_axiom
+    canon_equal canon_rewards canonical_term decide_equiv_prob
+    decide_equiv_rewards decide_pure_prob decide_pure_rewards
+    distinguish_rewards replace_at rewards_impurity_witness subterm_at
+    weak_canon_prob weak_canonical_term FIG3_AXIOMS FIG4_AXIOMS GenConfig
+    default_gammas gamma_tables gen_axiom_instance gen_effect_value
+    gen_equivalent_pair gen_kleisli gen_monad_value gen_program
+    gen_tie_effect or_swap main run_suite suites
+""".split()
+
+
+def test_package_names_resolve():
+    assert [n for n in EXPORTS if not hasattr(selcalc, n)] == []
+    assert equations.subterm_at is syntax.subterm_at
+    assert equations.replace_at is syntax.replace_at
+    assert callable(syntax.plug) and callable(syntax.subst_constants)
