@@ -22,9 +22,9 @@ from fractions import Fraction
 from .monads import Dist, make_monad, theta, vdis
 from .operational import DEFAULT_BUDGET, eval_effect
 from .syntax import (
-    App, Base, Const, FnApp, Hole, If, LangConfig, Lam, Or, PChoice, Rew,
-    RewConst, Term, TT, FF, Var, alpha_eq, fold_effect, is_value, pretty,
-    replace_at, subterm_at,
+    App, Base, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, PChoice,
+    Pair, Prod, Rew, RewConst, Snd, Star, Term, TT, FF, UNIT, Var, alpha_eq,
+    fold_effect, is_value, pretty, replace_at, subterm_at,
 )
 
 
@@ -129,9 +129,36 @@ def rewards_impurity_witness(m: Term, config: LangConfig,
 ### distinguishing contexts, rewards mode
 
 class NoDistinguishingContext(Exception):
-    """Raised when two programs' canonical forms differ but the reward
-    structure has no procedure for building a context that separates
-    them."""
+    """Raised when two programs' canonical forms differ but no context
+    separating them can be built: the reward structure has no procedure
+    for it, or the values to tell apart are not ground."""
+
+
+def _ground_type(v: Term):
+    """The type of a ground value (constants, ``*`` and pairs of them),
+    or None for any other value."""
+    match v:
+        case Const(_, base, _):
+            return Base(base)
+        case Star():
+            return UNIT
+        case Pair(a, b):
+            ta, tb = _ground_type(a), _ground_type(b)
+            return None if ta is None or tb is None else Prod(ta, tb)
+    return None
+
+
+def _equals(x: Term, v: Term) -> Term:
+    """A Bool term testing the ground value x against v, comparing
+    constants with ``==`` and pairs component by component (``*`` needs
+    no test)."""
+    match v:
+        case Const():
+            return FnApp("==", (x, v))
+        case Pair(a, b):
+            ta, tb = _equals(Fst(x), a), _equals(Snd(x), b)
+            return tb if ta == TT else ta if tb == TT else If(ta, tb, FF)
+    return TT
 
 
 def distinguish_rewards(m: Term, n: Term, config: LangConfig,
@@ -175,9 +202,11 @@ def distinguish_rewards(m: Term, n: Term, config: LangConfig,
         rest = [c for k, (c, _) in enumerate(entries) if k != i0]
         rest += [c for c, _ in other]
         cap = max(rest) if rest else Fraction(0)
-        return If(FnApp("==", (Hole(), v0)),
-                  Rew(RewConst(cap + high), TT),
-                  Rew(RewConst(c0 + low), TT))
+        yes, no = Rew(RewConst(cap + high), TT), Rew(RewConst(c0 + low), TT)
+        ty = _ground_type(v0)
+        if isinstance(v0, Const) or ty is None:
+            return If(FnApp("==", (Hole(), v0)), yes, no)
+        return App(Lam("x", ty, If(_equals(Var("x"), v0), yes, no)), Hole())
 
     i0 = one_sided(a, b)
     if i0 is not None:
@@ -191,16 +220,18 @@ def distinguish_rewards(m: Term, n: Term, config: LangConfig,
                                               and alpha_eq(a[k][1], b[k][1])))
     c_a, v_a = a[i]
     c_b, v_b = b[i]
-    if not (isinstance(v_a, Const) and isinstance(v_b, Const)):
-        raise ValueError("distinguishing contexts need base-typed programs")
+    ty = _ground_type(v_a)
+    if ty is None:
+        raise NoDistinguishingContext(
+            f"distinguishing contexts are built over ground values, not {pretty(v_a)}")
     cap = max([c for c, _ in a] + [c for c, _ in b])
     x = Var("x")
-    body = If(FnApp("==", (x, v_a)),
+    body = If(_equals(x, v_a),
               Rew(RewConst(cap + c_b + high), TT),
-              If(FnApp("==", (x, v_b)),
+              If(_equals(x, v_b),
                  Rew(RewConst(cap + c_a + high), FF),
                  Rew(RewConst(c_a + c_b + low), FF)))
-    return App(Lam("x", Base(v_a.base), body), Hole())
+    return App(Lam("x", ty, body), Hole())
 
 
 ### weak canonical forms, probabilistic mode

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable
 
-from .rewards import RewardStructure, DEFAULT_STRUCTURE
+from .rewards import ONE, ZERO, RewardStructure, DEFAULT_STRUCTURE
 
 
 ### generic sorting key for distribution atoms
@@ -44,10 +44,26 @@ def atom_key(a: Any):
 
 ### finite distributions
 
+def _by_atom(kv):
+    return atom_key(kv[0])
+
+
+def _sorted_pairs(acc: dict[Any, Fraction]) -> tuple:
+    if len(acc) == 1:
+        return tuple(acc.items())
+    return tuple(sorted(acc.items(), key=_by_atom))
+
+
 class Dist:
     """A finite probability distribution with exact rational weights.
     Atoms must be hashable; equal atoms are merged and the support is kept
-    sorted, so equal distributions compare equal structurally."""
+    sorted, so equal distributions compare equal structurally.
+
+    Invariant of every instance: positive weights summing to exactly 1,
+    no atom twice, ``pairs`` sorted by ``atom_key``.  Only the public
+    constructor checks weights; ``unit``, ``map`` and ``mix`` build from
+    distributions that already hold the invariant and so skip the checks
+    they cannot fail (``mix`` still checks its outer weights)."""
 
     __slots__ = ("pairs",)
 
@@ -61,22 +77,44 @@ class Dist:
             acc[x] = acc.get(x, Fraction(0)) + p
         if sum(acc.values()) != 1:
             raise ValueError(f"weights sum to {sum(acc.values())}, not 1")
-        object.__setattr__(self, "pairs",
-                           tuple(sorted(acc.items(), key=lambda kv: atom_key(kv[0]))))
+        object.__setattr__(self, "pairs", _sorted_pairs(acc))
+
+    @classmethod
+    def _trusted(cls, acc: dict[Any, Fraction]) -> "Dist":
+        """A distribution from merged positive weights known to sum to 1."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "pairs", _sorted_pairs(acc))
+        return d
 
     @staticmethod
     def unit(x) -> "Dist":
-        return Dist([(Fraction(1), x)])
+        d = object.__new__(Dist)
+        object.__setattr__(d, "pairs", ((x, ONE),))
+        return d
 
     @staticmethod
     def mix(weighted: list[tuple[Fraction, "Dist"]]) -> "Dist":
-        out = []
+        total = ZERO
+        acc: dict[Any, Fraction] = {}
         for p, d in weighted:
-            out.extend((p * q, x) for x, q in d.pairs)
-        return Dist(out)
+            if p < 0:
+                raise ValueError(f"negative weight {p}")
+            if p == 0:
+                continue
+            total += p
+            for x, q in d.pairs:
+                w = p * q
+                acc[x] = acc[x] + w if x in acc else w
+        if total != 1:
+            raise ValueError(f"weights sum to {total}, not 1")
+        return Dist._trusted(acc)
 
     def map(self, f) -> "Dist":
-        return Dist([(p, f(x)) for x, p in self.pairs])
+        acc: dict[Any, Fraction] = {}
+        for x, p in self.pairs:
+            y = f(x)
+            acc[y] = acc[y] + p if y in acc else p
+        return Dist._trusted(acc)
 
     def support(self):
         return [x for x, _ in self.pairs]
@@ -112,7 +150,8 @@ class Dist:
 @dataclass(frozen=True)
 class T2Val:
     """A value distribution with a reward attached to each support point.
-    ``rew`` is a tuple of (atom, reward) aligned with the support."""
+    ``rew`` is a tuple of (atom, reward) aligned with the support, in the
+    order of ``dist.pairs``; T2Monad reads rewards by that position."""
     dist: Dist
     rew: tuple[tuple[Any, Fraction], ...]
 
@@ -154,7 +193,7 @@ class MRVal:
 def mrval(mapping: dict[Any, Fraction]) -> MRVal:
     if not mapping:
         raise ValueError("empty value set")
-    return MRVal(tuple(sorted(mapping.items(), key=lambda kv: atom_key(kv[0]))))
+    return MRVal(_sorted_pairs(mapping))
 
 
 ### the monads
@@ -206,7 +245,14 @@ class DWMonad:
         return Dist.mix(weighted)
 
     def bind(self, u: Dist, f) -> Dist:
-        return self.mix([(p, self.reward(r, f(x))) for (r, x), p in u.items()])
+        """The mix of reward(r, f(x)) over u, merged in one pass."""
+        add = self.structure.add
+        acc: dict[Any, Fraction] = {}
+        for (r, x), p in u.pairs:
+            for (s, y), q in f(x).pairs:
+                a, w = (add(r, s), y), p * q
+                acc[a] = acc[a] + w if a in acc else w
+        return Dist._trusted(acc)
 
     def map(self, f, u: Dist) -> Dist:
         return u.map(lambda rx: (rx[0], f(rx[1])))
@@ -224,10 +270,13 @@ class DWMonad:
 
     def alpha(self, u: Dist) -> Fraction:
         add = self.structure.add
-        return self.structure.big_convex([(p, add(r, s)) for (r, s), p in u.items()])
+        return self.structure.big_convex([(p, add(r, s)) for (r, s), p in u.pairs])
 
     def expect(self, u: Dist, gamma) -> Fraction:
-        return self.alpha(self.map(gamma, u))
+        """alpha(map(gamma, u)), without building the mapped distribution."""
+        add = self.structure.add
+        return self.structure.big_convex(
+            [(p, add(r, gamma(x))) for (r, x), p in u.pairs])
 
 
 class T2Monad:
@@ -248,32 +297,37 @@ class T2Monad:
         self.structure = structure
 
     def unit(self, x) -> T2Val:
-        return t2val(Dist.unit(x), lambda _: self.structure.zero)
+        return T2Val(Dist.unit(x), ((x, self.structure.zero),))
+
+    def _conditional_rewards(self, dist: Dist, parts: dict[Any, list]) -> T2Val:
+        """Attach to each atom of dist the average of its (weight, reward)
+        parts, conditioned on the atom."""
+        big_convex = self.structure.big_convex
+        return T2Val(dist, tuple(
+            (x, big_convex([(w / total, r) for w, r in parts[x]]))
+            for x, total in dist.pairs))
 
     def mix(self, weighted) -> T2Val:
         """Convex combination of finitely many values; rewards on shared
         support points are averaged with the conditional weights."""
         dist = Dist.mix([(p, u.dist) for p, u in weighted])
-        rho = {}
-        for x in dist.support():
-            total = dist.prob(x)
-            parts = [(p * u.dist.prob(x) / total, u.rho(x))
-                     for p, u in weighted if p > 0 and u.dist.prob(x) > 0]
-            rho[x] = self.structure.big_convex(parts)
-        return t2val(dist, rho)
+        parts: dict[Any, list] = {}
+        for p, u in weighted:
+            if p > 0:
+                for (x, q), (_, r) in zip(u.dist.pairs, u.rew):
+                    parts.setdefault(x, []).append((p * q, r))
+        return self._conditional_rewards(dist, parts)
 
     def bind(self, u: T2Val, f) -> T2Val:
-        return self.mix([(u.dist.prob(x), self.reward(u.rho(x), f(x)))
-                         for x in u.dist.support()])
+        return self.mix([(p, self.reward(r, f(x)))
+                         for (x, p), (_, r) in zip(u.dist.pairs, u.rew)])
 
     def map(self, f, u: T2Val) -> T2Val:
-        dist = u.dist.map(f)
-        rho = {}
-        for y in dist.support():
-            parts = [(u.dist.prob(x) / dist.prob(y), u.rho(x))
-                     for x in u.dist.support() if f(x) == y]
-            rho[y] = self.structure.big_convex(parts)
-        return t2val(dist, rho)
+        parts: dict[Any, list] = {}
+        for (x, p), (_, r) in zip(u.dist.pairs, u.rew):
+            parts.setdefault(f(x), []).append((p, r))
+        dist = Dist._trusted({y: sum(p for p, _ in ps) for y, ps in parts.items()})
+        return self._conditional_rewards(dist, parts)
 
     def reward(self, c, u: T2Val) -> T2Val:
         add = self.structure.add
@@ -289,7 +343,7 @@ class T2Monad:
     def alpha(self, u: T2Val) -> Fraction:
         add = self.structure.add
         return self.structure.big_convex(
-            [(u.dist.prob(x), add(u.rho(x), x)) for x in u.dist.support()])
+            [(p, add(r, x)) for (x, p), (_, r) in zip(u.dist.pairs, u.rew)])
 
     def expect(self, u: T2Val, gamma) -> Fraction:
         return self.alpha(self.map(gamma, u))
@@ -322,9 +376,7 @@ class T3Monad:
         return T3Val(dist, rew)
 
     def bind(self, u: T3Val, f) -> T3Val:
-        return self.reward(
-            u.rew,
-            self.mix([(u.dist.prob(x), f(x)) for x in u.dist.support()]))
+        return self.reward(u.rew, self.mix([(p, f(x)) for x, p in u.dist.pairs]))
 
     def map(self, f, u: T3Val) -> T3Val:
         return T3Val(u.dist.map(f), u.rew)
@@ -340,12 +392,13 @@ class T3Monad:
         return self.mix([(p, u), (1 - p, v)])
 
     def alpha(self, u: T3Val) -> Fraction:
-        avg = self.structure.big_convex(
-            [(u.dist.prob(x), x) for x in u.dist.support()])
+        avg = self.structure.big_convex([(p, x) for x, p in u.dist.pairs])
         return self.structure.add(u.rew, avg)
 
     def expect(self, u: T3Val, gamma) -> Fraction:
-        return self.alpha(self.map(gamma, u))
+        """alpha(map(gamma, u)), without building the mapped distribution."""
+        avg = self.structure.big_convex([(p, gamma(x)) for x, p in u.dist.pairs])
+        return self.structure.add(u.rew, avg)
 
 
 class MRMonad:

@@ -608,15 +608,21 @@ def subst_constants(e: Term, g: dict[Const, Term]) -> Term:
 
 def make_dispatcher(consts: list[Const], g) -> Lam:
     """Build fun (x:b) -> if x == c1 then g(c1) else ... else g(cn), with the
-    last constant as the default branch."""
+    last constant as the default branch.
+
+    Each g(c) must be a closed term (checked): the binder is the plain
+    name ``x``, which would capture a free ``x`` in a branch.  A plain
+    name prints as source the lexer accepts, so a printed dispatcher
+    parses back."""
     if not consts:
         raise ValueError("dispatcher needs at least one constant")
-    base = consts[0].base
-    x = fresh_name("x")
-    body = g(consts[-1])
-    for c in reversed(consts[:-1]):
-        body = If(FnApp("==", (Var(x), c)), g(c), body)
-    return Lam(x, Base(base), body)
+    branches = [g(c) for c in consts]
+    if any(free_vars(b) for b in branches):
+        raise ValueError("dispatcher branches must be closed terms")
+    body = branches[-1]
+    for c, b in zip(reversed(consts[:-1]), reversed(branches[:-1])):
+        body = If(FnApp("==", (Var("x"), c)), b, body)
+    return Lam("x", Base(consts[0].base), body)
 
 
 ### concrete syntax: lexer

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import selcalc
+
 from selcalc.cli import main, suites
+from selcalc.selection import observe
+from selcalc.strategies import select_program
 from selcalc.syntax import BOOL, Arrow, Prod, parse_program, typecheck
 
 
@@ -340,3 +348,77 @@ def test_equiv_without_context_procedure_is_indeterminate(sel, capsys,
                        sel(f"structure {structure};\n(3 . tt) or (2 . ff)", "b.sel"))
     assert rc == 2
     assert err.startswith("indeterminate:") and "internal error" not in err
+
+
+def plug_source(context, src):
+    """A printed context with the program's source in place of its hole."""
+    assert context.count("[-]") == 1
+    return context.replace("[-]", f"({src})")
+
+
+@pytest.mark.parametrize("left, right", [
+    ("<tt, tt> or <ff, ff>", "<ff, ff> or <tt, tt>"),
+    ("<tt, <*, ff>> or <ff, <*, tt>>", "<ff, <*, tt>> or <tt, <*, ff>>"),
+    ("<tt, tt>", "<ff, ff>"),
+])
+def test_equiv_ground_values_get_a_context(sel, capsys, left, right):
+    rc, out, err = run(capsys, "equiv", "--json", sel(left, "a.sel"),
+                       sel(right, "b.sel"))
+    assert rc == 1 and "internal error" not in err
+    ctx = json.loads(out)["context"]
+    outcomes = []
+    for src in (left, right):
+        p = parse_program(plug_source(ctx, src))
+        assert typecheck(p.term, config=p.config) == BOOL
+        outcomes.append(select_program(p.term, p.config))
+    assert outcomes[0] != outcomes[1]
+
+
+def test_equiv_reordered_functions_is_indeterminate(sel, capsys):
+    f, g = "(fun (y:Bool) -> y)", "(fun (y:Bool) -> tt)"
+    rc, out, err = run(capsys, "equiv", sel(f"{f} or {g}", "a.sel"),
+                       sel(f"{g} or {f}", "b.sel"))
+    assert rc == 2
+    assert err.startswith("indeterminate:") and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["equiv", "distinguish"])
+@pytest.mark.parametrize("monad", ["DW", "T2", "T3"])
+def test_prob_context_parses_back(sel, capsys, command, monad):
+    left, right = "mode prob;\n(1 . tt) +[1/2] ff", "mode prob;\ntt +[1/2] ff"
+    rc, out, _ = run(capsys, command, "--json", "--monad", monad,
+                     sel(left, "a.sel"), sel(right, "b.sel"))
+    assert rc == (1 if command == "equiv" else 0)
+    ctx = json.loads(out)["context"]
+    outcomes = []
+    for src in (left, right):
+        mode, body = src.split("\n")
+        p = parse_program(f"{mode}\n{plug_source(ctx, body)}")
+        assert typecheck(p.term, config=p.config) == BOOL
+        outcomes.append(observe(p.term, p.config, monad))
+    assert outcomes[0] != outcomes[1]
+
+
+def run_python(*args):
+    """Run a fresh interpreter with this checkout's package importable."""
+    src = str(Path(selcalc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_package_import_loads_cli_on_first_use():
+    done = run_python("-c", "import sys, selcalc\n"
+                      "print('click' in sys.modules, 'selcalc.cli' in sys.modules)\n"
+                      "print(selcalc.main is selcalc.cli.main, 'click' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "True", "True"]
+
+
+def test_module_entry_point_runs_without_warning():
+    done = run_python("-m", "selcalc.cli", "--help")
+    assert done.returncode == 0
+    assert "Usage:" in done.stdout
+    assert "RuntimeWarning" not in done.stderr

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selcalc.monads import (
-    Dist, MRVal, T2Val, T3Val, cond_reward, expect0, k_gamma, make_monad,
-    mr_of_effect, mrval, t2val, theta, vdis,
+    Dist, MRVal, T2Val, T3Val, atom_key, cond_reward, expect0, k_gamma,
+    make_monad, mr_of_effect, mrval, t2val, theta, vdis,
 )
 from selcalc.rewards import DEFAULT_STRUCTURE, STRUCTURES
 from selcalc.syntax import FF, Or, Rew, RewConst, TT, parse_program
+from selcalc.testgen import GenConfig, gen_kleisli, gen_monad_value
 
 ST = DEFAULT_STRUCTURE
 ATOMS = ("a", "b", "c")
@@ -214,3 +216,188 @@ def test_mr_of_effect_invariant_under_swap():
     a = parse_program("(0 . tt) or (0 . ff)")
     b = parse_program("(0 . ff) or (0 . tt)")
     assert mr_of_effect(a.term, ST) == mr_of_effect(b.term, ST)
+
+
+### the kernel against the formulas it replaced
+
+# Each reference below is the formula the kernel used before it built its
+# results without re-validating them: everything goes through the public,
+# checking Dist constructor, and T2/T3 read weights and rewards by scanning
+# with prob/rho.  The kernel must give equal values on generated inputs.
+
+CARRIER = ("a", "b", "c")
+KERNEL_SEEDS = range(200)
+
+
+def ref_unit(x):
+    return Dist([(F(1), x)])
+
+
+def ref_mix(weighted):
+    return Dist([(p * q, x) for p, d in weighted for x, q in d.pairs])
+
+
+def ref_map(f, d):
+    return Dist([(p, f(x)) for x, p in d.pairs])
+
+
+def ref_dw_bind(mon, u, f):
+    return mon.mix([(p, mon.reward(r, f(x))) for (r, x), p in u.pairs])
+
+
+def ref_dw_expect(mon, u, gamma):
+    return mon.alpha(ref_map(lambda rx: (rx[0], gamma(rx[1])), u))
+
+
+def ref_t2_mix(st, weighted):
+    dist = ref_mix([(p, u.dist) for p, u in weighted])
+    rho = {}
+    for x in dist.support():
+        total = dist.prob(x)
+        parts = [(p * u.dist.prob(x) / total, u.rho(x))
+                 for p, u in weighted if p > 0 and u.dist.prob(x) > 0]
+        rho[x] = st.big_convex(parts)
+    return t2val(dist, rho)
+
+
+def ref_t2_map(st, f, u):
+    dist = ref_map(f, u.dist)
+    rho = {}
+    for y in dist.support():
+        parts = [(u.dist.prob(x) / dist.prob(y), u.rho(x))
+                 for x in u.dist.support() if f(x) == y]
+        rho[y] = st.big_convex(parts)
+    return t2val(dist, rho)
+
+
+def ref_t2_bind(mon, u, f):
+    return ref_t2_mix(mon.structure,
+                      [(u.dist.prob(x), mon.reward(u.rho(x), f(x)))
+                       for x in u.dist.support()])
+
+
+def ref_t2_alpha(st, u):
+    return st.big_convex([(u.dist.prob(x), st.add(u.rho(x), x))
+                          for x in u.dist.support()])
+
+
+def ref_t3_bind(mon, u, f):
+    return mon.reward(u.rew, mon.mix([(u.dist.prob(x), f(x))
+                                      for x in u.dist.support()]))
+
+
+def ref_t3_alpha(st, u):
+    avg = st.big_convex([(u.dist.prob(x), x) for x in u.dist.support()])
+    return st.add(u.rew, avg)
+
+
+def assert_dist_invariant(d):
+    atoms = [x for x, _ in d.pairs]
+    assert all(p > 0 for _, p in d.pairs)
+    assert sum(p for _, p in d.pairs) == 1
+    assert len(set(atoms)) == len(atoms)
+    keys = [atom_key(x) for x in atoms]
+    assert keys == sorted(keys)
+
+
+def kernel_cases(name):
+    """(monad, cfg, rng) per seed for every structure the monad accepts."""
+    for st in STRUCTURES.values():
+        try:
+            mon = make_monad(name, st)
+        except ValueError:
+            continue
+        for seed in KERNEL_SEEDS:
+            yield mon, GenConfig(seed=seed, structure=st), random.Random(seed)
+
+
+def squash(x):
+    """A map that merges two atoms of the carrier."""
+    return "a" if x == "b" else x
+
+
+@pytest.mark.parametrize("name", ["DW", "T2", "T3"])
+def test_kernel_bind_matches_reference(name):
+    seen = 0
+    for mon, cfg, rng in kernel_cases(name):
+        u = gen_monad_value(cfg, name, CARRIER, rng)
+        f = gen_kleisli(cfg, name, CARRIER, ("p", "q", "a"), rng)
+        got = mon.bind(u, f)
+        if name == "DW":
+            want = ref_dw_bind(mon, u, f)
+        elif name == "T2":
+            want = ref_t2_bind(mon, u, f)
+        else:
+            want = ref_t3_bind(mon, u, f)
+        assert got == want
+        assert_dist_invariant(got if name == "DW" else got.dist)
+        seen += 1
+    assert seen >= 400
+
+
+@pytest.mark.parametrize("name", ["DW", "T2", "T3"])
+def test_kernel_expect_matches_reference(name):
+    for mon, cfg, rng in kernel_cases(name):
+        u = gen_monad_value(cfg, name, CARRIER, rng)
+        table = {x: rng.choice(cfg.rewards) for x in CARRIER}
+        gam = table.__getitem__
+        got = mon.expect(u, gam)
+        if name == "DW":
+            assert got == ref_dw_expect(mon, u, gam)
+        elif name == "T2":
+            assert got == ref_t2_alpha(mon.structure,
+                                       ref_t2_map(mon.structure, gam, u))
+        else:
+            assert got == ref_t3_alpha(mon.structure,
+                                       T3Val(ref_map(gam, u.dist), u.rew))
+
+
+@pytest.mark.parametrize("name", ["DW", "T2", "T3"])
+def test_kernel_map_mix_alpha_match_reference(name):
+    for mon, cfg, rng in kernel_cases(name):
+        st = mon.structure
+        u = gen_monad_value(cfg, name, CARRIER, rng)
+        v = gen_monad_value(cfg, name, CARRIER, rng)
+        w = gen_monad_value(cfg, name, CARRIER, rng)
+        p = rng.choice([F(0), F(1, 3), F(1, 2), F(1)])
+        three = [(p / 2, u), (F(0), w), (1 - p / 2 - F(1, 4), v), (F(1, 4), w)]
+        if name == "DW":
+            assert mon.map(squash, u) == ref_map(lambda rx: (rx[0], squash(rx[1])), u)
+            assert mon.mix(three) == ref_mix(three)
+        elif name == "T2":
+            assert mon.map(squash, u) == ref_t2_map(st, squash, u)
+            assert mon.mix(three) == ref_t2_mix(st, three)
+            assert mon.alpha(mon.map(lambda x: st.zero, u)) == \
+                ref_t2_alpha(st, ref_t2_map(st, lambda x: st.zero, u))
+        else:
+            assert mon.map(squash, u).dist == ref_map(squash, u.dist)
+            assert mon.mix(three).dist == ref_mix([(q, d.dist) for q, d in three])
+            pooled = T3Val(ref_map(lambda x: st.zero, u.dist), u.rew)
+            assert mon.alpha(pooled) == ref_t3_alpha(st, pooled)
+
+
+def test_dist_constructors_match_public_constructor():
+    for _, cfg, rng in kernel_cases("DW"):
+        u = gen_monad_value(cfg, "DW", CARRIER, rng)
+        v = gen_monad_value(cfg, "DW", CARRIER, rng)
+        p = rng.choice([F(0), F(1, 5), F(1, 2), F(1)])
+        for got, want in ((Dist.unit(u.pairs[0][0]), ref_unit(u.pairs[0][0])),
+                          (u.map(lambda rx: rx[1]), ref_map(lambda rx: rx[1], u)),
+                          (Dist.mix([(p, u), (1 - p, v)]),
+                           ref_mix([(p, u), (1 - p, v)]))):
+            assert got.pairs == want.pairs
+            assert_dist_invariant(got)
+
+
+def test_dist_mix_rejects_bad_outer_weights():
+    u = Dist([(F(1, 2), "a"), (F(1, 2), "b")])
+    v = Dist.unit("c")
+    with pytest.raises(ValueError, match=r"^negative weight -1/2$"):
+        Dist.mix([(F(-1, 2), u), (F(3, 2), v)])
+    for weighted in ([(F(1, 2), u), (F(3, 4), v)], [(F(1, 4), u)], []):
+        with pytest.raises(ValueError) as public:
+            ref_mix(weighted)
+        with pytest.raises(ValueError) as trusted:
+            Dist.mix(weighted)
+        assert str(trusted.value) == str(public.value)
+        assert str(trusted.value).startswith("weights sum to ")

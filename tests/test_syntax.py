@@ -9,8 +9,8 @@ from selcalc.rewards import STRUCTURES
 from selcalc.syntax import (
     App, Arrow, BOOL, Base, Const, FF, Hole, If, Lam, LangConfig, Or,
     PChoice, Pair, Prod, REW, Rew, RewConst, SelSyntaxError, SelTypeError,
-    TT, UNIT, Var, alpha_eq, parse_program, plug, pretty, type_rank,
-    typecheck,
+    TT, UNIT, Var, alpha_eq, make_dispatcher, parse_program, plug, pretty,
+    type_rank, typecheck,
 )
 from selcalc.testgen import GenConfig, gen_program
 
@@ -153,3 +153,16 @@ def test_choice_weight_out_of_range_rejected():
     p = parse1("tt +[3/2] ff")
     with pytest.raises(SelTypeError):
         typecheck(p.term, config=p.config)
+
+
+def test_dispatcher_prints_parseable_source():
+    disp = make_dispatcher([TT, FF], lambda c: Rew(RewConst(F(1)), c))
+    src = pretty(App(disp, TT))
+    assert "%" not in src
+    back = parse1(src).term
+    assert alpha_eq(back, App(disp, TT))
+
+
+def test_dispatcher_rejects_open_branches():
+    with pytest.raises(ValueError, match="closed"):
+        make_dispatcher([TT, FF], lambda c: If(Var("x"), c, FF))
