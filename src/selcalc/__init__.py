@@ -43,17 +43,16 @@ from .testgen import (
     gen_axiom_instance, gen_effect_value, gen_equivalent_pair, gen_kleisli,
     gen_monad_value, gen_program, gen_tie_effect, or_swap,
 )
+from .properties import run_suite, suites
 
 __version__ = "0.1.0"
-
-_CLI_NAMES = ("main", "run_suite", "suites")
 
 
 def __getattr__(name):
     # The command line (and click with it) loads on first use, so importing
     # the package stays light and ``python -m selcalc.cli`` finds no stale
     # copy of the module in sys.modules.
-    if name in _CLI_NAMES:
-        from . import cli
-        return getattr(cli, name)
+    if name == "main":
+        from .cli import main
+        return main
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -204,7 +204,10 @@ def distinguish_rewards(m: Term, n: Term, config: LangConfig,
         cap = max(rest) if rest else Fraction(0)
         yes, no = Rew(RewConst(cap + high), TT), Rew(RewConst(c0 + low), TT)
         ty = _ground_type(v0)
-        if isinstance(v0, Const) or ty is None:
+        if ty is None:
+            raise NoDistinguishingContext(
+                f"distinguishing contexts are built over ground values, not {pretty(v0)}")
+        if isinstance(v0, Const):
             return If(FnApp("==", (Hole(), v0)), yes, no)
         return App(Lam("x", ty, If(_equals(Var("x"), v0), yes, no)), Hole())
 

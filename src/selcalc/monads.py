@@ -18,7 +18,6 @@ these monads, and the reward-shift maps used to prove programs apart.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -198,13 +197,34 @@ def mrval(mapping: dict[Any, Fraction]) -> MRVal:
 
 ### the monads
 
-class WMonad:
-    """Reward-and-value pairs; binding accumulates rewards."""
-    name = "W"
+class Monad:
+    """An auxiliary monad over a reward structure.  Expectation at a
+    valuation is ``alpha(map(gamma, u))`` unless a monad sums it directly."""
+    name: str
     has_pchoice = False
 
     def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE):
         self.structure = structure
+
+    def expect(self, u, gamma) -> Fraction:
+        return self.alpha(self.map(gamma, u))
+
+
+class ProbMonad(Monad):
+    """A monad with probabilistic choice, as the mixture of two values."""
+    has_pchoice = True
+
+    def pchoice(self, p: Fraction, u, v):
+        if p == 1:
+            return u
+        if p == 0:
+            return v
+        return self.mix([(p, u), (1 - p, v)])
+
+
+class WMonad(Monad):
+    """Reward-and-value pairs; binding accumulates rewards."""
+    name = "W"
 
     def unit(self, x):
         return (self.structure.zero, x)
@@ -226,17 +246,10 @@ class WMonad:
         r, s = u
         return self.structure.add(r, s)
 
-    def expect(self, u, gamma) -> Fraction:
-        return self.alpha(self.map(gamma, u))
 
-
-class DWMonad:
+class DWMonad(ProbMonad):
     """Distributions over reward-and-value pairs."""
     name = "DW"
-    has_pchoice = True
-
-    def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE):
-        self.structure = structure
 
     def unit(self, x) -> Dist:
         return Dist.unit((self.structure.zero, x))
@@ -261,13 +274,6 @@ class DWMonad:
         add = self.structure.add
         return u.map(lambda rx: (add(c, rx[0]), rx[1]))
 
-    def pchoice(self, p: Fraction, u: Dist, v: Dist) -> Dist:
-        if p == 1:
-            return u
-        if p == 0:
-            return v
-        return self.mix([(p, u), (1 - p, v)])
-
     def alpha(self, u: Dist) -> Fraction:
         add = self.structure.add
         return self.structure.big_convex([(p, add(r, s)) for (r, s), p in u.pairs])
@@ -279,22 +285,18 @@ class DWMonad:
             [(p, add(r, gamma(x))) for (r, x), p in u.pairs])
 
 
-class T2Monad:
+class T2Monad(ProbMonad):
     """Value distribution with per-point rewards.  Requires the reward
     action to gather through convex combination on a shared point, which
     every built-in structure satisfies."""
     name = "T2"
-    has_pchoice = True
 
-    def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE,
-                 seed: int | None = None):
-        ok = (structure.gathering_verified if seed is None else
-              structure.gathers_through_convex(random.Random(seed)))
-        if not ok:
+    def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE):
+        if not structure.gathering_verified:
             raise ValueError(
                 f"structure {structure.name} does not average rewards on a "
                 "shared point; per-point pooling is unsound")
-        self.structure = structure
+        super().__init__(structure)
 
     def unit(self, x) -> T2Val:
         return T2Val(Dist.unit(x), ((x, self.structure.zero),))
@@ -333,38 +335,24 @@ class T2Monad:
         add = self.structure.add
         return T2Val(u.dist, tuple((x, add(c, r)) for x, r in u.rew))
 
-    def pchoice(self, p: Fraction, u: T2Val, v: T2Val) -> T2Val:
-        if p == 1:
-            return u
-        if p == 0:
-            return v
-        return self.mix([(p, u), (1 - p, v)])
-
     def alpha(self, u: T2Val) -> Fraction:
         add = self.structure.add
         return self.structure.big_convex(
             [(p, add(r, x)) for (x, p), (_, r) in zip(u.dist.pairs, u.rew)])
 
-    def expect(self, u: T2Val, gamma) -> Fraction:
-        return self.alpha(self.map(gamma, u))
 
-
-class T3Monad:
+class T3Monad(ProbMonad):
     """Value distribution with one pooled reward.  Only sound when the
     monoid mixes through convex combination on distinct points; the
     constructor checks this by seeded random trial."""
     name = "T3"
-    has_pchoice = True
 
-    def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE,
-                 seed: int | None = None, trials: int = 1000):
-        ok = (structure.mixing_verified if seed is None else
-              structure.mixes_through_add(random.Random(seed), trials))
-        if not ok:
+    def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE):
+        if not structure.mixing_verified:
             raise ValueError(
                 f"structure {structure.name} does not mix rewards through "
                 "accumulation; pooling a single reward is unsound")
-        self.structure = structure
+        super().__init__(structure)
 
     def unit(self, x) -> T3Val:
         return T3Val(Dist.unit(x), self.structure.zero)
@@ -384,13 +372,6 @@ class T3Monad:
     def reward(self, c, u: T3Val) -> T3Val:
         return T3Val(u.dist, self.structure.add(c, u.rew))
 
-    def pchoice(self, p: Fraction, u: T3Val, v: T3Val) -> T3Val:
-        if p == 1:
-            return u
-        if p == 0:
-            return v
-        return self.mix([(p, u), (1 - p, v)])
-
     def alpha(self, u: T3Val) -> Fraction:
         avg = self.structure.big_convex([(p, x) for x, p in u.dist.pairs])
         return self.structure.add(u.rew, avg)
@@ -401,14 +382,10 @@ class T3Monad:
         return self.structure.add(u.rew, avg)
 
 
-class MRMonad:
+class MRMonad(Monad):
     """Value sets tagged with their best reward.  Choice keeps the better
     reward per value; rewards act additively on every tag."""
     name = "MR"
-    has_pchoice = False
-
-    def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE):
-        self.structure = structure
 
     def unit(self, x) -> MRVal:
         return mrval({x: self.structure.zero})
@@ -441,31 +418,26 @@ class MRMonad:
         return mrval(out)
 
 
-MONAD_NAMES = ("W", "DW", "T2", "T3")
+_MONADS = {m.name: m for m in (WMonad, DWMonad, T2Monad, T3Monad, MRMonad)}
 
-_MONAD_CACHE: dict[tuple[str, str], Any] = {}
+_MONAD_CACHE: dict[tuple[str, str], Monad] = {}
 
 
-def make_monad(name: str, structure: RewardStructure = DEFAULT_STRUCTURE):
+def make_monad(name: str, structure: RewardStructure = DEFAULT_STRUCTURE) -> Monad:
     """Monads are stateless, so instances are shared; this also avoids
     re-running the law checks in the T2/T3 constructors."""
     key = (name, structure.name)
     if key not in _MONAD_CACHE:
-        match name:
-            case "W":
-                m = WMonad(structure)
-            case "DW":
-                m = DWMonad(structure)
-            case "T2":
-                m = T2Monad(structure)
-            case "T3":
-                m = T3Monad(structure)
-            case "MR":
-                m = MRMonad(structure)
-            case _:
-                raise ValueError(f"unknown monad {name!r}")
-        _MONAD_CACHE[key] = m
+        if name not in _MONADS:
+            raise ValueError(f"unknown monad {name!r}")
+        _MONAD_CACHE[key] = _MONADS[name](structure)
     return _MONAD_CACHE[key]
+
+
+def default_monad(mode: str) -> str:
+    """The monad operational outcomes live in: W in rewards mode, DW in
+    prob mode."""
+    return "W" if mode == "rewards" else "DW"
 
 
 ### comparison map out of DW, and direct observation summaries

@@ -1,14 +1,14 @@
 """Ten acceptance checks, one test per criterion.  Each runs at the stated
 scale and tolerance (everything is exact rational equality); the suite-based
-ones reuse the CLI's registered property suites so the command line and the
-test run exercise identical code."""
+ones reuse the registered property suites (``selcalc.properties``) so the
+command line and the test run exercise identical code."""
 
 import time
 from fractions import Fraction as F
 
-from selcalc.cli import run_suite
 from selcalc.equations import decide_pure_prob
 from selcalc.monads import Dist, make_monad, t2val, T3Val
+from selcalc.properties import run_suite
 from selcalc.selection import ConstElem, denote, gamma_from_table, observe, zero_gamma
 from selcalc.strategies import outcome_score, select_program
 from selcalc.syntax import FF, TT, parse_program

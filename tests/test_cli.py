@@ -8,7 +8,8 @@ import pytest
 
 import selcalc
 
-from selcalc.cli import main, suites
+from selcalc.cli import main
+from selcalc.properties import suites
 from selcalc.selection import observe
 from selcalc.strategies import select_program
 from selcalc.syntax import BOOL, Arrow, Prod, parse_program, typecheck
@@ -275,6 +276,29 @@ def test_suites_registry():
     assert len(names) == 19
 
 
+# name: (default case count, total at cases=2)
+SUITE_SIZES = {
+    "adequacy-rewards": (500, 2), "adequacy-prob-T1": (300, 2),
+    "adequacy-prob-T2": (300, 2), "adequacy-prob-T3": (300, 2),
+    "local-vs-brute": (300, 2), "monad-laws": (1000, 10),
+    "theta-morphism": (500, 2), "axioms-fig3": (100, 20),
+    "axioms-fig4": (50, 36), "genax-or": (200, 2), "distributivity": (200, 2),
+    "canon-sound": (300, 2), "equiv-roundtrip": (200, 2),
+    "purity-rewards": (200, 2), "purity-prob": (200, 2),
+    "k-gamma-injective": (500, 2), "char-bool": (200, 2), "mr-fullab": (300, 2),
+    "argmax-lemmas": (500, 2),
+}
+
+
+def test_suites_registry_pins_sizes():
+    from selcalc.properties import SUITES, run_suite
+    assert suites() == list(SUITE_SIZES)
+    for name, (default, total) in SUITE_SIZES.items():
+        assert SUITES[name][1] == default, name
+        res = run_suite(name, seed=0, cases=2, jobs=1)
+        assert (res.passed, res.total) == (total, total), name
+
+
 @pytest.mark.parametrize("src", ["mode prob;\ntt +[1/0] ff", "(1/0) . tt",
                                  "mode prob;\noplus[1/0](1, 2) . tt"])
 def test_zero_denominator_is_a_syntax_error(sel, capsys, src):
@@ -303,7 +327,7 @@ def test_eval_gamma_zero_denominator(sel, capsys, tmp_path):
 
 
 def test_raising_case_fails_alone(monkeypatch):
-    from selcalc import cli
+    from selcalc import properties
 
     def fake_suite(seed, cases, monad, lo, hi):
         def one(i):
@@ -311,10 +335,10 @@ def test_raising_case_fails_alone(monkeypatch):
                 raise ValueError("boom")
             if i == 4:
                 raise AssertionError("four")
-        return cli._run_cases(lo, hi, one)
+        return properties._run_cases(lo, hi, one)
 
-    monkeypatch.setitem(cli.SUITES, "fake", (fake_suite, 6, lambda c: c))
-    res = cli.run_suite("fake", seed=9, jobs=1)
+    monkeypatch.setitem(properties.SUITES, "fake", (fake_suite, 6, 1))
+    res = properties.run_suite("fake", seed=9, jobs=1)
     assert (res.passed, res.total) == (4, 6)
     assert res.failures == ["fake seed 9 case 2: ValueError: boom",
                             "fake seed 9 case 4: four"]
@@ -382,6 +406,13 @@ def test_equiv_reordered_functions_is_indeterminate(sel, capsys):
     assert err.startswith("indeterminate:") and "internal error" not in err
 
 
+def test_equiv_unequal_lambdas_is_indeterminate(sel, capsys):
+    rc, out, err = run(capsys, "equiv", sel("fun (y:Bool) -> y", "a.sel"),
+                       sel("fun (y:Bool) -> if y then tt else ff", "b.sel"))
+    assert rc == 2 and out == ""
+    assert err.startswith("indeterminate:") and "internal error" not in err
+
+
 @pytest.mark.parametrize("command", ["equiv", "distinguish"])
 @pytest.mark.parametrize("monad", ["DW", "T2", "T3"])
 def test_prob_context_parses_back(sel, capsys, command, monad):
@@ -415,6 +446,13 @@ def test_package_import_loads_cli_on_first_use():
                       "print(selcalc.main is selcalc.cli.main, 'click' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "False", "True", "True"]
+
+
+def test_package_run_suite_loads_no_cli():
+    done = run_python("-c", "import sys, selcalc\nselcalc.run_suite\n"
+                      "print('click' in sys.modules, 'selcalc.cli' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
 
 
 def test_module_entry_point_runs_without_warning():

@@ -12,7 +12,9 @@ from selcalc.equations import (
     canon_rewards, decide_pure_prob, decide_pure_rewards, weak_canon_prob,
 )
 from selcalc.monads import Dist, mr_of_effect, mrval
-from selcalc.strategies import select_fast, select_program, strategy_count
+from selcalc.strategies import (
+    select_bruteforce, select_fast, select_program, strategy_count,
+)
 from selcalc.syntax import (
     App, FF, FnApp, Hole, If, LangConfig, Lam, Or, Pair, PChoice, Rew,
     RewConst, TT, Var, BOOL, children, fold_effect, is_effect_value,
@@ -109,6 +111,11 @@ def test_effect_folds_on_a_deep_or_chain():
     bottom = (0,) * (DEEP - 1)
     assert subterm_at(e, bottom) == Rew(RewConst(F(0)), TT)
     assert not is_effect_value(replace_at(e, bottom, Var("x")))
+
+
+def test_bruteforce_on_a_deep_or_chain():
+    e = _or_chain(3000)
+    assert select_bruteforce(e, REWARDS) == select_fast(e, REWARDS) == (F(2999), FF)
 
 
 def test_prob_canon_and_purity_on_a_deep_reward_chain():

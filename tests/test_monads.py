@@ -198,6 +198,11 @@ def test_t3_rejects_unverified_structure():
         make_monad("T3", mul)
 
 
+def test_make_monad_rejects_unknown_name():
+    with pytest.raises(ValueError, match="unknown monad 'X'"):
+        make_monad("X", ST)
+
+
 def test_mr_or_keeps_best_reward_per_value():
     mr = make_monad("MR", ST)
     u = mrval({"a": F(1), "b": F(5)})

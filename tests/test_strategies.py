@@ -7,8 +7,8 @@ import pytest
 
 from selcalc.monads import Dist
 from selcalc.strategies import (
-    argmax, max_by, outcome_score, select_bruteforce, select_fast,
-    select_program,
+    StrategyCapExceeded, argmax, max_by, outcome_score, select_bruteforce,
+    select_fast, select_program,
 )
 from selcalc.syntax import FF, Or, Rew, RewConst, TT, parse_program, pretty
 from selcalc.testgen import GenConfig, gen_effect_value, gen_tie_effect
@@ -73,6 +73,13 @@ def test_bruteforce_agrees_on_examples():
         p = parse_program(src)
         assert select_program(p.term, p.config) == \
             select_bruteforce(p.term, p.config)
+
+
+def test_bruteforce_refuses_more_strategies_than_its_cap():
+    p = parse_program("((1 . tt) or (2 . ff)) or ((3 . tt) or (4 . ff))")
+    with pytest.raises(StrategyCapExceeded):
+        select_bruteforce(p.term, p.config, cap=3)
+    assert select_bruteforce(p.term, p.config, cap=4) == (F(4), FF)
 
 
 @pytest.mark.parametrize("seed", range(80))
