@@ -35,7 +35,7 @@ from .selection import (
 )
 from .strategies import StrategyCapExceeded, select_bruteforce, select_program
 from .syntax import (
-    App, Base, Hole, LangConfig, REW, SelSyntaxError, SelTypeError, Term,
+    App, Hole, LangConfig, REW, SelSyntaxError, SelTypeError, Term,
     _Parser, _lex, parse_program, plug, pretty, type_rank, typecheck,
 )
 from .testgen import GenConfig, gamma_tables, gen_program
@@ -283,10 +283,7 @@ def canon(mode, monad_name, structure_name, as_json, file):
     return 0
 
 
-def _prob_separating_context(m, n, config, monad_name):
-    ty = typecheck(m, config=config)
-    if not isinstance(ty, Base):
-        return None, None
+def _prob_separating_context(m, n, ty, config, monad_name):
     mon = make_monad(monad_name, config.structure)
     dm, dn = denote(m, config, mon), denote(n, config, mon)
     for table in gamma_tables(ty.name, config, count=64, seed=0):
@@ -308,6 +305,10 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
                or pa.config.structure.name)
     if pa.config.mode != pb.config.mode:
         raise click.UsageError("the two programs declare different modes")
+    ta = typecheck(pa.term, config=pa.config)
+    tb = typecheck(pb.term, config=pb.config)
+    if ta != tb:
+        raise SelTypeError(f"type mismatch: {ta} vs {tb}")
     config = pa.config
     m, n = pa.term, pb.term
 
@@ -341,7 +342,7 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
         return emit(True, ["equivalent"])
     if verdict is None:
         return emit(None, ["unknown"])
-    ctx, table = _prob_separating_context(m, n, config, mname)
+    ctx, table = _prob_separating_context(m, n, ta, config, mname)
     if ctx is None:
         return emit(False, ["inequivalent"])
     a = observe(plug(ctx, m), config, mname)
@@ -491,6 +492,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (BudgetExceeded, StrategyCapExceeded, StuckTerm) as e:
         print(f"resource or invariant failure: {e}", file=sys.stderr)
+        return 4
+    except RecursionError:  # README, "Known limits"
+        print("resource or invariant failure: term nesting too deep",
+              file=sys.stderr)
         return 4
     except (ConditionCUnavailable, NoDistinguishingContext) as e:
         print(f"indeterminate: {e}", file=sys.stderr)

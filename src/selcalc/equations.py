@@ -131,7 +131,8 @@ def rewards_impurity_witness(m: Term, config: LangConfig,
 class NoDistinguishingContext(Exception):
     """Raised when two programs' canonical forms differ but no context
     separating them can be built: the reward structure has no procedure
-    for it, or the values to tell apart are not ground."""
+    for it, the values to tell apart are not ground, or (probabilistic
+    mode) valuations of the programs' type cannot be sampled."""
 
 
 def _ground_type(v: Term):
@@ -301,7 +302,9 @@ def decide_equiv_prob(m: Term, n: Term, config: LangConfig,
                       monad_name: str = "DW", gammas=None,
                       budget: int = DEFAULT_BUDGET) -> bool | None:
     """True when the weak canonical forms coincide; False when a sampled
-    valuation separates the denotations; None (unknown) otherwise."""
+    valuation separates the denotations; None (unknown) otherwise.
+    Raises NoDistinguishingContext when valuations must be sampled for a
+    type other than a finite base."""
     wm = weak_canon_prob(m, config, monad_name, budget)
     wn = weak_canon_prob(n, config, monad_name, budget)
     if wm == wn:

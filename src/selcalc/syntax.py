@@ -8,6 +8,11 @@ finite base types, with three algebraic operations:
 * ``M +[p] N``     -- probabilistic choice, available in ``prob`` mode only.
 
 Programs may start with a prelude of ``mode`` and ``base`` declarations.
+
+Terms have one walk, ``fold_term``: free variables, substitution,
+alpha-equivalence, typechecking and printing are folds on it.  It, the
+effect fold ``fold_effect`` and the term parser keep explicit stacks, so
+nesting uses no Python recursion.
 """
 
 from __future__ import annotations
@@ -290,29 +295,15 @@ def fold_effect(e: Term, leaf, or_, rew, pchoice=None):
     return done[0]
 
 
-### free variables and substitution
+### free variables, substitution, alpha-equivalence
 
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Lam(var, _, body):
-            return free_vars(body) - {var}
-        case Pair(a, b) | App(a, b) | Or(a, b):
-            return free_vars(a) | free_vars(b)
-        case Rew(a, b) | PChoice(_, a, b):
-            return free_vars(a) | free_vars(b)
-        case Fst(a) | Snd(a):
-            return free_vars(a)
-        case If(c, a, b):
-            return free_vars(c) | free_vars(a) | free_vars(b)
-        case FnApp(_, args, _):
-            out = frozenset()
-            for a in args:
-                out |= free_vars(a)
-            return out
-        case _:
-            return frozenset()
+    def node(s, kids, env):
+        if type(s) is Var:
+            return frozenset() if s.name in env else frozenset((s.name,))
+        return frozenset().union(*kids)
+
+    return fold_term(t, node)
 
 
 _fresh_counter = itertools.count()
@@ -323,115 +314,90 @@ def fresh_name(base: str) -> str:
 
 
 def substitute(t: Term, var: str, val: Term) -> Term:
-    """Capture-avoiding substitution t[val/var]."""
-    match t:
-        case Var(name):
-            return val if name == var else t
-        case Lam(v, ty, body):
-            if v == var:
-                return t
-            if v in free_vars(val):
-                w = fresh_name(v.split("%")[0])
-                body = substitute(body, v, Var(w))
-                v = w
-            return Lam(v, ty, substitute(body, var, val))
-        case Pair(a, b):
-            return Pair(substitute(a, var, val), substitute(b, var, val))
-        case App(a, b):
-            return App(substitute(a, var, val), substitute(b, var, val))
-        case Fst(a):
-            return Fst(substitute(a, var, val))
-        case Snd(a):
-            return Snd(substitute(a, var, val))
-        case If(c, a, b):
-            return If(substitute(c, var, val), substitute(a, var, val), substitute(b, var, val))
-        case FnApp(sym, args, w):
-            return FnApp(sym, tuple(substitute(a, var, val) for a in args), w)
-        case Or(a, b):
-            return Or(substitute(a, var, val), substitute(b, var, val))
-        case Rew(a, b):
-            return Rew(substitute(a, var, val), substitute(b, var, val))
-        case PChoice(p, a, b):
-            return PChoice(p, substitute(a, var, val), substitute(b, var, val))
-        case _:
-            return t
+    """Capture-avoiding substitution t[val/var].  A binder that would
+    capture a free variable of val is renamed to a ``fresh_name``, in
+    preorder, unless it lies under a binder of var; a closed val renames
+    nothing."""
+    capture = free_vars(val)
+
+    def bind(lam, env):
+        if lam.var in capture and lam.var != var and var not in env:
+            return fresh_name(lam.var.split("%")[0])
+        return lam.var
+
+    def node(s, kids, env):
+        cls = type(s)
+        if cls is Var:
+            if s.name in env:
+                return Var(env[s.name])
+            return val if s.name == var else s
+        if cls is Lam:
+            return Lam(env[s.var], s.ty, kids[0])
+        return rebuild(s, kids)
+
+    return fold_term(t, node, bind)
 
 
 def alpha_eq(s: Term, t: Term) -> bool:
-    """Structural equality up to renaming of bound variables."""
-    if type(s) is not type(t):
-        return False
-    match s:
-        case Var(n):
-            return n == t.name
-        case Lam(v, ty, body):
-            if ty != t.ty:
-                return False
-            w = Var(fresh_name("_a"))
-            return alpha_eq(substitute(body, v, w), substitute(t.body, t.var, w))
-        case Pair(a, b):
-            return alpha_eq(a, t.fst) and alpha_eq(b, t.snd)
-        case App(a, b):
-            return alpha_eq(a, t.fn) and alpha_eq(b, t.arg)
-        case Fst(a) | Snd(a):
-            return alpha_eq(a, t.arg)
-        case If(c, a, b):
-            return alpha_eq(c, t.cond) and alpha_eq(a, t.then) and alpha_eq(b, t.els)
-        case FnApp(sym, args, w):
-            return (sym == t.sym and w == t.weight and len(args) == len(t.args)
-                    and all(alpha_eq(a, b) for a, b in zip(args, t.args)))
-        case Or(a, b):
-            return alpha_eq(a, t.left) and alpha_eq(b, t.right)
-        case Rew(a, b):
-            return alpha_eq(a, t.param) and alpha_eq(b, t.body)
-        case PChoice(p, a, b):
-            return p == t.weight and alpha_eq(a, t.left) and alpha_eq(b, t.right)
-        case _:
-            return s == t
+    """Structural equality up to renaming of bound variables, by comparing
+    one-pass de Bruijn keys: each term's nodes in postorder, a bound
+    variable as its de Bruijn index, any other node as itself when a leaf
+    and as its class and non-term fields otherwise.  Draws no fresh name."""
+    def key(u):
+        out, binders = [], []
+
+        def bind(lam, env):
+            binders.append(lam)
+            return len(binders)
+
+        def node(x, kids, env):
+            cls = type(x)
+            if cls is Var and x.name in env:
+                out.append((Var, len(binders) - env[x.name]))
+            elif not kids:
+                out.append(x)
+            elif cls is Lam:
+                binders.pop()
+                out.append((Lam, x.ty))
+            elif cls is PChoice:
+                out.append((PChoice, x.weight))
+            elif cls is FnApp:
+                out.append((FnApp, x.sym, x.weight, len(kids)))
+            else:
+                out.append(cls)
+
+        fold_term(u, node, bind)
+        return out
+
+    return key(s) == key(t)
 
 
 ### generic term structure
 
+# the immediate subterms of each class that has any
+_KIDS = {Pair: lambda t: (t.fst, t.snd), App: lambda t: (t.fn, t.arg),
+         Or: lambda t: (t.left, t.right), Rew: lambda t: (t.param, t.body),
+         PChoice: lambda t: (t.left, t.right), Fst: lambda t: (t.arg,),
+         Snd: lambda t: (t.arg,), Lam: lambda t: (t.body,),
+         If: lambda t: (t.cond, t.then, t.els), FnApp: lambda t: t.args}
+
+
 def children(t: Term) -> list[Term]:
     """Immediate subterms, in the order ``rebuild`` takes them."""
-    match t:
-        case Pair(a, b) | App(a, b) | Or(a, b) | Rew(a, b) | PChoice(_, a, b):
-            return [a, b]
-        case Fst(a) | Snd(a) | Lam(_, _, a):
-            return [a]
-        case If(c, a, b):
-            return [c, a, b]
-        case FnApp(_, args, _):
-            return list(args)
-        case _:
-            return []
+    kids = _KIDS.get(type(t))
+    return list(kids(t)) if kids else []
 
 
 def rebuild(t: Term, kids: list[Term]) -> Term:
     """A node like t with its immediate subterms replaced by kids."""
-    match t:
-        case Pair(_, _):
-            return Pair(*kids)
-        case App(_, _):
-            return App(*kids)
-        case Or(_, _):
-            return Or(*kids)
-        case Rew(_, _):
-            return Rew(*kids)
-        case PChoice(p, _, _):
-            return PChoice(p, *kids)
-        case Fst(_):
-            return Fst(*kids)
-        case Snd(_):
-            return Snd(*kids)
-        case Lam(v, ty, _):
-            return Lam(v, ty, kids[0])
-        case If(_, _, _):
-            return If(*kids)
-        case FnApp(sym, _, w):
-            return FnApp(sym, tuple(kids), w)
-        case _:
-            return t
+    cls = type(t)
+    if cls is PChoice:
+        return PChoice(t.weight, *kids)
+    if cls is Lam:
+        return Lam(t.var, t.ty, kids[0])
+    if cls is FnApp:
+        return FnApp(t.sym, tuple(kids), t.weight)
+    return cls(*kids) if cls in _KIDS else t
 
 
 def subterms(t: Term):
@@ -445,6 +411,47 @@ def subterms(t: Term):
         kids = children(s)
         for i in range(len(kids) - 1, -1, -1):
             stack.append((path + (i,), kids[i]))
+
+
+def fold_term(t: Term, node, bind=None, env=None):
+    """Fold t bottom-up: ``node(s, kids, env)`` at each subterm s, where
+    kids lists the folds of ``children(s)`` in order and env maps each
+    variable bound above s to ``bind(lam, env)`` of its nearest binder lam
+    (by default ``lam.ty``), starting from a copy of the given env.  At a
+    Lam, node sees the env of its body.  The walk goes depth first, left to
+    right, on an explicit stack, so ``bind`` runs in preorder, ``node`` in
+    postorder, and term depth uses no Python recursion.  This is the one
+    binder-aware term walk: free variables, substitution, alpha-equivalence,
+    typechecking and printing are folds."""
+    env = dict(env or {})
+    done = []
+    work = [t]
+    pop, push, emit, kids_of = work.pop, work.append, done.append, _KIDS.get
+    while work:
+        s = pop()
+        cls = type(s)
+        if cls is tuple:  # exit record: node, where its kids' folds start,
+            s, k, saved = s  # and a Lam's shadowed entry, (value,) or ()
+            kids = done[k:]
+            del done[k:]
+            emit(node(s, kids, env))
+            if saved:
+                env[s.var] = saved[0]
+            elif saved is not None:
+                del env[s.var]
+            continue
+        kids = kids_of(cls)
+        if kids is None:
+            emit(node(s, (), env))
+            continue
+        kids = kids(s)
+        saved = None
+        if cls is Lam:
+            saved = (env[s.var],) if s.var in env else ()
+            env[s.var] = s.ty if bind is None else bind(s, env)
+        push((s, len(done), saved))
+        work.extend(reversed(kids))
+    return done[0]
 
 
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
@@ -470,9 +477,8 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 def plug(ctx: Term, t: Term) -> Term:
     """Replace the hole of a context by a term.  No binding is involved:
     contexts built here never capture."""
-    for path in [p for p, s in subterms(ctx) if isinstance(s, Hole)]:
-        ctx = replace_at(ctx, path, t)
-    return ctx
+    return fold_term(ctx, lambda s, kids, env:
+                     t if type(s) is Hole else rebuild(s, kids))
 
 
 ### typechecking
@@ -491,103 +497,120 @@ FN_SIGNATURES = {
 }
 
 
+# the path leg of each child, by class; FnApp's are arg0, arg1, ...
+_LEGS = {Pair: ("fst", "snd"), Fst: ("arg",), Snd: ("arg",), Lam: ("body",),
+         App: ("fn", "arg"), If: ("cond", "then", "else"),
+         Or: ("left", "right"), Rew: ("param", "body"),
+         PChoice: ("left", "right")}
+
+
+class _Fail(Exception):
+    """A type error met while folding: its message, and the path legs from
+    where it arose up to the last node it passed through, innermost first."""
+
+    def __init__(self, msg: str):
+        self.msg, self.legs = msg, []
+
+
+def _kid(s: Term, kids, i: int, want: Type | None = None) -> Type:
+    """The type of child i of s, checked against want when given.  A
+    child's failure, or a mismatch, is raised with the child's leg added,
+    so a node reports the first failure in the order it looks at them."""
+    k = kids[i]
+    if type(k) is not _Fail:
+        if want is None or k == want:
+            return k
+        k = _Fail(f"expected {want}, got {k}")
+    k.legs.append(f"arg{i}" if type(s) is FnApp else _LEGS[type(s)][i])
+    raise k.with_traceback(None)
+
+
 def typecheck(t: Term, env: dict[str, Type] | None = None,
               config: LangConfig | None = None,
               path: tuple[str, ...] = ()) -> Type:
-    env = env or {}
+    """The type of t under env, or SelTypeError at the first error in
+    source order, with the path of child legs to where it arose.  A fold:
+    each node's type, or the failure it passes up, comes from its
+    children's."""
     config = config or LangConfig()
 
-    def check(sub: Term, want: Type, env, leg: str):
-        got = typecheck(sub, env, config, path + (leg,))
-        if got != want:
-            raise SelTypeError(f"expected {want}, got {got}", path + (leg,))
-        return got
-
-    match t:
-        case Var(name):
-            if name not in env:
-                raise SelTypeError(f"unbound variable {name}", path)
-            return env[name]
-        case Const(_, base, _):
-            return Base(base)
-        case RewConst(v):
-            try:
-                config.structure.check_member(v)
-            except ValueError as e:
-                raise SelTypeError(str(e), path) from None
-            return REW
-        case Star():
-            return UNIT
-        case Pair(a, b):
-            return Prod(typecheck(a, env, config, path + ("fst",)),
-                        typecheck(b, env, config, path + ("snd",)))
-        case Fst(a):
-            ty = typecheck(a, env, config, path + ("arg",))
-            if not isinstance(ty, Prod):
-                raise SelTypeError(f"fst applied to {ty}", path)
-            return ty.fst
-        case Snd(a):
-            ty = typecheck(a, env, config, path + ("arg",))
-            if not isinstance(ty, Prod):
-                raise SelTypeError(f"snd applied to {ty}", path)
-            return ty.snd
-        case Lam(v, ty, body):
-            return Arrow(ty, typecheck(body, {**env, v: ty}, config, path + ("body",)))
-        case App(f, a):
-            fty = typecheck(f, env, config, path + ("fn",))
+    def rule(s, kids, env):
+        cls = type(s)
+        if cls is Var:
+            if s.name not in env:
+                raise _Fail(f"unbound variable {s.name}")
+            return env[s.name]
+        if cls is Const:
+            return Base(s.base)
+        if cls is App:
+            fty = _kid(s, kids, 0)
             if not isinstance(fty, Arrow):
-                raise SelTypeError(f"application of non-function of type {fty}", path)
-            check(a, fty.arg, env, "arg")
+                raise _Fail(f"application of non-function of type {fty}")
+            _kid(s, kids, 1, fty.arg)
             return fty.res
-        case If(c, a, b):
-            check(c, BOOL, env, "cond")
-            t1 = typecheck(a, env, config, path + ("then",))
-            t2 = typecheck(b, env, config, path + ("else",))
-            if t1 != t2:
-                raise SelTypeError(f"branches disagree: {t1} vs {t2}", path)
-            return t1
-        case FnApp("==", (a, b), _):
-            t1 = typecheck(a, env, config, path + ("arg0",))
-            t2 = typecheck(b, env, config, path + ("arg1",))
+        if cls is Lam:
+            return Arrow(s.ty, _kid(s, kids, 0))
+        if cls is Rew:
+            _kid(s, kids, 0, REW)
+            return _kid(s, kids, 1)
+        if cls is RewConst:
+            try:
+                config.structure.check_member(s.value)
+            except ValueError as e:
+                raise _Fail(str(e)) from None
+            return REW
+        if cls is If or cls is Or or cls is PChoice:
+            if cls is PChoice and config.mode != "prob":
+                raise _Fail("probabilistic choice needs mode prob")
+            if cls is PChoice and not (0 <= s.weight <= 1):
+                raise _Fail(f"choice weight {s.weight} outside [0,1]")
+            if cls is If:
+                _kid(s, kids, 0, BOOL)
+            a, b = _kid(s, kids, len(kids) - 2), _kid(s, kids, len(kids) - 1)
+            if a != b:
+                what = {If: "", Or: "or ", PChoice: "+[p] "}[cls]
+                raise _Fail(f"{what}branches disagree: {a} vs {b}")
+            return a
+        if cls is Pair:
+            return Prod(_kid(s, kids, 0), _kid(s, kids, 1))
+        if cls is Fst or cls is Snd:
+            ty = _kid(s, kids, 0)
+            if not isinstance(ty, Prod):
+                raise _Fail(f"{'fst' if cls is Fst else 'snd'} applied to {ty}")
+            return ty.fst if cls is Fst else ty.snd
+        if cls is FnApp and s.sym == "==" and len(kids) == 2:
+            t1, t2 = _kid(s, kids, 0), _kid(s, kids, 1)
             if not (isinstance(t1, Base) and t1 == t2 and t1.name != "Rew"
                     and t1.name in config.bases):
-                raise SelTypeError(f"== needs two values of one finite base, got {t1}, {t2}", path)
+                raise _Fail(f"== needs two values of one finite base, got {t1}, {t2}")
             return BOOL
-        case FnApp(sym, args, w):
-            if sym not in FN_SIGNATURES:
-                raise SelTypeError(f"unknown function symbol {sym}", path)
-            arg_tys, res = FN_SIGNATURES[sym]
-            if len(args) != len(arg_tys):
-                raise SelTypeError(f"{sym} expects {len(arg_tys)} arguments", path)
-            for i, (a, want) in enumerate(zip(args, arg_tys)):
-                check(a, want, env, f"arg{i}")
-            if sym == "oplus":
-                if w is None or not (0 <= w <= 1):
-                    raise SelTypeError("oplus weight must lie in [0,1]", path)
+        if cls is FnApp:
+            if s.sym not in FN_SIGNATURES:
+                raise _Fail(f"unknown function symbol {s.sym}")
+            arg_tys, res = FN_SIGNATURES[s.sym]
+            if len(kids) != len(arg_tys):
+                raise _Fail(f"{s.sym} expects {len(arg_tys)} arguments")
+            for i, want in enumerate(arg_tys):
+                _kid(s, kids, i, want)
+            if s.sym == "oplus" and (s.weight is None or not (0 <= s.weight <= 1)):
+                raise _Fail("oplus weight must lie in [0,1]")
             return res
-        case Or(a, b):
-            t1 = typecheck(a, env, config, path + ("left",))
-            t2 = typecheck(b, env, config, path + ("right",))
-            if t1 != t2:
-                raise SelTypeError(f"or branches disagree: {t1} vs {t2}", path)
-            return t1
-        case Rew(c, m):
-            check(c, REW, env, "param")
-            return typecheck(m, env, config, path + ("body",))
-        case PChoice(p, a, b):
-            if config.mode != "prob":
-                raise SelTypeError("probabilistic choice needs mode prob", path)
-            if not (0 <= p <= 1):
-                raise SelTypeError(f"choice weight {p} outside [0,1]", path)
-            t1 = typecheck(a, env, config, path + ("left",))
-            t2 = typecheck(b, env, config, path + ("right",))
-            if t1 != t2:
-                raise SelTypeError(f"+[p] branches disagree: {t1} vs {t2}", path)
-            return t1
-        case Hole():
-            raise SelTypeError("hole in complete program", path)
-        case _:
-            raise SelTypeError(f"unrecognized term {t!r}", path)
+        if cls is Star:
+            return UNIT
+        if cls is Hole:
+            raise _Fail("hole in complete program")
+        raise _Fail(f"unrecognized term {s!r}")
+
+    def node(s, kids, env):
+        try:
+            return rule(s, kids, env)
+        except _Fail as fail:
+            return fail
+
+    ty = fold_term(t, node, env=env)
+    if type(ty) is _Fail:
+        raise SelTypeError(ty.msg, path + tuple(reversed(ty.legs)))
+    return ty
 
 
 ### substitution of programs for base constants, and case dispatchers
@@ -685,14 +708,47 @@ class SelSyntaxError(Exception):
 
 ### concrete syntax: parser
 
+# precedence levels, loosest to tightest, shared by parser and printer
+_P_TOP, _P_OR, _P_PC, _P_CMP, _P_ADD, _P_REW, _P_APP, _P_ATOM = range(8)
+
+# infix operator: (the minimum level of its right operand, whether it
+# associates left); '==' and '<=' do not associate, '.' nests rightwards
+_INFIX = {"or": (_P_PC, True), "+[": (_P_CMP, True), "==": (_P_ADD, False),
+          "<=": (_P_ADD, False), "+": (_P_REW, True), ".": (_P_REW, False)}
+
+# each construction with subterms, by its opening token or operator
+# ("app" is juxtaposition): (the level of the term it builds, the token
+# (kind, text) that must follow each of its parts or None, the builder
+# from its data and parts); an operator's first part is its left operand
+_CONSTRUCTS = {
+    "(": (_P_ATOM, (("punct", ")"),), lambda _, t: t),
+    "<": (_P_ATOM, (("punct", ","), ("punct", ">")), lambda _, a, b: Pair(a, b)),
+    "oplus": (_P_ATOM, (("punct", ","), ("punct", ")")),
+              lambda p, a, b: FnApp("oplus", (a, b), p)),
+    "fst": (_P_ATOM, (None,), lambda _, t: Fst(t)),
+    "snd": (_P_ATOM, (None,), lambda _, t: Snd(t)),
+    "if": (_P_TOP, (("kw", "then"), ("kw", "else"), None),
+           lambda _, c, a, b: If(c, a, b)),
+    "fun": (_P_TOP, (None,), lambda d, body: Lam(*d, body)),
+    "let": (_P_TOP, (("kw", "in"), None), lambda d, m, n: App(Lam(*d, n), m)),
+    "app": (_P_APP, (None, None), lambda _, f, a: App(f, a)),
+    "or": (_P_OR, (None, None), lambda _, a, b: Or(a, b)),
+    "+[": (_P_PC, (None, None), PChoice),
+    "==": (_P_CMP, (None, None), lambda _, a, b: FnApp("==", (a, b))),
+    "<=": (_P_CMP, (None, None), lambda _, a, b: FnApp("<=", (a, b))),
+    "+": (_P_ADD, (None, None), lambda _, a, b: FnApp("+", (a, b))),
+    ".": (_P_REW, (None, None), lambda _, a, b: Rew(a, b)),
+}
+
+
 class _Parser:
     def __init__(self, toks: list[tuple[str, str]], config: LangConfig):
         self.toks = toks
         self.pos = 0
         self.config = config
 
-    def peek(self, k: int = 0) -> tuple[str, str]:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self) -> tuple[str, str]:
+        return self.toks[min(self.pos, len(self.toks) - 1)]
 
     def next(self) -> tuple[str, str]:
         tok = self.toks[self.pos]
@@ -714,98 +770,88 @@ class _Parser:
             raise SelSyntaxError(
                 f"zero denominator in {text!r} (token {self.pos})") from None
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        k, v = self.peek()
-        return k == kind and (text is None or v == text)
-
-    # term := if/fun/let | orterm
     def term(self) -> Term:
-        if self.at("kw", "if"):
-            self.next()
-            c = self.term()
-            self.expect("kw", "then")
-            a = self.term()
-            self.expect("kw", "else")
-            b = self.term()
-            return If(c, a, b)
-        if self.at("kw", "fun"):
-            self.next()
-            self.expect("punct", "(")
-            v = self.expect("ident")
-            self.expect("punct", ":")
-            ty = self.type_()
-            self.expect("punct", ")")
-            self.expect("punct", "->")
-            return Lam(v, ty, self.term())
-        if self.at("kw", "let"):
-            self.next()
-            v = self.expect("ident")
-            self.expect("punct", ":")
-            ty = self.type_()
-            self.expect("punct", "=")
-            m = self.term()
-            self.expect("kw", "in")
-            n = self.term()
-            return App(Lam(v, ty, n), m)
-        return self.orterm()
+        """A whole term, up to the end of input.  term := if/fun/let |
+        orterm, where orterm is built from atoms by juxtaposition and the
+        operators of _INFIX.  Precedence climbing over an explicit stack
+        of pending constructions, each frame holding (kind, the minimum
+        level of its context, its data, its parts so far), so nesting
+        uses no Python recursion."""
+        stack = []
+        m = _P_TOP
+        while True:
+            frame = self.opening(m)
+            if frame is not None:
+                stack.append(frame)
+                m = _P_ATOM if frame[0] in ("fst", "snd") else _P_TOP
+                continue
+            left, level = self.primary(), _P_ATOM
+            while True:
+                k, v = self.peek()
+                op = _INFIX.get(v) if k in ("kw", "punct") else None
+                if op is not None:
+                    at = _CONSTRUCTS[v][0]
+                    if at >= m and (level >= at if op[1] else level > at):
+                        self.next()
+                        p = None
+                        if v == "+[":
+                            p = self.rational()
+                            self.expect("punct", "]")
+                        stack.append((v, m, p, [left]))
+                        m = op[0]
+                        break
+                if m <= _P_APP <= level and self.at_atom_start():
+                    stack.append(("app", m, None, [left]))
+                    m = _P_ATOM
+                    break
+                if not stack:
+                    self.expect("eof")
+                    return left
+                kind, m, data, parts = stack.pop()
+                parts.append(left)
+                level, closers, build = _CONSTRUCTS[kind]
+                if closers[len(parts) - 1] is not None:
+                    self.expect(*closers[len(parts) - 1])
+                if len(parts) < len(closers):
+                    stack.append((kind, m, data, parts))
+                    m = _P_TOP
+                    break
+                left = build(data, *parts)
 
-    def orterm(self) -> Term:
-        t = self.pcterm()
-        while self.at("kw", "or"):
-            self.next()
-            t = Or(t, self.pcterm())
-        return t
-
-    def pcterm(self) -> Term:
-        t = self.cmpterm()
-        while self.at("punct", "+["):
-            self.next()
-            p = self.rational()
+    def opening(self, m: int):
+        """At a token that opens a construction with subterms (if, fun and
+        let only at the top level m), consume it up to its first part and
+        return the construction's frame; otherwise None."""
+        k, v = self.peek()
+        if not ((k == "punct" and v in ("(", "<")) or (k == "kw" and (
+                v in ("fst", "snd", "oplus")
+                or (m == _P_TOP and v in ("if", "fun", "let"))))):
+            return None
+        self.next()
+        data = None
+        if v == "oplus":
+            self.expect("punct", "[")
+            data = self.rational()
             self.expect("punct", "]")
-            t = PChoice(p, t, self.cmpterm())
-        return t
-
-    def cmpterm(self) -> Term:
-        t = self.addterm()
-        if self.at("punct", "=="):
-            self.next()
-            return FnApp("==", (t, self.addterm()))
-        if self.at("punct", "<="):
-            self.next()
-            return FnApp("<=", (t, self.addterm()))
-        return t
-
-    def addterm(self) -> Term:
-        t = self.rewterm()
-        while self.at("punct", "+"):
-            self.next()
-            t = FnApp("+", (t, self.rewterm()))
-        return t
-
-    def rewterm(self) -> Term:
-        t = self.appterm()
-        if self.at("punct", "."):
-            self.next()
-            return Rew(t, self.rewterm())
-        return t
-
-    def appterm(self) -> Term:
-        t = self.atom()
-        while self.at_atom_start():
-            t = App(t, self.atom())
-        return t
+            self.expect("punct", "(")
+        elif v in ("fun", "let"):
+            if v == "fun":
+                self.expect("punct", "(")
+            x = self.expect("ident")
+            self.expect("punct", ":")
+            data = (x, self.type_())
+            for closer in ((")", "->") if v == "fun" else ("=",)):
+                self.expect("punct", closer)
+        return (v, m, data, [])
 
     def at_atom_start(self) -> bool:
         k, v = self.peek()
-        if k in ("ident", "rat", "hole"):
-            return True
-        if k == "kw" and v in ("fst", "snd", "oplus"):
-            return True
-        if k == "punct" and v in ("(", "<", "*"):
-            return True
-        return False
+        return (k in ("ident", "rat", "hole")
+                or (k == "kw" and v in ("fst", "snd", "oplus"))
+                or (k == "punct" and v in ("(", "<", "*")))
 
-    def atom(self) -> Term:
+    def primary(self) -> Term:
+        """An atom without subterms: a rational, hole, name or ``*``."""
         k, v = self.peek()
         if k == "rat":
             return RewConst(self.rational())
@@ -814,54 +860,23 @@ class _Parser:
             return Hole()
         if k == "ident":
             self.next()
-            if self.config.has_constant(v):
-                return self.config.constant(v)
-            return Var(v)
-        if k == "kw" and v == "fst":
-            self.next()
-            return Fst(self.atom())
-        if k == "kw" and v == "snd":
-            self.next()
-            return Snd(self.atom())
-        if k == "kw" and v == "oplus":
-            self.next()
-            self.expect("punct", "[")
-            p = self.rational()
-            self.expect("punct", "]")
-            self.expect("punct", "(")
-            a = self.term()
-            self.expect("punct", ",")
-            b = self.term()
-            self.expect("punct", ")")
-            return FnApp("oplus", (a, b), p)
+            return self.config.constant(v) if self.config.has_constant(v) else Var(v)
         if k == "punct" and v == "*":
             self.next()
             return Star()
-        if k == "punct" and v == "(":
-            self.next()
-            t = self.term()
-            self.expect("punct", ")")
-            return t
-        if k == "punct" and v == "<":
-            self.next()
-            a = self.term()
-            self.expect("punct", ",")
-            b = self.term()
-            self.expect("punct", ">")
-            return Pair(a, b)
         raise SelSyntaxError(f"unexpected token {v!r} (token {self.pos})")
 
     # types: arrow right-assoc, * binds tighter
     def type_(self) -> Type:
         t = self.type_prod()
-        if self.at("punct", "->"):
+        if self.peek() == ("punct", "->"):
             self.next()
             return Arrow(t, self.type_())
         return t
 
     def type_prod(self) -> Type:
         t = self.type_atom()
-        while self.at("punct", "*"):
+        while self.peek() == ("punct", "*"):
             self.next()
             t = Prod(t, self.type_atom())
         return t
@@ -886,15 +901,12 @@ class _Parser:
 def parse(src: str, config: LangConfig | None = None) -> Term:
     """Parse a bare term (no prelude)."""
     config = config or LangConfig(mode="prob")
-    p = _Parser(_lex(src), config)
-    t = p.term()
-    p.expect("eof")
-    return t
+    return _Parser(_lex(src), config).term()
 
 
 def _contains_prob_op(t: Term) -> bool:
-    return any(isinstance(s, PChoice) or (isinstance(s, FnApp) and s.sym == "oplus")
-               for _, s in subterms(t))
+    return fold_term(t, lambda s, kids, env: any(kids) or type(s) is PChoice
+                     or (type(s) is FnApp and s.sym == "oplus"))
 
 
 def parse_program(src: str, mode: str | None = None,
@@ -908,35 +920,24 @@ def parse_program(src: str, mode: str | None = None,
     bases = dict(BUILTIN_BASES)
     pos = 0
 
-    def is_prelude_start(i):
-        return toks[i][0] == "kw" and toks[i][1] in ("mode", "base", "structure")
-
-    while is_prelude_start(pos):
-        kw = toks[pos][1]
-        pos += 1
+    while toks[pos][0] == "kw" and toks[pos][1] in ("mode", "base", "structure"):
+        kw, (k, v) = toks[pos][1], toks[pos + 1]
+        pos += 2
         if kw == "mode":
-            k, v = toks[pos]
             if v not in ("rewards", "prob"):
                 raise SelSyntaxError(f"unknown mode {v!r}")
             declared_mode = v
-            pos += 1
         elif kw == "structure":
-            k, v = toks[pos]
             if v not in STRUCTURES:
                 raise SelSyntaxError(f"unknown reward structure {v!r}")
             declared_structure = STRUCTURES[v]
-            pos += 1
         else:  # base B = { c1, ..., cn }
-            k, name = toks[pos]
             if k != "ident":
                 raise SelSyntaxError("expected base type name")
-            pos += 1
-            if toks[pos][1] != "=":
-                raise SelSyntaxError("expected '=' in base declaration")
-            pos += 1
-            if toks[pos][1] != "{":
-                raise SelSyntaxError("expected '{' in base declaration")
-            pos += 1
+            for text in ("=", "{"):
+                if toks[pos][1] != text:
+                    raise SelSyntaxError(f"expected {text!r} in base declaration")
+                pos += 1
             consts = []
             while True:
                 k, c = toks[pos]
@@ -951,9 +952,7 @@ def parse_program(src: str, mode: str | None = None,
                     pos += 1
                     break
                 raise SelSyntaxError("expected ',' or '}' in base declaration")
-            if not consts:
-                raise SelSyntaxError("base type needs at least one constant")
-            bases[name] = tuple(consts)
+            bases[v] = tuple(consts)
         if toks[pos][1] != ";":
             raise SelSyntaxError("expected ';' after declaration")
         pos += 1
@@ -968,10 +967,11 @@ def parse_program(src: str, mode: str | None = None,
     final_structure = structure or declared_structure or DEFAULT_STRUCTURE
 
     # parse the body permissively, then settle the mode
-    scratch = LangConfig(mode="prob", bases=bases, structure=final_structure)
-    parser = _Parser(toks[pos:], scratch)
-    term = parser.term()
-    parser.expect("eof")
+    try:
+        scratch = LangConfig(mode="prob", bases=bases, structure=final_structure)
+    except ValueError as e:  # a constant declared twice
+        raise SelSyntaxError(str(e)) from None
+    term = _Parser(toks[pos:], scratch).term()
 
     final_mode = mode or declared_mode
     if final_mode is None:
@@ -984,60 +984,45 @@ def parse_program(src: str, mode: str | None = None,
 
 ### pretty printing
 
-# precedence levels, loosest to tightest
-_P_TOP, _P_OR, _P_PC, _P_CMP, _P_ADD, _P_REW, _P_APP, _P_ATOM = range(8)
+# layout of each node, by class or FnApp symbol: (its own level, the
+# level each child must reach to go without parentheses, template over
+# the node and its children's texts)
+_LAYOUT = {
+    Var: (_P_ATOM, (), "{0.name}"), Const: (_P_ATOM, (), "{0.name}"),
+    Star: (_P_ATOM, (), "*"), Hole: (_P_ATOM, (), "[-]"),
+    Pair: (_P_ATOM, (_P_TOP, _P_TOP), "<{1}, {2}>"),
+    Fst: (_P_APP, (_P_ATOM,), "fst {1}"), Snd: (_P_APP, (_P_ATOM,), "snd {1}"),
+    Lam: (_P_TOP, (_P_TOP,), "fun ({0.var}:{0.ty}) -> {1}"),
+    App: (_P_APP, (_P_APP, _P_ATOM), "{1} {2}"),
+    If: (_P_TOP, (_P_TOP,) * 3, "if {1} then {2} else {3}"),
+    "==": (_P_CMP, (_P_ADD, _P_ADD), "{1} == {2}"),
+    "<=": (_P_CMP, (_P_ADD, _P_ADD), "{1} <= {2}"),
+    "+": (_P_ADD, (_P_ADD, _P_REW), "{1} + {2}"),
+    "oplus": (_P_ATOM, (_P_TOP, _P_TOP), "oplus[{0.weight}]({1}, {2})"),
+    Or: (_P_OR, (_P_OR, _P_PC), "{1} or {2}"),
+    Rew: (_P_REW, (_P_APP, _P_REW), "{1} . {2}"),
+    PChoice: (_P_PC, (_P_PC, _P_CMP), "{1} +[{0.weight}] {2}"),
+}
 
 
 def pretty(t: Term) -> str:
-    return _pp(t, _P_TOP)
+    """Source text for t that parses back to t, with the fewest
+    parentheses the grammar allows.  A fold: each node prints to (its
+    level, its text)."""
+    def node(s, kids, env):
+        cls = type(s)
+        if cls is RewConst:
+            # a negative constant lexes as one token but cannot be applied
+            return (_P_APP if s.value < 0 else _P_ATOM), str(s.value)
+        own, wants, template = _LAYOUT.get(s.sym if cls is FnApp else cls,
+                                           (None, None, None))
+        if template is None or len(wants) != len(kids):
+            raise ValueError(f"cannot print {s!r}")
+        return own, template.format(s, *[
+            f"({text})" if want > level else text
+            for (level, text), want in zip(kids, wants)])
 
-
-def _paren(s: str, need: bool) -> str:
-    return f"({s})" if need else s
-
-
-def _pp(t: Term, prec: int) -> str:
-    match t:
-        case Var(name):
-            return name
-        case Const(name, _, _):
-            return name
-        case RewConst(v):
-            return _paren(str(v), v < 0 and prec >= _P_ATOM)
-        case Star():
-            return "*"
-        case Hole():
-            return "[-]"
-        case Pair(a, b):
-            return f"<{_pp(a, _P_TOP)}, {_pp(b, _P_TOP)}>"
-        case Fst(a):
-            return _paren(f"fst {_pp(a, _P_ATOM)}", prec > _P_APP)
-        case Snd(a):
-            return _paren(f"snd {_pp(a, _P_ATOM)}", prec > _P_APP)
-        case Lam(v, ty, body):
-            return _paren(f"fun ({v}:{ty}) -> {_pp(body, _P_TOP)}", prec > _P_TOP)
-        case App(f, a):
-            return _paren(f"{_pp(f, _P_APP)} {_pp(a, _P_ATOM)}", prec > _P_APP)
-        case If(c, a, b):
-            return _paren(
-                f"if {_pp(c, _P_TOP)} then {_pp(a, _P_TOP)} else {_pp(b, _P_TOP)}",
-                prec > _P_TOP)
-        case FnApp("==", (a, b), _):
-            return _paren(f"{_pp(a, _P_ADD)} == {_pp(b, _P_ADD)}", prec > _P_CMP)
-        case FnApp("<=", (a, b), _):
-            return _paren(f"{_pp(a, _P_ADD)} <= {_pp(b, _P_ADD)}", prec > _P_CMP)
-        case FnApp("+", (a, b), _):
-            return _paren(f"{_pp(a, _P_ADD)} + {_pp(b, _P_REW)}", prec > _P_ADD)
-        case FnApp("oplus", (a, b), p):
-            return f"oplus[{p}]({_pp(a, _P_TOP)}, {_pp(b, _P_TOP)})"
-        case Or(a, b):
-            return _paren(f"{_pp(a, _P_OR)} or {_pp(b, _P_PC)}", prec > _P_OR)
-        case Rew(c, m):
-            return _paren(f"{_pp(c, _P_APP)} . {_pp(m, _P_REW)}", prec > _P_REW)
-        case PChoice(p, a, b):
-            return _paren(f"{_pp(a, _P_PC)} +[{p}] {_pp(b, _P_CMP)}", prec > _P_PC)
-        case _:
-            raise ValueError(f"cannot print {t!r}")
+    return fold_term(t, node)[1]
 
 
 def pretty_program(p: Program) -> str:

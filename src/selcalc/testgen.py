@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .equations import NoDistinguishingContext
 from .monads import Dist, T3Val, mrval, t2val
 from .rewards import DEFAULT_STRUCTURE, RewardStructure
 from .selection import gamma_from_table
@@ -93,13 +94,14 @@ def gen_gamma(cfg: GenConfig, base: str, count: int = 64,
 
 def default_gammas(m: Term, n: Term, config: LangConfig,
                    count: int = 64, seed: int = 0):
-    """Sampled reward continuations for comparing two base-typed programs."""
+    """Sampled reward continuations for comparing two base-typed programs.
+    Raises NoDistinguishingContext for programs of any other type."""
     ty = typecheck(m, config=config)
     ty2 = typecheck(n, config=config)
     if ty != ty2:
         raise ValueError(f"type mismatch: {ty} vs {ty2}")
     if not (isinstance(ty, Base) and ty.name in config.bases):
-        raise ValueError("valuation sampling needs a finite base type")
+        raise NoDistinguishingContext("valuation sampling needs a finite base type")
     tables = gamma_tables(ty.name, config, count, seed)
     return [gamma_from_table(t, config) for t in tables]
 

@@ -460,3 +460,48 @@ def test_module_entry_point_runs_without_warning():
     assert done.returncode == 0
     assert "Usage:" in done.stdout
     assert "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.parametrize("left, right, types", [
+    ("tt", "fun (y:Bool) -> y", "Bool vs (Bool -> Bool)"),
+    ("mode prob;\ntt", "mode prob;\nfun (x:Bool) -> x", "Bool vs (Bool -> Bool)"),
+    ("mode prob;\n<tt, ff>", "mode prob;\ntt +[1/2] ff", "(Bool * Bool) vs Bool"),
+])
+def test_equiv_type_mismatch_is_a_type_error(sel, capsys, left, right, types):
+    rc, out, err = run(capsys, "equiv", sel(left, "a.sel"), sel(right, "b.sel"))
+    assert rc == 3 and out == ""
+    assert err.strip() == f"error: type mismatch: {types}"
+
+
+def test_prob_equiv_on_functions_is_indeterminate(sel, capsys):
+    rc, out, err = run(capsys, "equiv", sel("mode prob; fun (x:Bool) -> x", "a.sel"),
+                       sel("mode prob; (fun (x:Bool) -> x) +[1/2] "
+                           "(fun (x:Bool) -> tt)", "b.sel"))
+    assert rc == 2 and out == ""
+    assert err.startswith("indeterminate:") and "internal error" not in err
+
+
+@pytest.mark.parametrize("src, want", [
+    ("(" + " + ".join(["1"] * 800) + ") . tt", "reward 800, value tt"),
+    ("let f : Bool -> Bool = fun (x:Bool) -> 1 . x in "
+     + "f (" * 200 + "ff" + ")" * 200, "reward 200, value ff"),
+], ids=["sum800", "app200"])
+def test_eval_deep_programs(sel, capsys, src, want):
+    rc, out, err = run(capsys, "eval", sel(src))
+    assert (rc, out.strip(), err) == (0, want, "")
+
+
+def test_nesting_too_deep_is_a_resource_failure(sel, capsys, monkeypatch):
+    def too_deep(*_):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("selcalc.cli.denote", too_deep)
+    rc, out, err = run(capsys, "eval", "--semantics", "denotational", sel("tt"))
+    assert rc == 4 and out == ""
+    assert err.strip() == "resource or invariant failure: term nesting too deep"
+
+
+def test_constant_declared_twice_is_a_parse_error(sel, capsys):
+    rc, out, err = run(capsys, "eval", sel("base C = {a, a};\na"))
+    assert rc == 3 and out == ""
+    assert err.strip() == "error: constant 'a' declared twice"

@@ -1,0 +1,100 @@
+"""Deep terms at the default recursion limit: the parser, typecheck,
+selection, printing, free variables, substitution and alpha-equivalence
+keep explicit stacks, so nesting depth is bounded by memory, not by
+Python's recursion limit.  ``denote`` still recurses once per level; its
+current reach is pinned so that it cannot shrink unnoticed."""
+
+import sys
+
+import pytest
+
+from selcalc.monads import make_monad
+from selcalc.selection import denote, embed_outcome, zero_gamma
+from selcalc.strategies import select_program
+from selcalc.syntax import (
+    BOOL, FF, TT, Lam, Pair, Var, alpha_eq, fresh_name, free_vars,
+    parse_program, pretty, substitute, typecheck,
+)
+
+LIMIT = sys.getrecursionlimit()
+N = 5000
+
+FAMILIES = {
+    "parentheses": "(" * N + "tt" + ")" * N,
+    "application": "let f : Bool -> Bool = fun (x:Bool) -> if x then 1 . ff "
+                   "else 2 . tt in " + "f (" * N + "tt" + ")" * N,
+    "stacked-reward": "1 . " * N + "tt",
+    "or-chain": " or ".join(f"{i % 3} . {'tt' if i % 2 else 'ff'}"
+                            for i in range(N)),
+}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_deep_family_round_trips(name):
+    p = parse_program(FAMILIES[name])
+    assert typecheck(p.term, config=p.config) == BOOL
+    reward, value = select_program(p.term, p.config)
+    assert value in (TT, FF)
+    q = parse_program(pretty(p.term))
+    assert alpha_eq(q.term, p.term)
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def nested_lambdas(n):
+    """fun (x0:Bool) -> <y, fun (x1:Bool) -> ... x0>, names reused mod 7."""
+    t = Var("x0")
+    for i in reversed(range(n)):
+        t = Lam(f"x{i % 7}", BOOL, Pair(Var("y"), t) if i % 2 else t)
+    return t
+
+
+def test_deep_lambdas_free_vars_substitute_alpha_eq():
+    t = nested_lambdas(N)
+    assert free_vars(t) == {"y"}
+    s = substitute(t, "y", TT)
+    assert free_vars(s) == frozenset()
+    assert alpha_eq(t, t) and not alpha_eq(t, s)
+    assert alpha_eq(substitute(t, "y", Var("z")),
+                    substitute(nested_lambdas(N), "y", Var("z")))
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def test_alpha_eq_draws_no_fresh_names():
+    before = int(fresh_name("q").split("%")[1])
+    assert alpha_eq(Lam("x", BOOL, Var("x")), Lam("y", BOOL, Var("y")))
+    assert not alpha_eq(Lam("x", BOOL, Var("x")), Lam("y", BOOL, Var("x")))
+    assert fresh_name("q") == f"q%{before + 1}"
+
+
+def test_substitute_renames_capturing_binders_in_preorder():
+    start = int(fresh_name("n").split("%")[1]) + 1
+    x, y, z = Var("x"), Var("y"), Var("z")
+    inner = Lam("y", BOOL, Pair(x, y))
+    shadowed = Lam("x", BOOL, Lam("z", BOOL, x))
+    t = Lam("y", BOOL, Pair(inner, shadowed))
+    got = substitute(t, "x", Pair(y, z))
+    assert got == Lam(f"y%{start}", BOOL, Pair(
+        Lam(f"y%{start + 1}", BOOL, Pair(Pair(y, z), Var(f"y%{start + 1}"))),
+        shadowed))
+    # under a binder of the substituted variable nothing is renamed
+    assert fresh_name("n") == f"n%{start + 2}"
+
+
+def test_closed_substitution_draws_no_fresh_names():
+    before = int(fresh_name("n").split("%")[1])
+    t = Lam("y", BOOL, Pair(Var("x"), Lam("x", BOOL, Var("x"))))
+    assert substitute(t, "x", Lam("y", BOOL, Var("y"))) == Lam(
+        "y", BOOL, Pair(Lam("y", BOOL, Var("y")), Lam("x", BOOL, Var("x"))))
+    assert fresh_name("n") == f"n%{before + 1}"
+
+
+@pytest.mark.parametrize("src", [
+    "1 . " * 100 + "tt",
+    "let f : Bool -> Bool = fun (x:Bool) -> 1 . x in " + "f (" * 100 + "tt"
+    + ")" * 100,
+])
+def test_denote_reaches_depth_100(src):
+    p = parse_program(src)
+    mon = make_monad("W", p.config.structure)
+    u = denote(p.term, p.config, mon)(zero_gamma(p.config))
+    assert u == embed_outcome(select_program(p.term, p.config), p.config, mon)

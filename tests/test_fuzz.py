@@ -1,0 +1,87 @@
+"""Fuzz properties of the command line: random token streams over the
+lexer's vocabulary and generated programs in both modes go through
+``eval`` and ``canon``; neither ever answers "internal error", and every
+term printed parses back to an alpha-equal term."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from selcalc.cli import main
+from selcalc.equations import (
+    canon_rewards, canonical_term, weak_canon_prob, weak_canonical_term,
+)
+from selcalc.strategies import select_program
+from selcalc.syntax import (
+    BOOL, Arrow, Prod, Program, SelSyntaxError, SelTypeError, _KEYWORDS,
+    _PUNCT, alpha_eq, parse, parse_program, pretty, pretty_program,
+    typecheck,
+)
+from selcalc.testgen import GenConfig, gen_program
+
+TOKENS = sorted(_PUNCT) + sorted(_KEYWORDS) + [
+    "tt", "ff", "x", "f", "Bool", "Rew", "Unit", "C", "a", "NonNegAdd",
+    "0", "1", "-2", "1/2", "3/0", "[-]", "fun (x:Bool) ->", "+[1/3]",
+]
+
+# capsys is read after every call, so sharing it across examples is safe
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture(scope="module")
+def source_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "prog.sel"
+
+
+def run(capsys, *args):
+    rc = main(list(args))
+    out = capsys.readouterr()
+    assert "internal error" not in out.err, (args, out.err)
+    assert rc in (0, 1, 2, 3, 4)
+    return rc, out.out
+
+
+def canonical(term, config):
+    if config.mode == "rewards":
+        return canonical_term(canon_rewards(term, config))
+    return weak_canonical_term(weak_canon_prob(term, config, "DW"), "DW")
+
+
+def check_program(capsys, path, src, term=None):
+    """Run eval and canon on src; when it is a well-typed program (whose
+    source was printed from term, if given), check that the program, its
+    selected value and its printed canonical form parse back
+    alpha-equal."""
+    path.write_text(src)
+    run(capsys, "eval", str(path))
+    rc, out = run(capsys, "canon", str(path))
+    try:
+        p = parse_program(src)
+        typecheck(p.term, config=p.config)
+    except (SelSyntaxError, SelTypeError):
+        assert term is None
+        return
+    assert term is None or alpha_eq(p.term, term)
+    printed = [p.term, canonical(p.term, p.config)]
+    if p.config.mode == "rewards":
+        printed.append(select_program(p.term, p.config)[1])
+    for t in printed:
+        assert alpha_eq(parse(pretty(t), p.config), t), pretty(t)
+    if rc == 0:
+        assert out.strip() == pretty(printed[1])
+
+
+@FUZZ
+@given(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=16))
+def test_token_streams(capsys, source_file, tokens):
+    check_program(capsys, source_file, " ".join(tokens))
+
+
+@FUZZ
+@given(st.integers(0, 10**6), st.sampled_from(["rewards", "prob"]),
+       st.sampled_from([BOOL, Prod(BOOL, BOOL), Arrow(BOOL, BOOL)]))
+def test_generated_programs(capsys, source_file, seed, mode, ty):
+    cfg = GenConfig(seed=seed, max_term_size=20, mode=mode)
+    config = cfg.lang()
+    t = gen_program(cfg, ty, config=config)
+    check_program(capsys, source_file, pretty_program(Program(config, t)), t)
