@@ -717,9 +717,10 @@ _INFIX = {"or": (_P_PC, True), "+[": (_P_CMP, True), "==": (_P_ADD, False),
           "<=": (_P_ADD, False), "+": (_P_REW, True), ".": (_P_REW, False)}
 
 # each construction with subterms, by its opening token or operator
-# ("app" is juxtaposition): (the level of the term it builds, the token
-# (kind, text) that must follow each of its parts or None, the builder
-# from its data and parts); an operator's first part is its left operand
+# ("app" is juxtaposition): (the level of the term it makes, the token
+# (kind, text) that must follow each of its parts or None, the function
+# making the term from its data and parts); an operator's first part is
+# its left operand
 _CONSTRUCTS = {
     "(": (_P_ATOM, (("punct", ")"),), lambda _, t: t),
     "<": (_P_ATOM, (("punct", ","), ("punct", ">")), lambda _, a, b: Pair(a, b)),
