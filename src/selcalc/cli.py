@@ -229,9 +229,15 @@ def eval_cmd(semantics, monad_name, gamma_arg, oracle, trace, mode,
 
     if semantics == "ordinary":
         if trace:
-            for depth, t in trace_eval(term, config):
-                click.echo("  " * depth + pretty(t))
-        e = eval_effect(term, config)
+            run = trace_eval(term, config)
+            try:
+                while True:
+                    depth, t = next(run)
+                    click.echo("  " * depth + pretty(t))
+            except StopIteration as finished:
+                e = finished.value
+        else:
+            e = eval_effect(term, config)
         if as_json:
             click.echo(json.dumps({"version": JSON_VERSION, "effect": pretty(e)}))
         else:

@@ -344,7 +344,7 @@ class T2Monad(ProbMonad):
 class T3Monad(ProbMonad):
     """Value distribution with one pooled reward.  Only sound when the
     monoid mixes through convex combination on distinct points; the
-    constructor checks this by seeded random trial."""
+    constructor checks the structure's declared mixing law."""
     name = "T3"
 
     def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE):

@@ -1,5 +1,4 @@
-"""Operational semantics: evaluation contexts, small steps, and the big-step
-map from programs to effect values.
+"""Operational semantics: the small-step map from programs to effect values.
 
 A closed well-typed term that is not a value decomposes uniquely into an
 evaluation context around a redex.  Ordinary redexes rewrite in place;
@@ -8,27 +7,24 @@ operation redexes suspend, and the context is pushed into every branch
 into an effect value: a tree of or / reward / probabilistic-choice nodes
 with values at the leaves.
 
-``step`` (with ``decompose`` and ``plug``) is that small-step relation
-written out literally, one root-to-redex decomposition per step; it is the
-reference the ``--trace`` output follows.  ``eval_effect`` computes the same
-effect value by refocusing (Danvy and Nielsen, *Refocusing in reduction
-semantics*, 2004): it keeps the evaluation context as a linked stack of
-frames, descends to the next redex, and after a reduction resumes at the
-frame where the redex sat instead of restarting from the root.  At an
-operation both branches resume with the same continuation object, which is
-the commutation rule without re-plugging.  Frames and pending branches
-live on explicit stacks, so neither term depth nor effect depth uses
-Python recursion.
+One machine runs that relation by refocusing (Danvy and Nielsen,
+*Refocusing in reduction semantics*, 2004): it keeps the evaluation context
+as a linked stack of frames, descends to the next redex, and after a
+reduction resumes at the frame where the redex sat instead of restarting
+from the root, so it fires the redexes the literal relation fires, in its
+order.  Both branches of an operation resume with the same continuation
+object: commutation without re-plugging.  Explicit stacks hold frames and
+pending branches, so neither term depth nor effect depth uses Python
+recursion.  ``trace_eval`` runs the machine ``eval_effect`` runs and also
+yields the whole term, the focus plugged into its frames, at each branch
+and step.  The literal relation is the tests' reference for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .syntax import (
-    App, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, Pair, PChoice,
-    Rew, RewConst, Snd, Star, Term, Var, is_value, plug, substitute,
+    FF, TT, App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice,
+    Rew, RewConst, Snd, Star, Term, Var, substitute,
 )
 
 
@@ -40,87 +36,7 @@ class BudgetExceeded(Exception):
     pass
 
 
-### decomposition
-
-def decompose(t: Term) -> tuple[Term, Term] | None:
-    """Split a closed non-value term into (context, redex); None for values.
-    The context is a term with a single Hole."""
-    if is_value(t):
-        return None
-
-    def wrap(ctx_of, sub):
-        inner = decompose(sub)
-        if inner is None:
-            raise StuckTerm(f"expected a non-value: {sub!r}")
-        ctx, redex = inner
-        return ctx_of(ctx), redex
-
-    match t:
-        case App(f, a):
-            if not is_value(f):
-                return wrap(lambda c: App(c, a), f)
-            if not is_value(a):
-                return wrap(lambda c: App(f, c), a)
-            return (Hole(), t)
-        case Pair(a, b):
-            if not is_value(a):
-                return wrap(lambda c: Pair(c, b), a)
-            return wrap(lambda c: Pair(a, c), b)
-        case Fst(a):
-            if not is_value(a):
-                return wrap(lambda c: Fst(c), a)
-            return (Hole(), t)
-        case Snd(a):
-            if not is_value(a):
-                return wrap(lambda c: Snd(c), a)
-            return (Hole(), t)
-        case If(c, a, b):
-            if not is_value(c):
-                return wrap(lambda h: If(h, a, b), c)
-            return (Hole(), t)
-        case FnApp(sym, args, w):
-            for i, a in enumerate(args):
-                if not is_value(a):
-                    def rebuild(c, i=i):
-                        new = args[:i] + (c,) + args[i + 1:]
-                        return FnApp(sym, new, w)
-                    return wrap(rebuild, a)
-            return (Hole(), t)
-        case Or(_, _) | PChoice(_, _, _):
-            return (Hole(), t)
-        case Rew(c, m):
-            if not is_value(c):
-                return wrap(lambda h: Rew(h, m), c)
-            return (Hole(), t)
-        case Var(name):
-            raise StuckTerm(f"unbound variable {name}")
-        case _:
-            raise StuckTerm(f"cannot decompose {t!r}")
-
-
-### small step
-
-@dataclass
-class Value:
-    term: Term
-
-
-@dataclass
-class Ordinary:
-    term: Term
-
-
-@dataclass
-class Branch:
-    """An operation redex in context: op(params; branch terms), with the
-    surrounding context already pushed into the branches."""
-    op: str                       # "or" | "reward" | "pchoice"
-    params: tuple[Fraction, ...]
-    branches: tuple[Term, ...]
-
-
 def _eval_fn(sym: str, args, weight, config: LangConfig) -> Term:
-    from .syntax import FF, TT
     st = config.structure
     match sym:
         case "+":
@@ -133,38 +49,6 @@ def _eval_fn(sym: str, args, weight, config: LangConfig) -> Term:
             return RewConst(st.convex(weight, args[0].value, args[1].value))
         case _:
             raise StuckTerm(f"unknown function symbol {sym}")
-
-
-def step(t: Term, config: LangConfig):
-    """One step: Value, Ordinary(next term), or Branch(op, params, branches)."""
-    d = decompose(t)
-    if d is None:
-        return Value(t)
-    ctx, redex = d
-    match redex:
-        case App(Lam(v, _, body), a):
-            return Ordinary(plug(ctx, substitute(body, v, a)))
-        case Fst(Pair(a, _)):
-            return Ordinary(plug(ctx, a))
-        case Snd(Pair(_, b)):
-            return Ordinary(plug(ctx, b))
-        case If(Const("tt", "Bool", _), a, _):
-            return Ordinary(plug(ctx, a))
-        case If(Const("ff", "Bool", _), _, b):
-            return Ordinary(plug(ctx, b))
-        case FnApp(sym, args, w):
-            return Ordinary(plug(ctx, _eval_fn(sym, args, w, config)))
-        case Or(a, b):
-            return Branch("or", (), (plug(ctx, a), plug(ctx, b)))
-        case Rew(RewConst(c), m):
-            config.structure.check_member(c)
-            return Branch("reward", (c,), (plug(ctx, m),))
-        case PChoice(p, a, b):
-            if config.mode != "prob":
-                raise StuckTerm("probabilistic choice outside mode prob")
-            return Branch("pchoice", (p,), (plug(ctx, a), plug(ctx, b)))
-        case _:
-            raise StuckTerm(f"stuck redex {redex!r}")
 
 
 DEFAULT_BUDGET = 10 ** 6
@@ -183,32 +67,58 @@ _IF = 6         # if [-] then a else b     data: the If node
 _FN = 7         # sym(v1..vi, [-], ...)    data: (FnApp node, i, (v1..vi))
 _REW = 8        # [-] . m          data: the Rew node
 
-# Entries of the work stack besides (_EVAL, term, continuation): rebuild an
-# operation node from the effect values of its finished branches.
-_EVAL, _BUILD_OR, _BUILD_REW, _BUILD_PC = range(4)
+# The term each frame makes of the term t in its hole, by tag.
+_PLUG = (
+    lambda d, t: App(t, d),
+    lambda d, t: App(d, t),
+    lambda d, t: Pair(t, d.snd),
+    lambda d, t: Pair(d[0], t),
+    lambda d, t: Fst(t),
+    lambda d, t: Snd(t),
+    lambda d, t: If(t, d.then, d.els),
+    lambda d, t: FnApp(d[0].sym, d[2] + (t,) + d[0].args[d[1] + 1:],
+                       d[0].weight),
+    lambda d, t: Rew(t, d.body),
+)
+
+
+def _plug_frames(k, t: Term) -> Term:
+    """The whole term: t plugged into the frame stack k."""
+    while k is not None:
+        tag, data, k = k
+        t = _PLUG[tag](data, t)
+    return t
+
+
+# Work stack entries: (_EVAL, term, continuation) evaluates a branch;
+# (_BUILD, node, depth) rebuilds an operation node (for a reward, its
+# constant) from the effect values of its branches, which run at ``depth``.
+_EVAL, _BUILD = 0, 1
 
 _VALUE_LEAVES = (Const, RewConst, Star, Lam)
 
 
-def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Term:
-    """Big-step evaluation to an effect value, by the refocused machine
-    described in the module docstring.  ``budget`` bounds the total number
-    of ordinary steps across all branches.  Redexes fire in the order
-    ``step`` fires them, branches left before right, so the result, the
-    step count and the fresh names ``substitute`` makes are the same."""
+def _machine(t: Term, config: LangConfig, budget: int, trace: bool):
+    """The refocused machine: yields the snapshots ``trace_eval`` documents
+    if ``trace`` is set, none otherwise, and returns the effect value."""
     remaining = budget
     done: list[Term] = []      # effect values of finished branches
     work = [(_EVAL, t, None)]
+    depth = 0                  # branch depth of the focus
     while work:
         kind, t, k = work.pop()
-        if kind == _BUILD_REW:
-            done.append(Rew(t, done.pop()))
-            continue
-        if kind != _EVAL:
+        if kind == _BUILD:
             b = done.pop()
-            a = done.pop()
-            done.append(Or(a, b) if kind == _BUILD_OR else PChoice(t, a, b))
+            if type(t) is RewConst:
+                done.append(Rew(t, b))
+            else:
+                a = done.pop()
+                done.append(Or(a, b) if type(t) is Or else PChoice(t.weight, a, b))
             continue
+        if trace:
+            # a right branch sits just above its node's build entry
+            depth = work[-1][2] if work else 0
+            yield depth, _plug_frames(k, t)
         while True:
             # descend to the next value or operation, pushing frames
             cls = type(t)
@@ -241,18 +151,18 @@ def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Te
                 remaining -= 1
                 if remaining < 0:
                     raise BudgetExceeded(f"exceeded {budget} evaluation steps")
+                if trace:
+                    yield depth, _plug_frames(k, t)
                 continue
-            if cls is Or:
-                work.append((_BUILD_OR, None, None))
-                work.append((_EVAL, t.right, k))
-                t = t.left
-                continue
-            if cls is PChoice:
-                if config.mode != "prob":
+            if cls is Or or cls is PChoice:
+                if cls is PChoice and config.mode != "prob":
                     raise StuckTerm("probabilistic choice outside mode prob")
-                work.append((_BUILD_PC, t.weight, None))
+                depth += 1
+                work.append((_BUILD, t, depth))
                 work.append((_EVAL, t.right, k))
                 t = t.left
+                if trace:
+                    yield depth, _plug_frames(k, t)
                 continue
             if cls not in _VALUE_LEAVES:
                 if cls is Var:
@@ -293,9 +203,12 @@ def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Te
                     if type(v) is not RewConst:
                         raise StuckTerm(f"stuck redex {Rew(v, data.body)!r}")
                     config.structure.check_member(v.value)
-                    work.append((_BUILD_REW, v, None))
+                    depth += 1
+                    work.append((_BUILD, v, depth))
                     k = outer
                     t = data.body
+                    if trace:
+                        yield depth, _plug_frames(k, t)
                     break
                 elif tag == _IF:
                     if type(v) is Const and v.base == "Bool" and v.name == "tt":
@@ -314,6 +227,8 @@ def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Te
                 if remaining < 0:
                     raise BudgetExceeded(f"exceeded {budget} evaluation steps")
                 k = outer
+                if trace:
+                    yield depth, _plug_frames(k, t)
                 break
             else:
                 done.append(v)
@@ -321,25 +236,23 @@ def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Te
     return done[0]
 
 
+def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Term:
+    """Big-step evaluation to an effect value, by the refocused machine
+    described in the module docstring.  ``budget`` bounds the total number
+    of ordinary steps across all branches.  Redexes fire in the order of
+    the small-step relation, branches left before right, so the result,
+    the step count and the fresh names ``substitute`` makes are the ones
+    that relation gives."""
+    try:
+        next(_machine(t, config, budget, False))
+    except StopIteration as finished:
+        return finished.value
+
+
 def trace_eval(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET):
-    """Yield (depth, term) snapshots of the evaluation, one per ordinary
-    step, descending into branches left to right."""
-    remaining = budget
-    pending = [(0, t)]
-    while pending:
-        depth, t = pending.pop()
-        yield (depth, t)
-        while True:
-            r = step(t, config)
-            match r:
-                case Value(_):
-                    break
-                case Ordinary(nxt):
-                    remaining -= 1
-                    if remaining < 0:
-                        raise BudgetExceeded(f"exceeded {budget} evaluation steps")
-                    t = nxt
-                    yield (depth, t)
-                case Branch(_, _, branches):
-                    pending += [(depth + 1, b) for b in reversed(branches)]
-                    break
+    """Yield (depth, term) snapshots of one run of the machine: the root at
+    depth 0, the start of each branch of an operation at one more than the
+    depth of the operation, and the whole term after each ordinary step;
+    branches are visited left to right.  The generator returns the effect
+    value ``eval_effect`` gives."""
+    return _machine(t, config, budget, True)

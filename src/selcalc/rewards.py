@@ -10,12 +10,12 @@ average them.  Three structures are provided:
 * ``MUL_POSITIVE``   -- strictly positive rationals under multiplication.
 
 All three share the usual numeric order and the arithmetic convex
-combination ``p*r + (1-p)*s``.
+combination ``p*r + (1-p)*s``.  Each declares whether it satisfies the
+mixing and gathering laws; the tests check each declaration by trial.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import Callable
 
@@ -31,7 +31,13 @@ class ConditionCUnavailable(Exception):
 
 
 class RewardStructure:
-    """A totally ordered commutative reward monoid with convex combination."""
+    """A totally ordered commutative reward monoid with convex combination.
+
+    ``mixing_verified`` and ``gathering_verified`` declare two laws that
+    gate the monads and decision procedures pooling rewards: mixing,
+    (r+x) +_p (s+y) == ((r +_p s) + x) +_p ((r +_p s) + y), and gathering,
+    (r+x) +_p (s+x) == (r +_p s) + x.
+    """
 
     def __init__(
         self,
@@ -40,14 +46,16 @@ class RewardStructure:
         add: Callable[[Fraction, Fraction], Fraction],
         contains: Callable[[Fraction], bool],
         condition_c: Callable[[Fraction, Fraction], tuple[Fraction, Fraction]] | None,
+        mixing: bool,
+        gathering: bool,
     ):
         self.name = name
         self.zero = zero
         self._add = add
         self._contains = contains
         self._condition_c = condition_c
-        self._mixing: bool | None = None
-        self._gathering: bool | None = None
+        self.mixing_verified = mixing
+        self.gathering_verified = gathering
 
     def __repr__(self) -> str:
         return f"RewardStructure({self.name})"
@@ -84,21 +92,6 @@ class RewardStructure:
             raise ValueError("weights must be positive and sum to 1")
         return sum(p * self.check_member(r) for p, r in weighted)
 
-    @property
-    def mixing_verified(self) -> bool:
-        """Cached seeded check of mixes_through_add; several decision
-        procedures are only sound when it holds."""
-        if self._mixing is None:
-            self._mixing = self.mixes_through_add(random.Random(0))
-        return self._mixing
-
-    @property
-    def gathering_verified(self) -> bool:
-        """Cached seeded check of gathers_through_convex."""
-        if self._gathering is None:
-            self._gathering = self.gathers_through_convex(random.Random(0))
-        return self._gathering
-
     def condition_c_witness(self, p: Fraction, s: Fraction) -> tuple[Fraction, Fraction]:
         """For weight p in (0,1) and a reward s < 0, return rewards (l, r)
         with l < r and s + (p*r + (1-p)*l) > l.
@@ -116,46 +109,6 @@ class RewardStructure:
             raise ValueError(f"witness requires a negative reward, got {s}")
         return self._condition_c(p, s)
 
-    def gathers_through_convex(self, rng: random.Random, trials: int = 1000) -> bool:
-        """Check by random trial that averaging two rewards attached to the
-        same point can be done before or after accumulation:
-
-            (r+x) +_p (s+x)  ==  (r +_p s) + x
-
-        Holds for every built-in structure.
-        """
-        pool = [q for q in _SAMPLE_POOL if self._contains(q)]
-        probs = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)]
-        for _ in range(trials):
-            r, s, x = (rng.choice(pool) for _ in range(3))
-            p = rng.choice(probs)
-            lhs = self.convex(p, self.add(r, x), self.add(s, x))
-            rhs = self.add(self.convex(p, r, s), x)
-            if lhs != rhs:
-                return False
-        return True
-
-    def mixes_through_add(self, rng: random.Random, trials: int = 1000) -> bool:
-        """Check by random trial whether convex combination commutes with the
-        monoid in both arguments at once:
-
-            (r+x) +_p (s+y)  ==  ((r +_p s) + x) +_p ((r +_p s) + y)
-
-        True for additive structures, false for the multiplicative one; the
-        law gates the monads that pool rewards across branches.
-        """
-        pool = [q for q in _SAMPLE_POOL if self._contains(q)]
-        probs = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4), Fraction(1, 7)]
-        for _ in range(trials):
-            r, s, x, y = (rng.choice(pool) for _ in range(4))
-            p = rng.choice(probs)
-            m = self.convex(p, r, s)
-            lhs = self.convex(p, self.add(r, x), self.add(s, y))
-            rhs = self.convex(p, self.add(m, x), self.add(m, y))
-            if lhs != rhs:
-                return False
-        return True
-
 
 def _add_witness(p: Fraction, s: Fraction) -> tuple[Fraction, Fraction]:
     # With l = 0 the requirement becomes s + p*r > 0; r = (1-s)/p gives
@@ -163,16 +116,14 @@ def _add_witness(p: Fraction, s: Fraction) -> tuple[Fraction, Fraction]:
     return (ZERO, (ONE - s) / p)
 
 
-_SAMPLE_POOL = [Fraction(n) for n in range(-3, 4)] + [
-    Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3),
-]
-
 ADD_RATIONALS = RewardStructure(
     "AddRationals",
     zero=ZERO,
     add=lambda r, s: r + s,
     contains=lambda r: True,
     condition_c=_add_witness,
+    mixing=True,
+    gathering=True,
 )
 
 NONNEG_ADD = RewardStructure(
@@ -181,6 +132,8 @@ NONNEG_ADD = RewardStructure(
     add=lambda r, s: r + s,
     contains=lambda r: r >= ZERO,
     condition_c=None,
+    mixing=True,
+    gathering=True,
 )
 
 MUL_POSITIVE = RewardStructure(
@@ -189,6 +142,8 @@ MUL_POSITIVE = RewardStructure(
     add=lambda r, s: r * s,
     contains=lambda r: r > ZERO,
     condition_c=None,
+    mixing=False,
+    gathering=True,
 )
 
 STRUCTURES = {s.name: s for s in (ADD_RATIONALS, NONNEG_ADD, MUL_POSITIVE)}

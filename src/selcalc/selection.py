@@ -25,7 +25,7 @@ from .operational import DEFAULT_BUDGET, eval_effect
 from .strategies import max_by, select_fast
 from .syntax import (
     App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice, Rew,
-    RewConst, Snd, Star, Term, Var, is_value, make_dispatcher,
+    RewConst, Snd, Star, Term, Var, make_dispatcher,
 )
 
 

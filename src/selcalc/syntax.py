@@ -244,11 +244,17 @@ class Program:
 ### values, effect values
 
 def is_value(t: Term) -> bool:
-    if isinstance(t, (Const, RewConst, Star, Lam)):
-        return True
-    if isinstance(t, Pair):
-        return is_value(t.fst) and is_value(t.snd)
-    return False
+    """Constants, *, lambdas and pairs of values, on an explicit stack."""
+    if not isinstance(t, Pair):
+        return isinstance(t, (Const, RewConst, Star, Lam))
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Pair):
+            stack += (t.snd, t.fst)
+        elif not isinstance(t, (Const, RewConst, Star, Lam)):
+            return False
+    return True
 
 
 def is_effect_value(t: Term) -> bool:

@@ -74,6 +74,42 @@ def test_eval_ordinary_and_trace(sel, capsys):
     rc, out, _ = run(capsys, "eval", "--semantics", "ordinary", "--trace", f)
     assert rc == 0
     assert len(out.splitlines()) > 1
+    assert out == TRACE_GOLDEN[0][1]
+    f = sel(TRACE_GOLDEN[1][0])
+    rc, out, _ = run(capsys, "eval", "--semantics", "ordinary", "--trace", f)
+    assert (rc, out) == (0, TRACE_GOLDEN[1][1])
+
+
+# (program, exact stdout of ``eval --semantics ordinary --trace``): the
+# snapshots indented two spaces per branch depth, then the effect value
+TRACE_GOLDEN = [
+    ("(fun (x:Bool) -> 1 . x) tt", """\
+(fun (x:Bool) -> 1 . x) tt
+1 . tt
+  tt
+1 . tt
+"""),
+    ("mode prob;\nlet f : Bool -> Bool = fun (x:Bool) -> if x then 1 . ff "
+     "else 2 . tt in\nf (tt +[1/3] (3 . (tt or ff)))", """\
+(fun (f:(Bool -> Bool)) -> f (tt +[1/3] 3 . (tt or ff))) (fun (x:Bool) -> if x then 1 . ff else 2 . tt)
+(fun (x:Bool) -> if x then 1 . ff else 2 . tt) (tt +[1/3] 3 . (tt or ff))
+  (fun (x:Bool) -> if x then 1 . ff else 2 . tt) tt
+  if tt then 1 . ff else 2 . tt
+  1 . ff
+    ff
+  (fun (x:Bool) -> if x then 1 . ff else 2 . tt) (3 . (tt or ff))
+    (fun (x:Bool) -> if x then 1 . ff else 2 . tt) (tt or ff)
+      (fun (x:Bool) -> if x then 1 . ff else 2 . tt) tt
+      if tt then 1 . ff else 2 . tt
+      1 . ff
+        ff
+      (fun (x:Bool) -> if x then 1 . ff else 2 . tt) ff
+      if ff then 1 . ff else 2 . tt
+      2 . tt
+        tt
+1 . ff +[1/3] 3 . (1 . ff or 2 . tt)
+"""),
+]
 
 
 def test_eval_denotational_defaults(sel, capsys):

@@ -1,18 +1,21 @@
 """Deep terms at the default recursion limit: the parser, typecheck,
-selection, printing, free variables, substitution and alpha-equivalence
-keep explicit stacks, so nesting depth is bounded by memory, not by
-Python's recursion limit.  ``denote`` still recurses once per level; its
-current reach is pinned so that it cannot shrink unnoticed."""
+selection, printing, free variables, substitution, alpha-equivalence,
+``is_value`` and the traced machine keep explicit stacks, so nesting depth
+is bounded by memory, not by Python's recursion limit.  ``denote`` still
+recurses once per level; its current reach is pinned so that it cannot
+shrink unnoticed."""
 
 import sys
 
 import pytest
 
+from selcalc.equations import canon_rewards, canonical_term
 from selcalc.monads import make_monad
+from selcalc.operational import trace_eval
 from selcalc.selection import denote, embed_outcome, zero_gamma
-from selcalc.strategies import select_program
+from selcalc.strategies import select_bruteforce, select_program
 from selcalc.syntax import (
-    BOOL, FF, TT, Lam, Pair, Var, alpha_eq, fresh_name, free_vars,
+    BOOL, FF, TT, Lam, Or, Pair, Var, alpha_eq, fresh_name, free_vars,
     parse_program, pretty, substitute, typecheck,
 )
 
@@ -37,6 +40,36 @@ def test_deep_family_round_trips(name):
     assert value in (TT, FF)
     q = parse_program(pretty(p.term))
     assert alpha_eq(q.term, p.term)
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def test_deep_pair_nest_round_trips():
+    # <<...<(tt or ff), 1 . ff>..., 1 . ff>: every level asks is_value
+    p = parse_program("<" * N + "tt or ff" + ", 1 . ff>" * N)
+    best = select_program(p.term, p.config)
+    assert best[0] == N
+    assert select_bruteforce(p.term, p.config)[0] == N
+    q = parse_program(pretty(p.term))
+    assert alpha_eq(q.term, p.term)
+    c = canonical_term(canon_rewards(p.term, p.config))
+    assert alpha_eq(parse_program(pretty(c)).term, c)
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def pair_nest(t, n):
+    for _ in range(n):
+        t = Pair(t, TT)
+    return t
+
+
+def test_trace_of_a_deep_pair_nest():
+    # the reference relation decomposes this from the root: the root, then
+    # each branch of the or with the whole context plugged around it
+    t = pair_nest(Or(TT, FF), N)
+    want = [(0, pretty(t)), (1, pretty(pair_nest(TT, N))),
+            (1, pretty(pair_nest(FF, N)))]
+    got = [(d, pretty(s)) for d, s in trace_eval(t, parse_program("tt").config)]
+    assert got == want
     assert sys.getrecursionlimit() == LIMIT
 
 

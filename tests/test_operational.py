@@ -93,13 +93,13 @@ import itertools
 import sys
 
 from selcalc import syntax
-from selcalc.operational import Branch, Ordinary, Value, step
 from selcalc.selection import denote, zero_gamma
 from selcalc.monads import make_monad
 from selcalc.rewards import NONNEG_ADD
 from selcalc.syntax import (
     Const, FnApp, Fst, LangConfig, Pair, PChoice, Snd, Star,
 )
+from smallstep import Branch, Ordinary, Value, step, step_trace
 
 
 def step_effect(t, config, budget=10 ** 6):
@@ -141,6 +141,44 @@ def same_run(t, config):
     return got == want and after_machine == after_reference
 
 
+def _show(t):
+    try:
+        return pretty(t)
+    except ValueError:          # a function symbol the printer lacks
+        return repr(t)
+
+
+def _snapshots(run):
+    """(depth, printed term) of each snapshot a trace yields, then the
+    error it raises, if any; and the value it returns."""
+    out = []
+    try:
+        while True:
+            depth, t = next(run)
+            out.append((depth, _show(t)))
+    except StopIteration as finished:
+        return out, finished.value
+    except (StuckTerm, BudgetExceeded, ValueError) as e:
+        return out + [(type(e), str(e))], None
+
+
+def same_trace(t, config):
+    """Run ``trace_eval`` and the fold of the reference ``step`` from the
+    same fresh-name counter: both must yield the same snapshots, then raise
+    the same error; a finished trace returns the reference effect value."""
+    start = next(syntax._fresh_counter)
+    syntax._fresh_counter = itertools.count(start)
+    got, value = _snapshots(trace_eval(t, config))
+    syntax._fresh_counter = itertools.count(start)
+    want, _ = _snapshots(step_trace(t, config))
+    if got != want:
+        return False
+    if value is None:
+        return _error_of(lambda: step_effect(t, config)) == want[-1]
+    syntax._fresh_counter = itertools.count(start)
+    return value == step_effect(t, config)[0]
+
+
 @pytest.mark.parametrize("mode", ["rewards", "prob"])
 def test_machine_matches_step_reference_on_generated_programs(mode):
     for seed in range(400):
@@ -148,6 +186,15 @@ def test_machine_matches_step_reference_on_generated_programs(mode):
         config = cfg.lang()
         t = gen_program(cfg, BOOL, config=config)
         assert same_run(t, config), f"seed {seed}: {pretty(t)}"
+
+
+@pytest.mark.parametrize("mode", ["rewards", "prob"])
+def test_trace_matches_step_reference_on_generated_programs(mode):
+    for seed in range(400):
+        cfg = GenConfig(seed=seed, max_term_size=40, mode=mode)
+        config = cfg.lang()
+        t = gen_program(cfg, BOOL, config=config)
+        assert same_trace(t, config), f"seed {seed}: {pretty(t)}"
 
 
 # The benchmark's deep families at their benchmark sizes, with fixed
@@ -169,6 +216,12 @@ DEEP_FAMILIES = {
 def test_machine_matches_step_reference_on_deep_families(family):
     p = parse_program(DEEP_FAMILIES[family])
     assert same_run(p.term, p.config)
+
+
+@pytest.mark.parametrize("family", list(DEEP_FAMILIES))
+def test_trace_matches_step_reference_on_deep_families(family):
+    p = parse_program(DEEP_FAMILIES[family])
+    assert same_trace(p.term, p.config)
 
 
 def test_machine_renames_like_the_reference():
@@ -212,7 +265,7 @@ NONNEG = LangConfig(structure=NONNEG_ADD)
 PROB = LangConfig(mode="prob")
 
 
-@pytest.mark.parametrize("t, config", [
+FAILING = [
     (Var("x"), REWARDS),
     (App(TT, FF), REWARDS),
     (Fst(TT), REWARDS),
@@ -225,11 +278,20 @@ PROB = LangConfig(mode="prob")
     (Pair(TT, Hole()), REWARDS),
     (Or(TT, App(Lam("y", BOOL, Var("z")), Star())), PROB),
     (Rew(RewConst(F(1)), PChoice(F(1, 2), TT, Fst(FF))), PROB),
-])
+]
+
+
+@pytest.mark.parametrize("t, config", FAILING)
 def test_machine_fails_like_the_reference(t, config):
     got = _error_of(lambda: eval_effect(t, config))
     want = _error_of(lambda: step_effect(t, config))
     assert got is not None and got == want
+
+
+@pytest.mark.parametrize("t, config", FAILING)
+def test_trace_fails_like_the_reference(t, config):
+    assert _snapshots(trace_eval(t, config))[1] is None
+    assert same_trace(t, config)
 
 
 def _leaves(e):

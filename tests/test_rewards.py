@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -59,6 +60,55 @@ def test_condition_c_unavailable_on_nonneg():
 def test_mul_structure_gated_off_mixing():
     assert ADD.mixing_verified
     assert not MUL.mixing_verified
+
+
+_SAMPLE_POOL = [F(n) for n in range(-3, 4)] + [
+    F(1, 2), F(-1, 2), F(1, 3), F(-1, 3),
+]
+
+
+def gathers_through_convex(st, rng, trials=1000):
+    """Check by random trial that averaging two rewards attached to the
+    same point can be done before or after accumulation:
+
+        (r+x) +_p (s+x)  ==  (r +_p s) + x
+    """
+    pool = [q for q in _SAMPLE_POOL if st.contains(q)]
+    probs = [F(1, 2), F(1, 3), F(2, 5), F(3, 4)]
+    for _ in range(trials):
+        r, s, x = (rng.choice(pool) for _ in range(3))
+        p = rng.choice(probs)
+        lhs = st.convex(p, st.add(r, x), st.add(s, x))
+        rhs = st.add(st.convex(p, r, s), x)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def mixes_through_add(st, rng, trials=1000):
+    """Check by random trial whether convex combination commutes with the
+    monoid in both arguments at once:
+
+        (r+x) +_p (s+y)  ==  ((r +_p s) + x) +_p ((r +_p s) + y)
+    """
+    pool = [q for q in _SAMPLE_POOL if st.contains(q)]
+    probs = [F(1, 2), F(1, 3), F(2, 5), F(3, 4), F(1, 7)]
+    for _ in range(trials):
+        r, s, x, y = (rng.choice(pool) for _ in range(4))
+        p = rng.choice(probs)
+        m = st.convex(p, r, s)
+        lhs = st.convex(p, st.add(r, x), st.add(s, y))
+        rhs = st.convex(p, st.add(m, x), st.add(m, y))
+        if lhs != rhs:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_declared_laws_hold_by_trial(name):
+    st = STRUCTURES[name]
+    assert mixes_through_add(st, random.Random(0)) == st.mixing_verified
+    assert gathers_through_convex(st, random.Random(0)) == st.gathering_verified
 
 
 @given(rationals, rationals, rationals)
