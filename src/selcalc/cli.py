@@ -18,10 +18,10 @@ from pathlib import Path
 import click
 
 from .equations import (
-    NoDistinguishingContext, canon_rewards, canonical_term, decide_equiv_prob,
+    NoDistinguishingContext, canon_rewards, canonical_term,
     decide_equiv_rewards, decide_pure_prob, decide_pure_rewards,
-    distinguish_rewards, rewards_impurity_witness, weak_canon_prob,
-    weak_canonical_term,
+    distinguish_rewards, rewards_impurity_witness, separate_prob,
+    weak_canon_prob, weak_canonical_term,
 )
 from .monads import default_monad, make_monad
 from .operational import BudgetExceeded, StuckTerm, eval_effect, trace_eval
@@ -30,15 +30,14 @@ from .rewards import (
     ConditionCUnavailable, DEFAULT_STRUCTURE, STRUCTURES, parse_reward,
 )
 from .selection import (
-    ConstElem, FnElem, PairElem, RewElem, UnitElem, denote, gamma_from_table,
-    kappa_term, observe, zero_gamma,
+    FnElem, denote, gamma_from_table, kappa_term, observe, zero_gamma,
 )
 from .strategies import StrategyCapExceeded, select_bruteforce, select_program
 from .syntax import (
-    App, Hole, LangConfig, REW, SelSyntaxError, SelTypeError, Term,
+    App, Hole, LangConfig, Pair, REW, SelSyntaxError, SelTypeError, Term,
     _Parser, _lex, parse_program, plug, pretty, type_rank, typecheck,
 )
-from .testgen import GenConfig, gamma_tables, gen_program
+from .testgen import GenConfig, gen_program
 
 JSON_VERSION = "1"
 
@@ -47,20 +46,12 @@ JSON_VERSION = "1"
 
 def _sem_str(x) -> str:
     match x:
-        case ConstElem():
-            return x.name
-        case RewElem():
-            return str(x.value)
-        case UnitElem():
-            return "<>"
-        case PairElem():
+        case Pair():  # may hold an FnElem, which has no source text
             return f"<{_sem_str(x.fst)}, {_sem_str(x.snd)}>"
         case FnElem():
             return "<function>"
         case Term():
             return pretty(x)
-        case _:
-            return str(x)
 
 
 def _outcome_atoms(out, mode: str) -> list[dict[str, str]]:
@@ -289,17 +280,6 @@ def canon(mode, monad_name, structure_name, as_json, file):
     return 0
 
 
-def _prob_separating_context(m, n, ty, config, monad_name):
-    mon = make_monad(monad_name, config.structure)
-    dm, dn = denote(m, config, mon), denote(n, config, mon)
-    for table in gamma_tables(ty.name, config, count=64, seed=0):
-        g = gamma_from_table(table, config)
-        if dm(g) != dn(g):
-            consts = config.constants_of(ty.name)
-            return App(kappa_term(consts, table), Hole()), table
-    return None, None
-
-
 @_cli.command()
 @_decision_options
 @click.argument("file_a", type=click.Path(exists=True, dir_okay=False))
@@ -343,14 +323,12 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
                      "right": _outcome_atoms(b, config.mode)})
 
     mname = monad_name or "DW"
-    verdict = decide_equiv_prob(m, n, config, mname)
+    verdict, table = separate_prob(m, n, config, mname)
     if verdict is True:
         return emit(True, ["equivalent"])
     if verdict is None:
         return emit(None, ["unknown"])
-    ctx, table = _prob_separating_context(m, n, ta, config, mname)
-    if ctx is None:
-        return emit(False, ["inequivalent"])
+    ctx = App(kappa_term(config.constants_of(ta.name), table), Hole())
     a = observe(plug(ctx, m), config, mname)
     b = observe(plug(ctx, n), config, mname)
     return emit(False, ["inequivalent", f"context: {pretty(ctx)}",

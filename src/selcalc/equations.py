@@ -305,21 +305,32 @@ def decide_equiv_prob(m: Term, n: Term, config: LangConfig,
     valuation separates the denotations; None (unknown) otherwise.
     Raises NoDistinguishingContext when valuations must be sampled for a
     type other than a finite base."""
+    return separate_prob(m, n, config, monad_name, gammas, budget)[0]
+
+
+def separate_prob(m: Term, n: Term, config: LangConfig,
+                  monad_name: str = "DW", gammas=None,
+                  budget: int = DEFAULT_BUDGET):
+    """``decide_equiv_prob``'s verdict with the valuation behind a False:
+    (True, None), (False, the first separating valuation) or (None, None).
+    gammas may hold reward continuations or valuation tables; by default
+    they are the programs' 64 ``default_tables``."""
     wm = weak_canon_prob(m, config, monad_name, budget)
     wn = weak_canon_prob(n, config, monad_name, budget)
     if wm == wn:
-        return True
-    from .selection import denote
-    monad = make_monad(monad_name, config.structure)
+        return True, None
+    from .selection import denote, gamma_from_table
+    from .testgen import default_tables
     if gammas is None:
-        from .testgen import default_gammas
-        gammas = default_gammas(m, n, config)
+        gammas = default_tables(m, n, config)
+    monad = make_monad(monad_name, config.structure)
     dm = denote(m, config, monad)
     dn = denote(n, config, monad)
-    for g in gammas:
+    for w in gammas:
+        g = w if callable(w) else gamma_from_table(w, config)
         if dm(g) != dn(g):
-            return False
-    return None
+            return False, w
+    return None, None
 
 
 ### purity, probabilistic mode
@@ -363,7 +374,8 @@ def decide_pure_prob(m: Term, config: LangConfig, monad_name: str = "DW",
     better than the constant, which is returned as an impurity witness.
 
     Raises ConditionCUnavailable when a competing branch's reward floor is
-    below zero and the structure has no discrimination witness.
+    below zero and the structure has no discrimination witness, and
+    NoDistinguishingContext when the program is not of a finite base type.
     """
     st = config.structure
     monad = make_monad(monad_name, config.structure)
@@ -411,7 +423,8 @@ def _value_support(m: Term, config: LangConfig) -> list[Const]:
     vs = fold_effect(eval_effect(m, config), lambda v: [v], operator.add,
                      lambda c, b: b, lambda p, a, b: a + b)
     if not all(isinstance(v, Const) for v in vs):
-        raise ValueError("purity decision applies to programs of base type")
+        raise NoDistinguishingContext(
+            "purity decision applies to programs of base type")
     return config.constants_of(vs[0].base)
 
 

@@ -27,8 +27,8 @@ from .equations import (
 from .monads import default_monad, k_gamma, make_monad, mr_of_effect, mrval, theta
 from .rewards import DEFAULT_STRUCTURE
 from .selection import (
-    agree_at, denote, denote_value, embed_outcome, gamma_from_table,
-    kappa_term, observe, zero_gamma,
+    agree_at, denote, embed_outcome, gamma_from_table, kappa_term, observe,
+    zero_gamma,
 )
 from .strategies import (
     argmax, max_by, outcome_score, select_bruteforce, select_fast,
@@ -336,7 +336,7 @@ def _suite_purity_rewards(seed, cases, monad, lo, hi) -> SuiteResult:
         d = denote(m, config, mon)
         c = decide_pure_rewards(m, config)
         if c is not None:
-            cv = mon.unit(denote_value(c, config, mon))
+            cv = mon.unit(c)
             assert all(d(g) == cv for g in gammas), \
                 f"claimed pure but varies: {pretty(m)}"
         else:
@@ -362,21 +362,18 @@ def _suite_purity_prob(seed, cases, monad, lo, hi) -> SuiteResult:
         d = denote(m, config, mon)
         gammas = default_gammas(m, m, config, count=32, seed=seed * 389 + i)
         if res.constant is not None:
-            cv = mon.unit(denote_value(res.constant, config, mon))
+            cv = mon.unit(res.constant)
             assert all(d(g) == cv for g in gammas), \
                 f"claimed pure under {monad_name} but varies: {pretty(m)}"
             return
         at0 = d(zero_gamma(config))
-        cand = None
-        for c in config.constants_of("Bool"):
-            if at0 == mon.unit(denote_value(c, config, mon)):
-                cand = c
-                break
+        cand = next((c for c in config.constants_of("Bool")
+                     if at0 == mon.unit(c)), None)
         if cand is None:
             return  # the zero table itself already separates
         assert res.witness is not None, f"impure without witness: {pretty(m)}"
         out = d(gamma_from_table(res.witness, config))
-        assert out != mon.unit(denote_value(cand, config, mon)), \
+        assert out != mon.unit(cand), \
             f"witness fails on {pretty(m)}: {res.witness}"
 
     return _run_cases(lo, hi, one)

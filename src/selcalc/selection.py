@@ -11,6 +11,12 @@ scores each candidate x by the expected reward of continuing with f(x).
 Choice takes the side whose T-value has greater expected reward under the
 current continuation, preferring the left one on ties; that makes every
 choice globally optimal with respect to the final valuation.
+
+Semantic values are the syntax's own ground values (constants, reward
+constants, ``*`` and pairs of semantic values) plus functions, ``FnElem``;
+so the denotation and the operational semantics share one carrier at base
+types, and built-in function symbols have one table,
+``operational._eval_fn``.
 """
 
 from __future__ import annotations
@@ -21,84 +27,34 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .monads import make_monad, theta
-from .operational import DEFAULT_BUDGET, eval_effect
+from .operational import DEFAULT_BUDGET, _eval_fn, eval_effect
 from .strategies import max_by, select_fast
 from .syntax import (
-    App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice, Rew,
-    RewConst, Snd, Star, Term, Var, make_dispatcher,
+    FF, TT, App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice,
+    Rew, RewConst, Snd, Star, Term, Var, make_dispatcher,
 )
 
 
 ### semantic values
 
-class SemVal:
-    pass
-
-
-@dataclass(frozen=True)
-class ConstElem(SemVal):
-    name: str
-    base: str
-    index: int
-
-    def sort_key(self):
-        return (0, self.base, self.index)
-
-    def __repr__(self):
-        return self.name
-
-
-@dataclass(frozen=True)
-class RewElem(SemVal):
-    value: Fraction
-
-    def sort_key(self):
-        return (1, self.value)
-
-    def __repr__(self):
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class UnitElem(SemVal):
-    def sort_key(self):
-        return (2,)
-
-    def __repr__(self):
-        return "*"
-
-
-@dataclass(frozen=True)
-class PairElem(SemVal):
-    fst: SemVal
-    snd: SemVal
-
-    def sort_key(self):
-        return (3, self.fst.sort_key(), self.snd.sort_key())
-
-    def __repr__(self):
-        return f"<{self.fst!r}, {self.snd!r}>"
-
+# Ground semantic values are the syntax's values; these names stay as
+# aliases of their classes.
+ConstElem, RewElem, UnitElem, PairElem = Const, RewConst, Star, Pair
+TT_ELEM, FF_ELEM = TT, FF
 
 _fn_uid = itertools.count()
 
 
 @dataclass(frozen=True)
-class FnElem(SemVal):
-    """A semantic function SemVal -> SelComp.  Compared by identity; use
-    extensional comparison helpers where function equality matters."""
-    fn: Callable = field(compare=False)
+class FnElem:
+    """A semantic function: semantic value -> SelComp.  Compared by
+    identity; use extensional comparison helpers where function equality
+    matters."""
+    fn: Callable = field(compare=False, repr=False)
     uid: int = field(default_factory=lambda: next(_fn_uid))
 
     def sort_key(self):
         return (4, self.uid)
-
-    def __repr__(self):
-        return f"<fn#{self.uid}>"
-
-
-TT_ELEM = ConstElem("tt", "Bool", 0)
-FF_ELEM = ConstElem("ff", "Bool", 1)
 
 
 ### selection computations
@@ -181,44 +137,37 @@ def gamma_from_table(table: dict[str, Fraction], config: LangConfig):
 
 ### denotation
 
-def denote_value(v: Term, config: LangConfig, monad) -> SemVal:
-    """Denotation of a value, as a semantic element."""
+def denote_value(v: Term, config: LangConfig, monad):
+    """Denotation of a value: the value itself, with each lambda, also
+    inside pairs, turned into an FnElem."""
     match v:
-        case Const(name, base, index):
-            return ConstElem(name, base, index)
-        case RewConst(r):
-            return RewElem(r)
-        case Star():
-            return UnitElem()
+        case Const() | RewConst() | Star():
+            return v
         case Pair(a, b):
-            return PairElem(denote_value(a, config, monad),
-                            denote_value(b, config, monad))
+            return Pair(denote_value(a, config, monad),
+                        denote_value(b, config, monad))
         case Lam(x, _, body):
             return FnElem(lambda arg: denote(body, config, monad, {x: arg}))
         case _:
             raise ValueError(f"not a value: {v!r}")
 
 
-def denote(t: Term, config: LangConfig, monad, env: dict[str, SemVal] | None = None) -> SelComp:
+def denote(t: Term, config: LangConfig, monad, env: dict | None = None) -> SelComp:
     env = env or {}
 
     def go(t, env) -> SelComp:
         match t:
             case Var(name):
                 return sel_unit(env[name], monad)
-            case Const(name, base, index):
-                return sel_unit(ConstElem(name, base, index), monad)
-            case RewConst(r):
-                return sel_unit(RewElem(r), monad)
-            case Star():
-                return sel_unit(UnitElem(), monad)
+            case Const() | RewConst() | Star():
+                return sel_unit(t, monad)
             case Lam(x, _, body):
                 return sel_unit(
                     FnElem(lambda arg: go(body, {**env, x: arg})), monad)
             case Pair(a, b):
                 return sel_bind(go(a, env), lambda u:
                                 sel_bind(go(b, env), lambda v:
-                                         sel_unit(PairElem(u, v), monad)))
+                                         sel_unit(Pair(u, v), monad)))
             case Fst(a):
                 return sel_bind(go(a, env), lambda u: sel_unit(u.fst, monad))
             case Snd(a):
@@ -228,14 +177,11 @@ def denote(t: Term, config: LangConfig, monad, env: dict[str, SemVal] | None = N
                                 sel_bind(go(a, env), lambda v: phi.fn(v)))
             case If(c, a, b):
                 return sel_bind(go(c, env), lambda v:
-                                go(a, env) if v == TT_ELEM else go(b, env))
+                                go(a, env) if v == TT else go(b, env))
             case FnApp(sym, args, w):
-                def finish(vals):
-                    return sel_unit(_apply_fn(sym, vals, w, config), monad)
-
                 def chain(i, acc):
                     if i == len(args):
-                        return finish(acc)
+                        return sel_unit(_eval_fn(sym, acc, w, config), monad)
                     return sel_bind(go(args[i], env),
                                     lambda v, i=i: chain(i + 1, acc + [v]))
 
@@ -251,21 +197,6 @@ def denote(t: Term, config: LangConfig, monad, env: dict[str, SemVal] | None = N
                 raise ValueError(f"cannot denote {t!r}")
 
     return go(t, env)
-
-
-def _apply_fn(sym: str, vals: list[SemVal], weight, config: LangConfig) -> SemVal:
-    st = config.structure
-    match sym:
-        case "+":
-            return RewElem(st.add(vals[0].value, vals[1].value))
-        case "<=":
-            return TT_ELEM if st.leq(vals[0].value, vals[1].value) else FF_ELEM
-        case "==":
-            return TT_ELEM if vals[0] == vals[1] else FF_ELEM
-        case "oplus":
-            return RewElem(st.convex(weight, vals[0].value, vals[1].value))
-        case _:
-            raise ValueError(f"unknown function symbol {sym}")
 
 
 ### observation (operational summaries) and embedding

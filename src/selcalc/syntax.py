@@ -315,20 +315,30 @@ def free_vars(t: Term) -> frozenset[str]:
 _fresh_counter = itertools.count()
 
 
-def fresh_name(base: str) -> str:
-    return f"{base}%{next(_fresh_counter)}"
+def fresh_name(base: str, avoid=()) -> str:
+    """The next ``base%k`` of the global counter that is not in avoid."""
+    while True:
+        name = f"{base}%{next(_fresh_counter)}"
+        if name not in avoid:
+            return name
 
 
 def substitute(t: Term, var: str, val: Term) -> Term:
     """Capture-avoiding substitution t[val/var].  A binder that would
     capture a free variable of val is renamed to a ``fresh_name``, in
     preorder, unless it lies under a binder of var; a closed val renames
-    nothing."""
+    nothing.  A new name is neither free in val nor anywhere in t, even
+    after the counter restarts."""
     capture = free_vars(val)
+    taken = None
 
     def bind(lam, env):
+        nonlocal taken
         if lam.var in capture and lam.var != var and var not in env:
-            return fresh_name(lam.var.split("%")[0])
+            if taken is None:  # only a rename needs them
+                taken = capture | {s.var if type(s) is Lam else s.name
+                                   for s in nodes(t) if type(s) in (Var, Lam)}
+            return fresh_name(lam.var.split("%")[0], taken)
         return lam.var
 
     def node(s, kids, env):
@@ -406,17 +416,14 @@ def rebuild(t: Term, kids: list[Term]) -> Term:
     return cls(*kids) if cls in _KIDS else t
 
 
-def subterms(t: Term):
-    """Yield (path, subterm) for every subterm of t, t itself first, in
-    preorder; a path lists child indices from the root.  The walk keeps an
-    explicit stack, so term depth uses no Python recursion."""
-    stack = [((), t)]
+def nodes(t: Term):
+    """Yield every subterm of t, t itself first, in preorder, from an
+    explicit stack."""
+    stack = [t]
     while stack:
-        path, s = stack.pop()
-        yield path, s
-        kids = children(s)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), kids[i]))
+        s = stack.pop()
+        yield s
+        stack.extend(reversed(children(s)))
 
 
 def fold_term(t: Term, node, bind=None, env=None):

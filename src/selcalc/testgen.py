@@ -22,7 +22,7 @@ from .strategies import outcome_score, select_fast
 from .syntax import (
     App, Arrow, BOOL, Base, FnApp, Fst, If, LangConfig, Lam, Or, Pair,
     PChoice, Prod, REW, Rew, RewConst, Snd, Star, Term, Type, UNIT, Var,
-    fold_effect, replace_at, subterm_at, subterms, type_rank, typecheck,
+    fold_effect, nodes, replace_at, subterm_at, type_rank, typecheck,
 )
 
 GAMMA_POOL = tuple(Fraction(n) for n in range(-3, 4)) + (
@@ -92,9 +92,9 @@ def gen_gamma(cfg: GenConfig, base: str, count: int = 64,
     return gamma_tables(base, config, count, cfg.seed, cfg.reward_pool)
 
 
-def default_gammas(m: Term, n: Term, config: LangConfig,
-                   count: int = 64, seed: int = 0):
-    """Sampled reward continuations for comparing two base-typed programs.
+def default_tables(m: Term, n: Term, config: LangConfig,
+                   count: int = 64, seed: int = 0) -> list[dict[str, Fraction]]:
+    """Sampled valuation tables for comparing two base-typed programs.
     Raises NoDistinguishingContext for programs of any other type."""
     ty = typecheck(m, config=config)
     ty2 = typecheck(n, config=config)
@@ -102,8 +102,14 @@ def default_gammas(m: Term, n: Term, config: LangConfig,
         raise ValueError(f"type mismatch: {ty} vs {ty2}")
     if not (isinstance(ty, Base) and ty.name in config.bases):
         raise NoDistinguishingContext("valuation sampling needs a finite base type")
-    tables = gamma_tables(ty.name, config, count, seed)
-    return [gamma_from_table(t, config) for t in tables]
+    return gamma_tables(ty.name, config, count, seed)
+
+
+def default_gammas(m: Term, n: Term, config: LangConfig,
+                   count: int = 64, seed: int = 0):
+    """The reward continuations of ``default_tables``."""
+    return [gamma_from_table(t, config)
+            for t in default_tables(m, n, config, count, seed)]
 
 
 ### program generation
@@ -264,7 +270,7 @@ def gen_program(cfg: GenConfig, target_type: Type = BOOL,
 def node_tally(t: Term) -> Counter:
     """Constructor counts of a term, keyed by node kind."""
     return Counter(f"FnApp:{s.sym}" if isinstance(s, FnApp) else type(s).__name__
-                   for _, s in subterms(t))
+                   for s in nodes(t))
 
 
 def constructor_coverage(cfg: GenConfig, target_type: Type = BOOL,

@@ -12,7 +12,10 @@ from selcalc.cli import main
 from selcalc.properties import suites
 from selcalc.selection import observe
 from selcalc.strategies import select_program
-from selcalc.syntax import BOOL, Arrow, Prod, parse_program, typecheck
+from selcalc.syntax import (
+    BOOL, UNIT, Arrow, Prod, Program, parse_program, pretty_program, typecheck,
+)
+from selcalc.testgen import GenConfig, gen_program
 
 
 @pytest.fixture
@@ -126,6 +129,31 @@ def test_eval_denotational_t3_json(sel, capsys):
     assert doc["reward"] == "11/2"
 
 
+def _outcome_atoms(doc):
+    """The outcome atoms of an ``eval --json`` answer; a W value is one
+    atom of probability 1."""
+    if "outcome" in doc:
+        return doc["outcome"]
+    return [{"prob": "1", "reward": doc["reward"], "value": doc["value"]}]
+
+
+@pytest.mark.parametrize("ty", [BOOL, UNIT, Prod(BOOL, UNIT)], ids=str)
+@pytest.mark.parametrize("mode", ["rewards", "prob"])
+def test_eval_adequacy_at_the_command_line(sel, capsys, mode, ty):
+    # the selected outcome and the denotation at the zero table print alike
+    for seed in range(40):
+        cfg = GenConfig(seed=seed, max_term_size=20, mode=mode)
+        config = cfg.lang()
+        f = sel(pretty_program(Program(config, gen_program(cfg, ty,
+                                                            config=config))))
+        text = [run(capsys, "eval", *sem, f)
+                for sem in ([], ["--semantics", "denotational"])]
+        assert text[0][0] == 0 and text[0] == text[1], (seed, text)
+        docs = [json.loads(run(capsys, "eval", "--json", *sem, f)[1])
+                for sem in ([], ["--semantics", "denotational"])]
+        assert _outcome_atoms(docs[0]) == _outcome_atoms(docs[1]), seed
+
+
 def test_eval_gamma_file(sel, capsys, tmp_path):
     g = tmp_path / "gamma.json"
     g.write_text(json.dumps({"tt": "2", "ff": "0"}))
@@ -203,6 +231,29 @@ def test_equiv_prob_negative_kappa_context(sel, capsys):
                      sel("mode prob;\ntt +[1/2] ff", "b.sel"))
     assert rc == 1
     assert "inequivalent" in out
+
+
+def test_equiv_prob_negative_output_is_pinned(sel, capsys):
+    # equal at the zero table; the first separating table is the second one
+    a = sel("mode prob;\n(tt +[1/2] ff) or tt", "a.sel")
+    b = sel("mode prob;\ntt +[1/2] ff", "b.sel")
+    context = "(fun (x:Bool) -> if x == tt then 3 . tt else 1 . ff) [-]"
+    rc, out, _ = run(capsys, "equiv", a, b)
+    assert rc == 1
+    assert out == f"""inequivalent
+context: {context}
+gamma: {{"tt": "3", "ff": "1"}}
+context[A]: 1: reward 3, value tt
+context[B]: 1/2: reward 1, value ff; 1/2: reward 3, value tt
+"""
+    rc, out, _ = run(capsys, "equiv", "--json", a, b)
+    assert rc == 1
+    assert out == (
+        '{"version": "1", "equivalent": false, "context": "' + context + '", '
+        '"gamma": {"tt": "3", "ff": "1"}, '
+        '"left": {"outcome": [{"prob": "1", "reward": "3", "value": "tt"}]}, '
+        '"right": {"outcome": [{"prob": "1/2", "reward": "1", "value": "ff"}, '
+        '{"prob": "1/2", "reward": "3", "value": "tt"}]}}\n')
 
 
 def test_equiv_json(sel, capsys):
@@ -515,6 +566,15 @@ def test_prob_equiv_on_functions_is_indeterminate(sel, capsys):
                            "(fun (x:Bool) -> tt)", "b.sel"))
     assert rc == 2 and out == ""
     assert err.startswith("indeterminate:") and "internal error" not in err
+
+
+@pytest.mark.parametrize("monad", ["DW", "T2", "T3"])
+def test_prob_pure_off_base_types_is_indeterminate(sel, capsys, monad):
+    f = sel("mode prob;\n<tt, *> +[1/2] (1 . <ff, *>)")
+    rc, out, err = run(capsys, "pure", "--monad", monad, f)
+    assert rc == 2 and out == ""
+    assert err == ("indeterminate: purity decision applies to programs of "
+                   "base type\n")
 
 
 @pytest.mark.parametrize("src, want", [

@@ -1,9 +1,9 @@
 """Deep terms at the default recursion limit: the parser, typecheck,
 selection, printing, free variables, substitution, alpha-equivalence,
-``is_value`` and the traced machine keep explicit stacks, so nesting depth
-is bounded by memory, not by Python's recursion limit.  ``denote`` still
-recurses once per level; its current reach is pinned so that it cannot
-shrink unnoticed."""
+``is_value``, ``node_tally`` and the traced machine keep explicit stacks,
+so nesting depth is bounded by memory, not by Python's recursion limit.
+``denote`` still recurses once per level; its current reach is pinned so
+that it cannot shrink unnoticed."""
 
 import sys
 
@@ -18,6 +18,7 @@ from selcalc.syntax import (
     BOOL, FF, TT, Lam, Or, Pair, Var, alpha_eq, fresh_name, free_vars,
     parse_program, pretty, substitute, typecheck,
 )
+from selcalc.testgen import node_tally
 
 LIMIT = sys.getrecursionlimit()
 N = 5000
@@ -70,6 +71,16 @@ def test_trace_of_a_deep_pair_nest():
             (1, pretty(pair_nest(FF, N)))]
     got = [(d, pretty(s)) for d, s in trace_eval(t, parse_program("tt").config)]
     assert got == want
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def test_node_tally_on_a_long_or_chain():
+    # tt or ... or tt, left-nested: counting walks no paths, so its time
+    # grows linearly with the depth
+    t = TT
+    for _ in range(4 * N - 1):
+        t = Or(t, TT)
+    assert node_tally(t) == {"Or": 4 * N - 1, "Const": 4 * N}
     assert sys.getrecursionlimit() == LIMIT
 
 

@@ -16,9 +16,9 @@ from selcalc.strategies import (
     select_bruteforce, select_fast, select_program, strategy_count,
 )
 from selcalc.syntax import (
-    App, FF, FnApp, Hole, If, LangConfig, Lam, Or, Pair, PChoice, Rew,
-    RewConst, TT, Var, BOOL, children, fold_effect, is_effect_value,
-    parse_program, plug, rebuild, replace_at, subterm_at, subterms,
+    App, FF, FnApp, Hole, LangConfig, Lam, Or, Pair, PChoice, Rew, RewConst,
+    TT, Var, BOOL, fold_effect, is_effect_value, parse_program, plug,
+    replace_at, subterm_at,
 )
 
 REWARDS = LangConfig()
@@ -83,14 +83,6 @@ def test_fold_effect_without_pchoice_rejects_it():
 
 
 ### the term walk
-
-def test_subterms_is_a_preorder_with_paths():
-    t = If(TT, Pair(FF, Hole()), Lam("x", BOOL, Var("x")))
-    walk = list(subterms(t))
-    assert [p for p, _ in walk] == [(), (0,), (1,), (1, 0), (1, 1), (2,), (2, 0)]
-    assert all(subterm_at(t, p) is s for p, s in walk)
-    assert all(rebuild(s, children(s)) == s for _, s in walk)
-
 
 def test_plug_fills_every_hole():
     ctx = Pair(Hole(), Or(Hole(), FF))

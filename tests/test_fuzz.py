@@ -1,7 +1,9 @@
 """Fuzz properties of the command line: random token streams over the
 lexer's vocabulary and generated programs in both modes go through
-``eval`` and ``canon``; neither ever answers "internal error", and every
-term printed parses back to an alpha-equal term."""
+``eval`` (also denotational, under each monad of the mode), ``canon``,
+``pure`` and ``equiv`` with themselves; none ever answers "internal
+error", a well-typed program is equivalent to itself, and every term
+printed parses back to an alpha-equal term."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -48,20 +50,30 @@ def canonical(term, config):
 
 
 def check_program(capsys, path, src, term=None):
-    """Run eval and canon on src; when it is a well-typed program (whose
-    source was printed from term, if given), check that the program, its
-    selected value and its printed canonical form parse back
-    alpha-equal."""
+    """Run eval, canon, pure, equiv with itself and the denotational eval
+    under each monad of its mode on src; when it is a well-typed program
+    (whose source was printed from term, if given), check that it is
+    equivalent to itself and that the program, its selected value and its
+    printed canonical form parse back alpha-equal."""
     path.write_text(src)
-    run(capsys, "eval", str(path))
-    rc, out = run(capsys, "canon", str(path))
+    f = str(path)
+    run(capsys, "eval", f)
+    rc, out = run(capsys, "canon", f)
     try:
         p = parse_program(src)
         typecheck(p.term, config=p.config)
     except (SelSyntaxError, SelTypeError):
         assert term is None
+        for args in (["eval", "--semantics", "denotational"], ["pure"],
+                     ["equiv", f]):
+            assert run(capsys, *args, f)[0] == 3
         return
     assert term is None or alpha_eq(p.term, term)
+    monads = ["W"] if p.config.mode == "rewards" else ["DW", "T2", "T3"]
+    for monad in monads:
+        run(capsys, "eval", "--semantics", "denotational", "--monad", monad, f)
+        run(capsys, "pure", *(["--monad", monad] if monad != "W" else []), f)
+    assert run(capsys, "equiv", f, f)[0] == 0
     printed = [p.term, canonical(p.term, p.config)]
     if p.config.mode == "rewards":
         printed.append(select_program(p.term, p.config)[1])

@@ -1,16 +1,18 @@
 """Parser, printer, and typechecker behavior, including mode inference from
 the file prelude."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from selcalc import syntax
 from selcalc.rewards import STRUCTURES
 from selcalc.syntax import (
     App, Arrow, BOOL, Base, Const, FF, Hole, If, Lam, LangConfig, Or,
     PChoice, Pair, Prod, REW, Rew, RewConst, SelSyntaxError, SelTypeError,
     TT, UNIT, Var, alpha_eq, make_dispatcher, parse_program, plug, pretty,
-    type_rank, typecheck,
+    substitute, type_rank, typecheck,
 )
 from selcalc.testgen import GenConfig, gen_program
 
@@ -166,3 +168,14 @@ def test_dispatcher_prints_parseable_source():
 def test_dispatcher_rejects_open_branches():
     with pytest.raises(ValueError, match="closed"):
         make_dispatcher([TT, FF], lambda c: If(Var("x"), c, FF))
+
+
+def test_substitute_avoids_names_after_a_counter_restart(monkeypatch):
+    # fun (y:Bool) -> y%0 (x y), with x := y: the binder must be renamed,
+    # and not to y%0, which occurs free in the body
+    monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(0))
+    t = Lam("y", BOOL, App(Var("y%0"), App(Var("x"), Var("y"))))
+    got = substitute(t, "x", Var("y"))
+    assert got.var not in ("y", "y%0")
+    assert got == Lam(got.var, BOOL,
+                      App(Var("y%0"), App(Var("y"), Var(got.var))))
