@@ -34,7 +34,7 @@ from .selection import (
 )
 from .strategies import StrategyCapExceeded, select_bruteforce, select_program
 from .syntax import (
-    App, Hole, LangConfig, Pair, REW, SelSyntaxError, SelTypeError, Term,
+    App, Base, Hole, LangConfig, Pair, REW, SelSyntaxError, SelTypeError, Term,
     _Parser, _lex, parse_program, plug, pretty, type_rank, typecheck,
 )
 from .testgen import GenConfig, gen_program
@@ -328,7 +328,9 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
         return emit(True, ["equivalent"])
     if verdict is None:
         return emit(None, ["unknown"])
-    ctx = App(kappa_term(config.constants_of(ta.name), table), Hole())
+    ctx = Hole()
+    if isinstance(ta, Base) and ta.name in config.bases:
+        ctx = App(kappa_term(config.constants_of(ta.name), table), ctx)
     a = observe(plug(ctx, m), config, mname)
     b = observe(plug(ctx, n), config, mname)
     return emit(False, ["inequivalent", f"context: {pretty(ctx)}",

@@ -16,11 +16,13 @@ provably picks something else.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monads import Dist, make_monad, theta, vdis
+from .monads import make_monad, theta, vdis
 from .operational import DEFAULT_BUDGET, eval_effect
+from .strategies import outcomes
 from .syntax import (
     App, Base, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, PChoice,
     Pair, Prod, Rew, RewConst, Snd, Star, Term, TT, FF, UNIT, Var, alpha_eq,
@@ -35,18 +37,16 @@ def canon_rewards(m: Term, config: LangConfig,
     """Canonical form of a rewards-mode program: an ordered list of
     (reward, value) entries with no value repeated.
 
-    Flattening pushes accumulated rewards to the leaves; deduplication folds
-    left to right, keeping the earlier entry when its reward is at least the
-    later one's and otherwise deleting it and appending the later entry.
-    Both moves are instances of the choice axioms, so the result is provably
+    The entries start as the strategy outcomes in strategy order, which
+    pushes accumulated rewards to the leaves; deduplication folds left to
+    right, keeping the earlier entry when its reward is at least the later
+    one's and otherwise deleting it and appending the later entry.  Both
+    moves are instances of the choice axioms, so the result is provably
     equal to the program.
     """
     st = config.structure
-    entries = fold_effect(eval_effect(m, config, budget),
-                          lambda v: [(st.zero, v)], operator.add,
-                          lambda c, es: [(st.add(c, r), v) for r, v in es])
     out: list[tuple[Fraction, Term]] = []
-    for c, v in entries:
+    for c, v in outcomes(eval_effect(m, config, budget), config):
         for k, (ck, vk) in enumerate(out):
             if alpha_eq(v, vk):
                 if st.leq(c, ck):
@@ -240,25 +240,14 @@ def distinguish_rewards(m: Term, n: Term, config: LangConfig,
 
 ### weak canonical forms, probabilistic mode
 
-def pr_branches(e: Term, config: LangConfig) -> list[Dist]:
-    """Distribute rewards and probabilistic choice over ``or``, turning an
-    effect value into an or-chain of probabilistic reward-values, each
-    represented as a distribution of (reward, value) atoms.  The cross
-    product of a probabilistic choice enumerates left branches in the outer
-    position."""
-    dw = make_monad("DW", config.structure)
-    return fold_effect(
-        e, lambda v: [dw.unit(v)], operator.add,
-        lambda c, ds: [dw.reward(c, d) for d in ds],
-        lambda p, das, dbs: [dw.pchoice(p, da, db) for da in das for db in dbs])
-
-
 def weak_canon_prob(m: Term, config: LangConfig, monad_name: str = "DW",
                     budget: int = DEFAULT_BUDGET) -> list:
-    """Weak canonical form: the or-branches of the program, each normalized
-    in the chosen monad, with later duplicates dropped."""
+    """Weak canonical form: the strategy outcomes of the program, each a
+    distribution of (reward, value) atoms normalized in the chosen monad,
+    with later duplicates dropped."""
     monad = make_monad(monad_name, config.structure)
-    branches = [theta(d, monad) for d in pr_branches(eval_effect(m, config, budget), config)]
+    branches = [theta(d, monad)
+                for d in outcomes(eval_effect(m, config, budget), config)]
     out = []
     for b in branches:
         if b not in out:
@@ -302,9 +291,10 @@ def decide_equiv_prob(m: Term, n: Term, config: LangConfig,
                       monad_name: str = "DW", gammas=None,
                       budget: int = DEFAULT_BUDGET) -> bool | None:
     """True when the weak canonical forms coincide; False when a sampled
-    valuation separates the denotations; None (unknown) otherwise.
-    Raises NoDistinguishingContext when valuations must be sampled for a
-    type other than a finite base."""
+    valuation separates the denotations; None (unknown) otherwise.  At a
+    first-order type other than a finite base the only valuation tried is
+    the zero table.  Raises NoDistinguishingContext when valuations must
+    be sampled at a function type."""
     return separate_prob(m, n, config, monad_name, gammas, budget)[0]
 
 
@@ -434,292 +424,209 @@ class NoMatch(Exception):
     pass
 
 
-def _pr_flatten(t: Term) -> list[tuple[Fraction, Term, Term]] | None:
-    """Flatten a term in probabilistic-reward form into weighted
-    (reward term, target) leaves, left to right; None if it is not of that
-    shape."""
-    out = []
+@dataclass(frozen=True)
+class Axiom:
+    """One equation of Figure 3 and/or 4 (``figures``), written once.
+
+    ``lhs`` and ``rhs`` build each side from the reward structure and the
+    axiom's metavariables.  A metavariable's name gives its sort: upper
+    case is a program, ``x``/``y``/``z`` a reward term, ``c``/``d`` a
+    reward constant (any term when matching; ``when`` demands a
+    ``RewConst`` where the rewrite needs one) and ``p``/``q`` a weight.
+    ``when`` takes the same arguments, guards the rewrite and may raise
+    NoMatch itself.  ``monads`` are the auxiliary monads validating the
+    axiom, empty when the calculus's own monad does; ``size`` bounds each
+    program drawn for an instance."""
+    figures: tuple[int, ...]
+    lhs: Callable[..., Term]
+    rhs: Callable[..., Term]
+    when: Callable[..., bool] | None = None
+    monads: tuple[str, ...] = ()
+    size: int = 5
+
+    @property
+    def metavars(self) -> tuple[str, ...]:
+        """The metavariable names, in drawing order."""
+        code = self.lhs.__code__
+        return code.co_varnames[1:code.co_argcount]
+
+
+@dataclass(frozen=True)
+class _Meta:
+    """A metavariable in a left-hand side built for matching."""
+    name: str
+
+
+def _match(pat, t, binds: dict) -> bool:
+    """Match t against a pattern field by field, binding metavariables in
+    preorder.  Recursion follows the pattern, which is a few levels deep."""
+    if isinstance(pat, _Meta):
+        if pat.name not in binds:
+            binds[pat.name] = t
+            return True
+        return alpha_eq(binds[pat.name], t)
+    if isinstance(pat, Term):
+        return type(pat) is type(t) and all(
+            _match(getattr(pat, f), getattr(t, f), binds)
+            for f in pat.__match_args__)
+    if isinstance(pat, tuple):
+        return len(pat) == len(t) and all(
+            _match(a, b, binds) for a, b in zip(pat, t))
+    return pat == t
+
+
+def _pr_value_info(t: Term):
+    """(expected reward, marginal weight per target) for a probabilistic
+    reward-value with constant rewards, a tree of probabilistic choices
+    over rewarded values; None otherwise.  The marginal keys targets by
+    their printed form."""
+    total = Fraction(0)
+    marginal: dict[str, Fraction] = {}
     stack = [(Fraction(1), t)]
     while stack:
         w, s = stack.pop()
         match s:
-            case Rew(param, l):
-                out.append((w, param, l))
+            case Rew(RewConst(r), l) if is_value(l):
+                total += w * r
+                key = pretty(l)
+                marginal[key] = marginal.get(key, Fraction(0)) + w
             case PChoice(p, a, b):
                 stack += [((1 - p) * w, b), (p * w, a)]
             case _:
                 return None
-    return out
-
-
-def _pr_value_info(t: Term, config: LangConfig):
-    """(expected reward, marginal weight per target) for a probabilistic
-    reward-value with constant rewards; None otherwise.  The marginal keys
-    targets by their printed form."""
-    flat = _pr_flatten(t)
-    if flat is None:
-        return None
-    total = Fraction(0)
-    marginal: dict[str, Fraction] = {}
-    for w, r, l in flat:
-        if not isinstance(r, RewConst) or not is_value(l):
-            return None
-        total += w * r.value
-        key = pretty(l)
-        marginal[key] = marginal.get(key, Fraction(0)) + w
     return total, marginal
 
 
-def _same_pr_targets(m: Term, n: Term, config: LangConfig):
+def _same_pr_targets(m: Term, n: Term, st):
     """Expected rewards of two probabilistic reward-values whose target
     marginals coincide, which makes their expected-reward gap independent
     of the valuation; otherwise no match.  Structures whose monoid does not
     mix through convex combination only support a single shared target."""
-    im = _pr_value_info(m, config)
-    in_ = _pr_value_info(n, config)
+    im = _pr_value_info(m)
+    in_ = _pr_value_info(n)
     if im is None or in_ is None or im[1] != in_[1]:
         raise NoMatch
-    if len(im[1]) > 1 and not config.structure.mixing_verified:
+    if len(im[1]) > 1 and not st.mixing_verified:
         raise NoMatch
     return im[0], in_[0]
 
 
-def _eval_closed_reward(t: Term, config: LangConfig) -> Fraction:
+def _eval_closed_reward(t: Term, st) -> Fraction:
     """Value of a closed reward term built from constants, +, and oplus."""
     match t:
         case RewConst(v):
             return v
         case FnApp("+", (a, b), _):
-            return config.structure.add(_eval_closed_reward(a, config),
-                                        _eval_closed_reward(b, config))
+            return st.add(_eval_closed_reward(a, st), _eval_closed_reward(b, st))
         case FnApp("oplus", (a, b), p):
-            return config.structure.convex(p, _eval_closed_reward(a, config),
-                                           _eval_closed_reward(b, config))
+            return st.convex(p, _eval_closed_reward(a, st),
+                             _eval_closed_reward(b, st))
         case _:
             raise NoMatch
 
 
-def _ax_or_idem(t, config):
-    match t:
-        case Or(a, b) if alpha_eq(a, b):
-            return a
-    raise NoMatch
+def _expects(st, x: Term, y: Term, m: Term, n: Term) -> bool:
+    """Whether the closed reward terms x and y are the expected rewards of
+    m and n, two probabilistic reward-values over the same targets."""
+    em, en = _same_pr_targets(m, n, st)
+    return _eval_closed_reward(y, st) == en and _eval_closed_reward(x, st) == em
 
 
-def _ax_or_assoc(t, config):
-    match t:
-        case Or(Or(l, m), n):
-            return Or(l, Or(m, n))
-    raise NoMatch
-
-
-def _ax_reward_zero(t, config):
-    match t:
-        case Rew(RewConst(c), n) if c == config.structure.zero:
-            return n
-    raise NoMatch
-
-
-def _ax_reward_action(t, config):
-    match t:
-        case Rew(x, Rew(y, n)):
-            return Rew(FnApp("+", (x, y)), n)
-    raise NoMatch
-
-
-def _ax_reward_or(t, config):
-    match t:
-        case Rew(x, Or(m, n)):
-            return Or(Rew(x, m), Rew(x, n))
-    raise NoMatch
-
-
-def _ax_if_max(t, config):
-    match t:
-        case If(FnApp("<=", (y1, x1), _), Rew(x2, m), Rew(y2, n)) if (
-                alpha_eq(x1, x2) and alpha_eq(y1, y2) and alpha_eq(m, n)):
-            return Or(Rew(x1, m), Rew(y1, m))
-    raise NoMatch
-
-
-def _ax_if_max_chain(t, config):
-    match t:
-        case If(FnApp("<=", (z1, x1), _),
-                Or(Rew(x2, m1), n1),
-                Or(n2, Rew(z2, m2))) if (
-                alpha_eq(x1, x2) and alpha_eq(z1, z2)
-                and alpha_eq(m1, m2) and alpha_eq(n1, n2)):
-            return Or(Or(Rew(x1, m1), n1), Rew(z1, m1))
-    raise NoMatch
-
-
-def _ax_r1(t, config):
-    match t:
-        case Or(Rew(RewConst(c), m), Rew(RewConst(c2), m2)) if alpha_eq(m, m2):
-            best = c if config.structure.leq(c2, c) else c2
-            return Rew(RewConst(best), m)
-    raise NoMatch
-
-
-def _ax_r2(t, config):
-    match t:
-        case Or(Or(Rew(RewConst(c), m), n), Rew(RewConst(c2), m2)) if (
-                alpha_eq(m, m2) and config.structure.leq(c2, c)):
-            return Or(Rew(RewConst(c), m), n)
-    raise NoMatch
-
-
-def _ax_r3(t, config):
-    match t:
-        case Or(Or(Rew(RewConst(c), m), n), Rew(RewConst(c2), m2)) if (
-                alpha_eq(m, m2) and not config.structure.leq(c2, c)):
-            return Or(n, Rew(RewConst(c2), m2))
-    raise NoMatch
-
-
-def _ax_pchoice_one(t, config):
-    match t:
-        case PChoice(p, m, _) if p == 1:
-            return m
-    raise NoMatch
-
-
-def _ax_pchoice_comm(t, config):
-    match t:
-        case PChoice(p, m, n):
-            return PChoice(1 - p, n, m)
-    raise NoMatch
-
-
-def _ax_pchoice_assoc(t, config):
-    match t:
-        case PChoice(q, PChoice(p, m, n), l) if p < 1 and q < 1:
-            return PChoice(p * q, m,
-                           PChoice((1 - p) * q / (1 - p * q), n, l))
-    raise NoMatch
-
-
-def _ax_reward_pchoice(t, config):
-    match t:
-        case Rew(x, PChoice(p, m, n)):
-            return PChoice(p, Rew(x, m), Rew(x, n))
-    raise NoMatch
-
-
-def _ax_pchoice_or(t, config):
-    match t:
-        case PChoice(p, l, Or(m, n)):
-            return Or(PChoice(p, l, m), PChoice(p, l, n))
-    raise NoMatch
-
-
-def _ax_if_expect(t, config):
-    match t:
-        case If(FnApp("<=", (a, b), _), m, n):
-            em, en = _same_pr_targets(m, n, config)
-            if (_eval_closed_reward(a, config) == en
-                    and _eval_closed_reward(b, config) == em):
-                return Or(m, n)
-    raise NoMatch
-
-
-def _ax_if_expect_chain(t, config):
-    match t:
-        case If(FnApp("<=", (a, b), _), Or(m, p1), Or(p2, n)) if alpha_eq(p1, p2):
-            em, en = _same_pr_targets(m, n, config)
-            if (_eval_closed_reward(a, config) == en
-                    and _eval_closed_reward(b, config) == em):
-                return Or(Or(m, p1), n)
-    raise NoMatch
-
-
-def _ax_pr1(t, config):
-    match t:
-        case Or(m, n):
-            em, en = _same_pr_targets(m, n, config)
-            if em >= en:
-                return m
-    raise NoMatch
-
-
-def _ax_pr2(t, config):
-    match t:
-        case Or(m, n):
-            em, en = _same_pr_targets(m, n, config)
-            if em < en:
-                return n
-    raise NoMatch
-
-
-def _ax_pr3(t, config):
-    match t:
-        case Or(Or(m, l), n):
-            em, en = _same_pr_targets(m, n, config)
-            if em >= en:
-                return Or(m, l)
-    raise NoMatch
-
-
-def _ax_pr4(t, config):
-    match t:
-        case Or(Or(m, l), n):
-            em, en = _same_pr_targets(m, n, config)
-            if em < en:
-                return Or(l, n)
-    raise NoMatch
-
-
-def _ax_gather_shared(t, config):
-    match t:
-        case PChoice(p, Rew(x, m), Rew(y, m2)) if alpha_eq(m, m2):
-            return Rew(FnApp("oplus", (x, y), p), m)
-    raise NoMatch
-
-
-def _ax_gather_mix(t, config):
-    match t:
-        case PChoice(p, Rew(x, m), Rew(y, n)):
-            opl = FnApp("oplus", (x, y), p)
-            return PChoice(p, Rew(opl, m), Rew(opl, n))
-    raise NoMatch
+def _consts(*ts: Term) -> bool:
+    return all(isinstance(t, RewConst) for t in ts)
 
 
 AXIOMS = {
-    # choice and reward (both modes)
-    "or-idem": _ax_or_idem,
-    "or-assoc": _ax_or_assoc,
-    "reward-zero": _ax_reward_zero,
-    "reward-action": _ax_reward_action,
-    "reward-or": _ax_reward_or,
-    # rewards mode conditionals and derived rules
-    "if-max": _ax_if_max,
-    "if-max-chain": _ax_if_max_chain,
-    "r1": _ax_r1,
-    "r2": _ax_r2,
-    "r3": _ax_r3,
-    # probabilistic choice
-    "pchoice-one": _ax_pchoice_one,
-    "pchoice-comm": _ax_pchoice_comm,
-    "pchoice-assoc": _ax_pchoice_assoc,
-    "reward-pchoice": _ax_reward_pchoice,
-    "pchoice-or": _ax_pchoice_or,
-    "if-expect": _ax_if_expect,
-    "if-expect-chain": _ax_if_expect_chain,
-    "pr1": _ax_pr1,
-    "pr2": _ax_pr2,
-    "pr3": _ax_pr3,
-    "pr4": _ax_pr4,
+    # choice and reward (both calculi)
+    "or-idem": Axiom((3, 4), lambda st, M: Or(M, M), lambda st, M: M),
+    "or-assoc": Axiom((3, 4), lambda st, L, M, N: Or(Or(L, M), N),
+                      lambda st, L, M, N: Or(L, Or(M, N))),
+    "reward-zero": Axiom((3, 4), lambda st, M: Rew(RewConst(st.zero), M),
+                         lambda st, M: M),
+    "reward-action": Axiom((3, 4), lambda st, x, y, M: Rew(x, Rew(y, M)),
+                           lambda st, x, y, M: Rew(FnApp("+", (x, y)), M)),
+    "reward-or": Axiom((3, 4), lambda st, x, M, N: Rew(x, Or(M, N)),
+                       lambda st, x, M, N: Or(Rew(x, M), Rew(x, N))),
+    # rewards calculus: conditionals and derived rules
+    "if-max": Axiom(
+        (3,), lambda st, x, y, M: If(FnApp("<=", (y, x)), Rew(x, M), Rew(y, M)),
+        lambda st, x, y, M: Or(Rew(x, M), Rew(y, M))),
+    "if-max-chain": Axiom(
+        (3,), lambda st, x, z, M, N: If(FnApp("<=", (z, x)),
+                                        Or(Rew(x, M), N), Or(N, Rew(z, M))),
+        lambda st, x, z, M, N: Or(Or(Rew(x, M), N), Rew(z, M))),
+    "r1": Axiom((3,), lambda st, M, c, d: Or(Rew(c, M), Rew(d, M)),
+                lambda st, M, c, d: Rew(c if st.leq(d.value, c.value) else d, M),
+                lambda st, M, c, d: _consts(c, d)),
+    "r2": Axiom((3,), lambda st, c, d, M, N: Or(Or(Rew(c, M), N), Rew(d, M)),
+                lambda st, c, d, M, N: Or(Rew(c, M), N),
+                lambda st, c, d, M, N: _consts(c, d) and st.leq(d.value, c.value)),
+    "r3": Axiom((3,), lambda st, c, d, M, N: Or(Or(Rew(c, M), N), Rew(d, M)),
+                lambda st, c, d, M, N: Or(N, Rew(d, M)),
+                lambda st, c, d, M, N: (_consts(c, d)
+                                        and not st.leq(d.value, c.value))),
+    # probabilistic calculus
+    "pchoice-one": Axiom((4,), lambda st, M, N: PChoice(Fraction(1), M, N),
+                         lambda st, M, N: M),
+    "pchoice-comm": Axiom((4,), lambda st, p, M, N: PChoice(p, M, N),
+                          lambda st, p, M, N: PChoice(1 - p, N, M)),
+    "pchoice-assoc": Axiom(
+        (4,), lambda st, q, p, M, N, L: PChoice(q, PChoice(p, M, N), L),
+        lambda st, q, p, M, N, L: PChoice(
+            p * q, M, PChoice((1 - p) * q / (1 - p * q), N, L)),
+        lambda st, q, p, M, N, L: p < 1 and q < 1, size=4),
+    "reward-pchoice": Axiom(
+        (4,), lambda st, x, p, M, N: Rew(x, PChoice(p, M, N)),
+        lambda st, x, p, M, N: PChoice(p, Rew(x, M), Rew(x, N)), size=4),
+    "pchoice-or": Axiom(
+        (4,), lambda st, p, L, M, N: PChoice(p, L, Or(M, N)),
+        lambda st, p, L, M, N: Or(PChoice(p, L, M), PChoice(p, L, N)), size=4),
+    "if-expect": Axiom((4,), lambda st, x, y, M, N: If(FnApp("<=", (y, x)), M, N),
+                       lambda st, x, y, M, N: Or(M, N), _expects),
+    "if-expect-chain": Axiom(
+        (4,), lambda st, x, y, M, L, N: If(FnApp("<=", (y, x)),
+                                           Or(M, L), Or(L, N)),
+        lambda st, x, y, M, L, N: Or(Or(M, L), N),
+        lambda st, x, y, M, L, N: _expects(st, x, y, M, N), size=4),
+    "pr1": Axiom((4,), lambda st, M, N: Or(M, N), lambda st, M, N: M,
+                 lambda st, M, N: operator.ge(*_same_pr_targets(M, N, st))),
+    "pr2": Axiom((4,), lambda st, M, N: Or(M, N), lambda st, M, N: N,
+                 lambda st, M, N: operator.lt(*_same_pr_targets(M, N, st))),
+    "pr3": Axiom((4,), lambda st, M, L, N: Or(Or(M, L), N),
+                 lambda st, M, L, N: Or(M, L),
+                 lambda st, M, L, N: operator.ge(*_same_pr_targets(M, N, st)),
+                 size=4),
+    "pr4": Axiom((4,), lambda st, M, L, N: Or(Or(M, L), N),
+                 lambda st, M, L, N: Or(L, N),
+                 lambda st, M, L, N: operator.lt(*_same_pr_targets(M, N, st)),
+                 size=4),
     # extra gathering laws, sound for the pooled-reward monads only
-    "gather-shared": _ax_gather_shared,
-    "gather-mix": _ax_gather_mix,
+    "gather-shared": Axiom(
+        (4,), lambda st, M, p, c, d: PChoice(p, Rew(c, M), Rew(d, M)),
+        lambda st, M, p, c, d: Rew(FnApp("oplus", (c, d), p), M),
+        monads=("T2",)),
+    "gather-mix": Axiom(
+        (4,), lambda st, p, c, M, d, N: PChoice(p, Rew(c, M), Rew(d, N)),
+        lambda st, p, c, M, d, N: PChoice(p, Rew(FnApp("oplus", (c, d), p), M),
+                                          Rew(FnApp("oplus", (c, d), p), N)),
+        monads=("T3",)),
 }
 
 
 def apply_axiom(name: str, t: Term, path: tuple[int, ...],
                 config: LangConfig) -> Term:
     """Rewrite the subterm at ``path`` with the named axiom, left to right.
-    Raises NoMatch when the subterm does not have the axiom's shape."""
+    A repeated metavariable binds at its leftmost occurrence, and the
+    others must be alpha-equivalent to it.  Raises NoMatch when the
+    subterm does not have the axiom's shape or fails its side condition."""
     if name not in AXIOMS:
         raise ValueError(f"unknown axiom {name!r}")
-    sub = subterm_at(t, path)
-    return replace_at(t, path, AXIOMS[name](sub, config))
+    ax, st = AXIOMS[name], config.structure
+    names = ax.metavars
+    binds: dict = {}
+    if not _match(ax.lhs(st, *map(_Meta, names)), subterm_at(t, path), binds):
+        raise NoMatch
+    args = [binds[n] for n in names]
+    if ax.when is not None and not ax.when(st, *args):
+        raise NoMatch
+    return replace_at(t, path, ax.rhs(st, *args))

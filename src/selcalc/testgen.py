@@ -13,8 +13,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .equations import NoDistinguishingContext
+from .equations import AXIOMS, NoDistinguishingContext
 from .monads import Dist, T3Val, mrval, t2val
 from .rewards import DEFAULT_STRUCTURE, RewardStructure
 from .selection import gamma_from_table
@@ -86,23 +87,21 @@ def gamma_tables(base: str, config: LangConfig, count: int = 64,
     return tables
 
 
-def gen_gamma(cfg: GenConfig, base: str, count: int = 64,
-              config: LangConfig | None = None) -> list[dict[str, Fraction]]:
-    config = config or cfg.lang()
-    return gamma_tables(base, config, count, cfg.seed, cfg.reward_pool)
-
-
 def default_tables(m: Term, n: Term, config: LangConfig,
                    count: int = 64, seed: int = 0) -> list[dict[str, Fraction]]:
-    """Sampled valuation tables for comparing two base-typed programs.
-    Raises NoDistinguishingContext for programs of any other type."""
+    """Sampled valuation tables for comparing two programs of a finite
+    base type.  At any other first-order type only the zero table is
+    drawn, since ``gamma_from_table`` scores every value it does not name
+    zero.  Raises NoDistinguishingContext at a function type."""
     ty = typecheck(m, config=config)
     ty2 = typecheck(n, config=config)
     if ty != ty2:
         raise ValueError(f"type mismatch: {ty} vs {ty2}")
-    if not (isinstance(ty, Base) and ty.name in config.bases):
-        raise NoDistinguishingContext("valuation sampling needs a finite base type")
-    return gamma_tables(ty.name, config, count, seed)
+    if isinstance(ty, Base) and ty.name in config.bases:
+        return gamma_tables(ty.name, config, count, seed)
+    if type_rank(ty) > 0:
+        raise NoDistinguishingContext("valuations are not sampled at a function type")
+    return [{}]
 
 
 def default_gammas(m: Term, n: Term, config: LangConfig,
@@ -128,6 +127,9 @@ class _TermGen:
             if not self.config.has_constant(name):
                 return name
 
+    def rc(self) -> RewConst:
+        return RewConst(self.rng.choice(self.cfg.rewards))
+
     def split(self, total: int, k: int) -> list[int]:
         total = max(total, k)
         parts = []
@@ -151,7 +153,7 @@ class _TermGen:
     def leaf(self, ty: Type, env: dict[str, Type]) -> Term:
         rng = self.rng
         if ty == REW:
-            return RewConst(rng.choice(self.cfg.rewards))
+            return self.rc()
         match ty:
             case Base(b):
                 return rng.choice(self.config.constants_of(b))
@@ -390,19 +392,80 @@ def gen_kleisli(cfg: GenConfig, monad, dom, carrier,
 
 ### axiom instances
 
-FIG3_AXIOMS = ("or-idem", "or-assoc", "reward-zero", "reward-action",
-               "reward-or", "if-max", "if-max-chain", "r1", "r2", "r3")
+FIG3_AXIOMS = tuple(n for n, ax in AXIOMS.items() if 3 in ax.figures)
+FIG4_AXIOMS = tuple(n for n, ax in AXIOMS.items() if 4 in ax.figures)
+# monads validating each probabilistic axiom; an unlisted axiom holds in
+# the plain distribution monad (and hence in all three)
+AXIOM_MONADS = {n: ax.monads for n, ax in AXIOMS.items() if ax.monads}
 
-FIG4_AXIOMS = ("or-idem", "or-assoc", "reward-zero", "reward-action",
-               "reward-or", "pchoice-one", "pchoice-comm", "pchoice-assoc",
-               "reward-pchoice", "pchoice-or", "if-expect", "if-expect-chain",
-               "pr1", "pr2", "pr3", "pr4", "gather-shared", "gather-mix")
 
-# monads whose semantics validates each probabilistic axiom; unlisted
-# axioms hold in the plain distribution monad (and hence in all three)
-AXIOM_MONADS = {"gather-shared": ("T2",), "gather-mix": ("T3",)}
+def _reward_pair(g: _TermGen, ordered: bool) -> dict[str, Term]:
+    """Reward constants c and d with d <= c, or with c < d when not
+    ``ordered``."""
+    st = g.config.structure
+    while True:
+        lo, hi = g.rc(), g.rc()
+        if not st.leq(lo.value, hi.value):
+            lo, hi = hi, lo
+        if ordered:
+            return {"c": hi, "d": lo}
+        if lo.value != hi.value:
+            return {"c": lo, "d": hi}
 
-_PROB_ONLY = set(FIG4_AXIOMS) - set(FIG3_AXIOMS)
+
+def _pr_pair(g: _TermGen, geq: bool | None = None) -> dict[str, Term]:
+    """Probabilistic reward-values M and N over the same targets with the
+    same marginals, and closed reward terms x and y for their expected
+    rewards.  When ``geq`` is given, E[M] >= E[N] holds exactly when it is
+    true."""
+    st, rng, rc = g.config.structure, g.rng, g.rc
+    consts = g.config.constants_of("Bool")
+    for _ in range(100):
+        if st.mixing_verified and rng.random() < 0.6:
+            p = rng.choice(g.cfg.prob_pool)
+            l1, l2 = rng.choice(consts), rng.choice(consts)
+            x1, x2, y1, y2 = rc(), rc(), rc(), rc()
+            m = PChoice(p, Rew(x1, l1), Rew(x2, l2))
+            n = PChoice(p, Rew(y1, l1), Rew(y2, l2))
+            x, y = FnApp("oplus", (x1, x2), p), FnApp("oplus", (y1, y2), p)
+            em = st.convex(p, x1.value, x2.value)
+            en = st.convex(p, y1.value, y2.value)
+        else:
+            l = rng.choice(consts)
+            x, y = rc(), rc()
+            m, n, em, en = Rew(x, l), Rew(y, l), x.value, y.value
+        if geq is not False or em != en:
+            if geq is not None and (em >= en) != geq:
+                m, n, x, y = n, m, y, x
+            return {"x": x, "y": y, "M": m, "N": n}
+    raise RuntimeError("could not draw distinct expectations from the pool")
+
+
+# axioms whose side condition the drawing must meet: each draws some
+# metavariables, and the rest are drawn by sort
+_DRAWS = {
+    "r2": partial(_reward_pair, ordered=True),
+    "r3": partial(_reward_pair, ordered=False),
+    "if-expect": _pr_pair,
+    "if-expect-chain": _pr_pair,
+    "pr1": partial(_pr_pair, geq=True),
+    "pr2": partial(_pr_pair, geq=False),
+    "pr3": partial(_pr_pair, geq=True),
+    "pr4": partial(_pr_pair, geq=False),
+}
+
+
+def _draw_meta(g: _TermGen, name: str, size: int):
+    """A random instance of a metavariable, of the sort its name gives."""
+    if name[0].isupper():
+        return g.gen(BOOL, size, {})
+    if name in "xyz":
+        if g.rng.random() < 0.3:
+            return FnApp("+", (g.rc(), g.rc()))
+        return g.rc()
+    if name in "cd":
+        return g.rc()
+    return g.rng.choice(g.cfg.prob_pool)
 
 
 def gen_axiom_instance(name: str, cfg: GenConfig,
@@ -412,95 +475,17 @@ def gen_axiom_instance(name: str, cfg: GenConfig,
     rewriting it with the axiom gives the right-hand side."""
     rng = rng or cfg.rng()
     config = config or cfg.lang()
-    if name in _PROB_ONLY and config.mode != "prob":
+    ax = AXIOMS.get(name)
+    if ax is None:
+        raise ValueError(f"no instance generator for axiom {name!r}")
+    if 3 not in ax.figures and config.mode != "prob":
         raise ValueError(f"axiom {name} needs mode prob")
     g = _TermGen(cfg, config, rng)
-    st = config.structure
-
-    def prog(size=5):
-        return g.gen(BOOL, size, {})
-
-    def rc():
-        return RewConst(rng.choice(cfg.rewards))
-
-    def rterm():
-        if rng.random() < 0.3:
-            return FnApp("+", (rc(), rc()))
-        return rc()
-
-    def pw():
-        return rng.choice(cfg.prob_pool)
-
-    def two_rewards():
-        lo, hi = rc(), rc()
-        if not st.leq(lo.value, hi.value):
-            lo, hi = hi, lo
-        return lo, hi
-
-    match name:
-        case "or-idem":
-            m = prog()
-            return Or(m, m)
-        case "or-assoc":
-            return Or(Or(prog(5), prog(5)), prog(5))
-        case "reward-zero":
-            return Rew(RewConst(st.zero), prog())
-        case "reward-action":
-            return Rew(rterm(), Rew(rterm(), prog()))
-        case "reward-or":
-            return Rew(rterm(), Or(prog(5), prog(5)))
-        case "if-max":
-            x, y, m = rterm(), rterm(), prog()
-            return If(FnApp("<=", (y, x)), Rew(x, m), Rew(y, m))
-        case "if-max-chain":
-            x, z, m, n = rterm(), rterm(), prog(5), prog(5)
-            return If(FnApp("<=", (z, x)), Or(Rew(x, m), n), Or(n, Rew(z, m)))
-        case "r1":
-            m = prog()
-            return Or(Rew(rc(), m), Rew(rc(), m))
-        case "r2":
-            lo, hi = two_rewards()
-            m = prog(5)
-            return Or(Or(Rew(hi, m), prog(5)), Rew(lo, m))
-        case "r3":
-            lo, hi = two_rewards()
-            while lo.value == hi.value:
-                lo, hi = two_rewards()
-            m = prog(5)
-            return Or(Or(Rew(lo, m), prog(5)), Rew(hi, m))
-        case "pchoice-one":
-            return PChoice(Fraction(1), prog(5), prog(5))
-        case "pchoice-comm":
-            return PChoice(pw(), prog(5), prog(5))
-        case "pchoice-assoc":
-            return PChoice(pw(), PChoice(pw(), prog(4), prog(4)), prog(4))
-        case "reward-pchoice":
-            return Rew(rterm(), PChoice(pw(), prog(4), prog(4)))
-        case "pchoice-or":
-            return PChoice(pw(), prog(4), Or(prog(4), prog(4)))
-        case "if-expect":
-            m, n, es_m, es_n, _, _ = _pr_instance(g, cfg, config, rng)
-            return If(FnApp("<=", (es_n, es_m)), m, n)
-        case "if-expect-chain":
-            m, n, es_m, es_n, _, _ = _pr_instance(g, cfg, config, rng)
-            p = prog(4)
-            return If(FnApp("<=", (es_n, es_m)), Or(m, p), Or(p, n))
-        case "pr1" | "pr2" | "pr3" | "pr4":
-            want_geq = name in ("pr1", "pr3")
-            m, n, _, _, em, en = _pr_instance(g, cfg, config, rng,
-                                              distinct=not want_geq)
-            if (em >= en) != want_geq:
-                m, n, em, en = n, m, en, em
-            if name in ("pr1", "pr2"):
-                return Or(m, n)
-            return Or(Or(m, prog(4)), n)
-        case "gather-shared":
-            m = prog(5)
-            return PChoice(pw(), Rew(rc(), m), Rew(rc(), m))
-        case "gather-mix":
-            return PChoice(pw(), Rew(rc(), prog(5)), Rew(rc(), prog(5)))
-        case _:
-            raise ValueError(f"no instance generator for axiom {name!r}")
+    drawn = _DRAWS[name](g) if name in _DRAWS else {}
+    for v in ax.metavars:
+        if v not in drawn:
+            drawn[v] = _draw_meta(g, v, ax.size)
+    return ax.lhs(config.structure, *(drawn[v] for v in ax.metavars))
 
 
 def gen_equivalent_pair(cfg: GenConfig, rng: random.Random | None = None,
@@ -546,33 +531,3 @@ def or_swap(e: Term, rng: random.Random) -> Term:
     target = rng.choice(paths)
     node = subterm_at(e, target)
     return replace_at(e, target, Or(node.right, node.left))
-
-
-def _pr_instance(g: _TermGen, cfg: GenConfig, config: LangConfig,
-                 rng: random.Random, distinct: bool = False):
-    """Two probabilistic reward-values over the same targets with the same
-    marginals, together with their syntactic expectation terms and values."""
-    st = config.structure
-    consts = config.constants_of("Bool")
-
-    def rc():
-        return RewConst(rng.choice(cfg.rewards))
-
-    for _ in range(100):
-        if st.mixing_verified and rng.random() < 0.6:
-            p = rng.choice(cfg.prob_pool)
-            l1, l2 = rng.choice(consts), rng.choice(consts)
-            x1, x2, y1, y2 = rc(), rc(), rc(), rc()
-            m = PChoice(p, Rew(x1, l1), Rew(x2, l2))
-            n = PChoice(p, Rew(y1, l1), Rew(y2, l2))
-            es_m = FnApp("oplus", (x1, x2), p)
-            es_n = FnApp("oplus", (y1, y2), p)
-            em = st.convex(p, x1.value, x2.value)
-            en = st.convex(p, y1.value, y2.value)
-        else:
-            l = rng.choice(consts)
-            x, y = rc(), rc()
-            m, n, es_m, es_n, em, en = Rew(x, l), Rew(y, l), x, y, x.value, y.value
-        if not distinct or em != en:
-            return m, n, es_m, es_n, em, en
-    raise RuntimeError("could not draw distinct expectations from the pool")

@@ -568,6 +568,32 @@ def test_prob_equiv_on_functions_is_indeterminate(sel, capsys):
     assert err.startswith("indeterminate:") and "internal error" not in err
 
 
+@pytest.mark.parametrize("left, right", [
+    ("1 . *", "2 . *"),
+    ("<tt, tt> +[1/2] <ff, ff>", "<tt, ff>"),
+    ("1 +[1/2] 3", "2"),
+])
+def test_prob_equiv_off_base_types_separates_at_the_zero_table(sel, capsys,
+                                                              left, right):
+    rc, out, err = run(capsys, "equiv", "--json",
+                       sel(f"mode prob;\n{left}", "a.sel"),
+                       sel(f"mode prob;\n{right}", "b.sel"))
+    assert rc == 1 and err == ""
+    ctx = json.loads(out)["context"]
+    outcomes = []
+    for src in (left, right):
+        p = parse_program(f"mode prob;\n{plug_source(ctx, src)}")
+        outcomes.append(observe(p.term, p.config))
+    assert outcomes[0] != outcomes[1]
+
+
+def test_prob_equiv_off_base_types_equal_at_the_zero_table_is_unknown(
+        sel, capsys):
+    rc, out, err = run(capsys, "equiv", sel("mode prob;\n* or (1 . *)", "a.sel"),
+                       sel("mode prob;\n1 . *", "b.sel"))
+    assert (rc, out, err) == (2, "unknown\n", "")
+
+
 @pytest.mark.parametrize("monad", ["DW", "T2", "T3"])
 def test_prob_pure_off_base_types_is_indeterminate(sel, capsys, monad):
     f = sel("mode prob;\n<tt, *> +[1/2] (1 . <ff, *>)")

@@ -173,6 +173,14 @@ def test_apply_axiom_no_match():
         apply_axiom("or-idem", t, (), cfg)
 
 
+def test_r3_rewrites_with_the_leftmost_copy():
+    # M binds at its leftmost occurrence; the right copy is only alpha-equal
+    t, cfg = term("(1 . (fun (a:Bool) -> a) tt) or ff "
+                  "or (2 . (fun (b:Bool) -> b) tt)")
+    got = apply_axiom("r3", t, (), cfg)
+    assert pretty(got) == "ff or 2 . (fun (a:Bool) -> a) tt"
+
+
 def test_subterm_replace_roundtrip():
     t, cfg = term("1 . (tt or ff)")
     sub = subterm_at(t, (1,))
