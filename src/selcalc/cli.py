@@ -398,13 +398,14 @@ def distinguish(ctx, mode, monad_name, structure_name, as_json, file_a, file_b):
 
 @_cli.command()
 @click.option("--seed", default=0, type=int)
-@click.option("--size", default=40, type=int, help="node budget per program")
+@click.option("--size", default=40, type=click.IntRange(min=1),
+              help="most nodes per program")
 @click.option("--type", "type_text", default="Bool")
 @click.option("--mode", type=click.Choice(["rewards", "prob"]), default="rewards")
 @click.option("--structure", "structure_name",
               type=click.Choice(sorted(STRUCTURES)), default=None)
 @click.option("--max-order", default=2, type=int)
-@click.option("--count", default=1, type=int)
+@click.option("--count", default=1, type=click.IntRange(min=0))
 def gen(seed, size, type_text, mode, structure_name, max_order, count):
     """Emit seeded random programs, one per line."""
     structure = STRUCTURES[structure_name] if structure_name else DEFAULT_STRUCTURE

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .monads import make_monad, theta, vdis
-from .operational import DEFAULT_BUDGET, eval_effect
+from .operational import eval_effect
 from .strategies import outcomes
 from .syntax import (
     App, Base, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, PChoice,
@@ -32,8 +32,7 @@ from .syntax import (
 
 ### canonical forms, rewards mode
 
-def canon_rewards(m: Term, config: LangConfig,
-                  budget: int = DEFAULT_BUDGET) -> list[tuple[Fraction, Term]]:
+def canon_rewards(m: Term, config: LangConfig) -> list[tuple[Fraction, Term]]:
     """Canonical form of a rewards-mode program: an ordered list of
     (reward, value) entries with no value repeated.
 
@@ -46,7 +45,7 @@ def canon_rewards(m: Term, config: LangConfig,
     """
     st = config.structure
     out: list[tuple[Fraction, Term]] = []
-    for c, v in outcomes(eval_effect(m, config, budget), config):
+    for c, v in outcomes(eval_effect(m, config), config):
         for k, (ck, vk) in enumerate(out):
             if alpha_eq(v, vk):
                 if st.leq(c, ck):
@@ -74,29 +73,25 @@ def canon_equal(a: list[tuple[Fraction, Term]], b: list[tuple[Fraction, Term]]) 
                     for (c1, v1), (c2, v2) in zip(a, b)))
 
 
-def decide_equiv_rewards(m: Term, n: Term, config: LangConfig,
-                         budget: int = DEFAULT_BUDGET) -> bool:
-    return canon_equal(canon_rewards(m, config, budget),
-                       canon_rewards(n, config, budget))
+def decide_equiv_rewards(m: Term, n: Term, config: LangConfig) -> bool:
+    return canon_equal(canon_rewards(m, config), canon_rewards(n, config))
 
 
-def decide_pure_rewards(m: Term, config: LangConfig,
-                        budget: int = DEFAULT_BUDGET) -> Term | None:
+def decide_pure_rewards(m: Term, config: LangConfig) -> Term | None:
     """The value this program is equivalent to, if any: a single canonical
     entry carrying the zero reward."""
-    cf = canon_rewards(m, config, budget)
+    cf = canon_rewards(m, config)
     if len(cf) == 1 and cf[0][0] == config.structure.zero:
         return cf[0][1]
     return None
 
 
-def rewards_impurity_witness(m: Term, config: LangConfig,
-                             budget: int = DEFAULT_BUDGET
+def rewards_impurity_witness(m: Term, config: LangConfig
                              ) -> dict[str, Fraction] | None:
     """A valuation table under which the program's denotation differs from
     the unit of its zero-valuation winner, or None when the program is
     pure.  Canonical values must be constants."""
-    cf = canon_rewards(m, config, budget)
+    cf = canon_rewards(m, config)
     st = config.structure
     if len(cf) == 1 and cf[0][0] == st.zero:
         return None
@@ -162,8 +157,7 @@ def _equals(x: Term, v: Term) -> Term:
     return TT
 
 
-def distinguish_rewards(m: Term, n: Term, config: LangConfig,
-                        budget: int = DEFAULT_BUDGET) -> Term | None:
+def distinguish_rewards(m: Term, n: Term, config: LangConfig) -> Term | None:
     """A context C with a hole such that C[m] and C[n] have different
     optimal outcomes; None when the programs are equivalent.
 
@@ -172,8 +166,8 @@ def distinguish_rewards(m: Term, n: Term, config: LangConfig,
     competition, so canonical forms that differ in entries, rewards, or
     order become observably different.
     """
-    a = canon_rewards(m, config, budget)
-    b = canon_rewards(n, config, budget)
+    a = canon_rewards(m, config)
+    b = canon_rewards(n, config)
     if canon_equal(a, b):
         return None
     st = config.structure
@@ -240,14 +234,14 @@ def distinguish_rewards(m: Term, n: Term, config: LangConfig,
 
 ### weak canonical forms, probabilistic mode
 
-def weak_canon_prob(m: Term, config: LangConfig, monad_name: str = "DW",
-                    budget: int = DEFAULT_BUDGET) -> list:
+def weak_canon_prob(m: Term, config: LangConfig,
+                    monad_name: str = "DW") -> list:
     """Weak canonical form: the strategy outcomes of the program, each a
     distribution of (reward, value) atoms normalized in the chosen monad,
     with later duplicates dropped."""
     monad = make_monad(monad_name, config.structure)
     branches = [theta(d, monad)
-                for d in outcomes(eval_effect(m, config, budget), config)]
+                for d in outcomes(eval_effect(m, config), config)]
     out = []
     for b in branches:
         if b not in out:
@@ -288,36 +282,31 @@ def weak_canonical_term(branches: list, monad_name: str) -> Term:
 
 
 def decide_equiv_prob(m: Term, n: Term, config: LangConfig,
-                      monad_name: str = "DW", gammas=None,
-                      budget: int = DEFAULT_BUDGET) -> bool | None:
+                      monad_name: str = "DW") -> bool | None:
     """True when the weak canonical forms coincide; False when a sampled
     valuation separates the denotations; None (unknown) otherwise.  At a
     first-order type other than a finite base the only valuation tried is
     the zero table.  Raises NoDistinguishingContext when valuations must
     be sampled at a function type."""
-    return separate_prob(m, n, config, monad_name, gammas, budget)[0]
+    return separate_prob(m, n, config, monad_name)[0]
 
 
 def separate_prob(m: Term, n: Term, config: LangConfig,
-                  monad_name: str = "DW", gammas=None,
-                  budget: int = DEFAULT_BUDGET):
-    """``decide_equiv_prob``'s verdict with the valuation behind a False:
-    (True, None), (False, the first separating valuation) or (None, None).
-    gammas may hold reward continuations or valuation tables; by default
-    they are the programs' 64 ``default_tables``."""
-    wm = weak_canon_prob(m, config, monad_name, budget)
-    wn = weak_canon_prob(n, config, monad_name, budget)
+                  monad_name: str = "DW"):
+    """``decide_equiv_prob``'s verdict with the valuation table behind a
+    False: (True, None), (False, the first separating table) or (None,
+    None).  The tables tried are the programs' 64 ``default_tables``."""
+    wm = weak_canon_prob(m, config, monad_name)
+    wn = weak_canon_prob(n, config, monad_name)
     if wm == wn:
         return True, None
     from .selection import denote, gamma_from_table
     from .testgen import default_tables
-    if gammas is None:
-        gammas = default_tables(m, n, config)
     monad = make_monad(monad_name, config.structure)
     dm = denote(m, config, monad)
     dn = denote(n, config, monad)
-    for w in gammas:
-        g = w if callable(w) else gamma_from_table(w, config)
+    for w in default_tables(m, n, config):
+        g = gamma_from_table(w, config)
         if dm(g) != dn(g):
             return False, w
     return None, None
@@ -353,8 +342,8 @@ def _branch_view(b, monad_name: str, zero: Fraction):
     return vd, floor, unit
 
 
-def decide_pure_prob(m: Term, config: LangConfig, monad_name: str = "DW",
-                     budget: int = DEFAULT_BUDGET) -> PurityResult:
+def decide_pure_prob(m: Term, config: LangConfig,
+                     monad_name: str = "DW") -> PurityResult:
     """Decide whether the program is equivalent to a constant.
 
     The winning or-branch at the zero valuation must itself be the unit on
@@ -369,7 +358,7 @@ def decide_pure_prob(m: Term, config: LangConfig, monad_name: str = "DW",
     """
     st = config.structure
     monad = make_monad(monad_name, config.structure)
-    branches = weak_canon_prob(m, config, monad_name, budget)
+    branches = weak_canon_prob(m, config, monad_name)
     zero_g = lambda x: st.zero
     scores = [monad.expect(b, zero_g) for b in branches]
     best = max(scores)

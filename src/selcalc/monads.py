@@ -127,9 +127,6 @@ class Dist:
     def items(self):
         return list(self.pairs)
 
-    def sort_key(self):
-        return tuple((atom_key(x), p) for x, p in self.pairs)
-
     def __eq__(self, other):
         return isinstance(other, Dist) and self.pairs == other.pairs
 
@@ -160,9 +157,6 @@ class T2Val:
                 return r
         raise KeyError(f"{x!r} not in support")
 
-    def sort_key(self):
-        return (self.dist.sort_key(), tuple((atom_key(x), r) for x, r in self.rew))
-
 
 def t2val(dist: Dist, rho: dict[Any, Fraction] | Callable[[Any], Fraction]) -> T2Val:
     get = rho.__getitem__ if isinstance(rho, dict) else rho
@@ -175,18 +169,12 @@ class T3Val:
     dist: Dist
     rew: Fraction
 
-    def sort_key(self):
-        return (self.dist.sort_key(), self.rew)
-
 
 @dataclass(frozen=True)
 class MRVal:
     """A finite nonempty set of values, each tagged with the best reward
     seen for it.  ``entries`` is sorted by atom."""
     entries: tuple[tuple[Any, Fraction], ...]
-
-    def sort_key(self):
-        return tuple((atom_key(x), r) for x, r in self.entries)
 
 
 def mrval(mapping: dict[Any, Fraction]) -> MRVal:
@@ -420,18 +408,11 @@ class MRMonad(Monad):
 
 _MONADS = {m.name: m for m in (WMonad, DWMonad, T2Monad, T3Monad, MRMonad)}
 
-_MONAD_CACHE: dict[tuple[str, str], Monad] = {}
-
-
 def make_monad(name: str, structure: RewardStructure = DEFAULT_STRUCTURE) -> Monad:
-    """Monads are stateless, so instances are shared; this also avoids
-    re-running the law checks in the T2/T3 constructors."""
-    key = (name, structure.name)
-    if key not in _MONAD_CACHE:
-        if name not in _MONADS:
-            raise ValueError(f"unknown monad {name!r}")
-        _MONAD_CACHE[key] = _MONADS[name](structure)
-    return _MONAD_CACHE[key]
+    """A new instance of the named monad over structure."""
+    if name not in _MONADS:
+        raise ValueError(f"unknown monad {name!r}")
+    return _MONADS[name](structure)
 
 
 def default_monad(mode: str) -> str:

@@ -240,19 +240,18 @@ def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Te
     """Big-step evaluation to an effect value, by the refocused machine
     described in the module docstring.  ``budget`` bounds the total number
     of ordinary steps across all branches.  Redexes fire in the order of
-    the small-step relation, branches left before right, so the result,
-    the step count and the fresh names ``substitute`` makes are the ones
-    that relation gives."""
+    the small-step relation, branches left before right, so the result and
+    the step count are the ones that relation gives."""
     try:
         next(_machine(t, config, budget, False))
     except StopIteration as finished:
         return finished.value
 
 
-def trace_eval(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET):
+def trace_eval(t: Term, config: LangConfig):
     """Yield (depth, term) snapshots of one run of the machine: the root at
     depth 0, the start of each branch of an operation at one more than the
     depth of the operation, and the whole term after each ordinary step;
     branches are visited left to right.  The generator returns the effect
     value ``eval_effect`` gives."""
-    return _machine(t, config, budget, True)
+    return _machine(t, config, DEFAULT_BUDGET, True)

@@ -36,9 +36,10 @@ from .strategies import (
 )
 from .syntax import App, BOOL, FF, Or, PChoice, Rew, RewConst, TT, plug, pretty
 from .testgen import (
-    AXIOM_MONADS, FIG3_AXIOMS, FIG4_AXIOMS, GenConfig, default_gammas,
-    gamma_tables, gen_axiom_instance, gen_effect_value, gen_equivalent_pair,
-    gen_kleisli, gen_monad_value, gen_program, gen_tie_effect, or_swap,
+    AXIOM_MONADS, FIG3_AXIOMS, FIG4_AXIOMS, PROB_POOL, GenConfig,
+    default_gammas, gamma_tables, gen_axiom_instance, gen_effect_value,
+    gen_equivalent_pair, gen_kleisli, gen_monad_value, gen_program,
+    gen_tie_effect, or_swap,
 )
 
 
@@ -147,7 +148,7 @@ def _suite_theta(seed, cases, monad, lo, hi) -> SuiteResult:
         v = gen_monad_value(cfg, "DW", a, rng)
         f = gen_kleisli(cfg, "DW", a, b, rng)
         r = rng.choice(cfg.rewards)
-        p = rng.choice(cfg.prob_pool)
+        p = rng.choice(PROB_POOL)
         gam = {x: rng.choice(cfg.rewards) for x in a}.__getitem__
         x0 = rng.choice(a)
         for mon in targets:
@@ -253,7 +254,7 @@ def _suite_distributivity(seed, cases, monad, lo, hi) -> SuiteResult:
         pair_eq(Rew(r, Or(m, n)), Or(Rew(r, m), Rew(r, n)), config, mon, gammas)
         if config.mode == "prob":
             l = gen_program(cfg, BOOL, rng, config)
-            p = rng.choice(cfg.prob_pool)
+            p = rng.choice(PROB_POOL)
             pair_eq(PChoice(p, l, Or(m, n)),
                     Or(PChoice(p, l, m), PChoice(p, l, n)), config, mon, gammas)
             pair_eq(PChoice(p, Or(m, n), l),

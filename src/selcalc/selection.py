@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Callable
 
 from .monads import make_monad, theta
-from .operational import DEFAULT_BUDGET, _eval_fn, eval_effect
+from .operational import _eval_fn, eval_effect
 from .strategies import max_by, select_fast
 from .syntax import (
     FF, TT, App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice,
@@ -47,7 +47,7 @@ _fn_uid = itertools.count()
 
 @dataclass(frozen=True)
 class FnElem:
-    """A semantic function: semantic value -> SelComp.  Compared by
+    """A semantic function: semantic value -> computation.  Compared by
     identity; use extensional comparison helpers where function equality
     matters."""
     fn: Callable = field(compare=False, repr=False)
@@ -59,21 +59,14 @@ class FnElem:
 
 ### selection computations
 
-@dataclass
-class SelComp:
-    """A computation: reward continuation -> value of the auxiliary monad."""
-    monad: Any
-    run: Callable
+# A computation is a plain function from a reward continuation to a value
+# of the auxiliary monad; each combinator takes that monad first.
 
-    def __call__(self, gamma):
-        return self.run(gamma)
+def sel_unit(monad, x):
+    return lambda gamma: monad.unit(x)
 
 
-def sel_unit(x, monad) -> SelComp:
-    return SelComp(monad, lambda gamma: monad.unit(x))
-
-
-def sel_bind(f: SelComp, k) -> SelComp:
+def sel_bind(monad, f, k):
     """Sequence: run f under the continuation that scores each x by the
     expected reward of k(x), then continue each result with k.
 
@@ -83,8 +76,6 @@ def sel_bind(f: SelComp, k) -> SelComp:
     it.  The dict lasts for one run(gamma) call and is keyed by the
     semantic value x (frozen dataclasses; a function value by its uid),
     so nothing is shared across valuations or calls."""
-    monad = f.monad
-
     def run(gamma):
         memo = {}
 
@@ -96,24 +87,20 @@ def sel_bind(f: SelComp, k) -> SelComp:
         scored = f(lambda x: monad.expect(cont(x), gamma))
         return monad.bind(scored, cont)
 
-    return SelComp(monad, run)
+    return run
 
 
-def sel_or(f: SelComp, g: SelComp) -> SelComp:
-    monad = f.monad
-
-    def run(gamma):
-        return max_by(lambda u: monad.expect(u, gamma), f(gamma), g(gamma))
-
-    return SelComp(monad, run)
+def sel_or(monad, f, g):
+    return lambda gamma: max_by(lambda u: monad.expect(u, gamma),
+                                f(gamma), g(gamma))
 
 
-def sel_reward(c: Fraction, f: SelComp) -> SelComp:
-    return SelComp(f.monad, lambda gamma: f.monad.reward(c, f(gamma)))
+def sel_reward(monad, c: Fraction, f):
+    return lambda gamma: monad.reward(c, f(gamma))
 
 
-def sel_pchoice(p: Fraction, f: SelComp, g: SelComp) -> SelComp:
-    return SelComp(f.monad, lambda gamma: f.monad.pchoice(p, f(gamma), g(gamma)))
+def sel_pchoice(monad, p: Fraction, f, g):
+    return lambda gamma: monad.pchoice(p, f(gamma), g(gamma))
 
 
 ### reward continuations
@@ -152,47 +139,51 @@ def denote_value(v: Term, config: LangConfig, monad):
             raise ValueError(f"not a value: {v!r}")
 
 
-def denote(t: Term, config: LangConfig, monad, env: dict | None = None) -> SelComp:
+def denote(t: Term, config: LangConfig, monad, env: dict | None = None):
+    """The computation t denotes: a function from a reward continuation to
+    a value of monad."""
     env = env or {}
 
-    def go(t, env) -> SelComp:
+    def go(t, env):
         match t:
             case Var(name):
-                return sel_unit(env[name], monad)
+                return sel_unit(monad, env[name])
             case Const() | RewConst() | Star():
-                return sel_unit(t, monad)
+                return sel_unit(monad, t)
             case Lam(x, _, body):
                 return sel_unit(
-                    FnElem(lambda arg: go(body, {**env, x: arg})), monad)
+                    monad, FnElem(lambda arg: go(body, {**env, x: arg})))
             case Pair(a, b):
-                return sel_bind(go(a, env), lambda u:
-                                sel_bind(go(b, env), lambda v:
-                                         sel_unit(Pair(u, v), monad)))
+                return sel_bind(monad, go(a, env), lambda u:
+                                sel_bind(monad, go(b, env), lambda v:
+                                         sel_unit(monad, Pair(u, v))))
             case Fst(a):
-                return sel_bind(go(a, env), lambda u: sel_unit(u.fst, monad))
+                return sel_bind(monad, go(a, env),
+                                lambda u: sel_unit(monad, u.fst))
             case Snd(a):
-                return sel_bind(go(a, env), lambda u: sel_unit(u.snd, monad))
+                return sel_bind(monad, go(a, env),
+                                lambda u: sel_unit(monad, u.snd))
             case App(f, a):
-                return sel_bind(go(f, env), lambda phi:
-                                sel_bind(go(a, env), lambda v: phi.fn(v)))
+                return sel_bind(monad, go(f, env), lambda phi:
+                                sel_bind(monad, go(a, env), phi.fn))
             case If(c, a, b):
-                return sel_bind(go(c, env), lambda v:
+                return sel_bind(monad, go(c, env), lambda v:
                                 go(a, env) if v == TT else go(b, env))
             case FnApp(sym, args, w):
                 def chain(i, acc):
                     if i == len(args):
-                        return sel_unit(_eval_fn(sym, acc, w, config), monad)
-                    return sel_bind(go(args[i], env),
+                        return sel_unit(monad, _eval_fn(sym, acc, w, config))
+                    return sel_bind(monad, go(args[i], env),
                                     lambda v, i=i: chain(i + 1, acc + [v]))
 
                 return chain(0, [])
             case Or(a, b):
-                return sel_or(go(a, env), go(b, env))
+                return sel_or(monad, go(a, env), go(b, env))
             case Rew(c, m):
-                return sel_bind(go(c, env), lambda r:
-                                sel_reward(r.value, go(m, env)))
+                return sel_bind(monad, go(c, env), lambda r:
+                                sel_reward(monad, r.value, go(m, env)))
             case PChoice(p, a, b):
-                return sel_pchoice(p, go(a, env), go(b, env))
+                return sel_pchoice(monad, p, go(a, env), go(b, env))
             case _:
                 raise ValueError(f"cannot denote {t!r}")
 
@@ -201,13 +192,12 @@ def denote(t: Term, config: LangConfig, monad, env: dict | None = None) -> SelCo
 
 ### observation (operational summaries) and embedding
 
-def observe(m: Term, config: LangConfig, monad_name: str | None = None,
-            budget: int = DEFAULT_BUDGET):
+def observe(m: Term, config: LangConfig, monad_name: str | None = None):
     """Run the program and summarize the optimal outcome in the chosen
     monad.  Atoms are syntactic values.  In rewards mode the summary is the
     (reward, value) pair; in prob mode the outcome distribution is mapped
     through the comparison map of the chosen monad."""
-    out = select_fast(eval_effect(m, config, budget), config)
+    out = select_fast(eval_effect(m, config), config)
     if config.mode == "rewards":
         if monad_name not in (None, "W"):
             raise ValueError("rewards mode observes through W")

@@ -18,7 +18,7 @@ import operator
 from fractions import Fraction
 
 from .monads import default_monad, expect0, make_monad
-from .operational import DEFAULT_BUDGET, eval_effect
+from .operational import eval_effect
 from .syntax import LangConfig, Term, fold_effect
 
 
@@ -85,11 +85,10 @@ def max_by(score, u, v):
     return u if score(u) >= score(v) else v
 
 
-def select_bruteforce(m: Term, config: LangConfig, cap: int = DEFAULT_CAP,
-                      budget: int = DEFAULT_BUDGET):
+def select_bruteforce(m: Term, config: LangConfig, cap: int = DEFAULT_CAP):
     """Evaluate to an effect value, list every strategy's outcome, and
     take the first with the greatest expected reward."""
-    e = eval_effect(m, config, budget)
+    e = eval_effect(m, config)
     return argmax(outcomes(e, config, cap), lambda u: outcome_score(u, config))
 
 
@@ -105,6 +104,6 @@ def select_fast(e: Term, config: LangConfig):
         monad.reward, monad.pchoice if monad.has_pchoice else None)
 
 
-def select_program(m: Term, config: LangConfig, budget: int = DEFAULT_BUDGET):
+def select_program(m: Term, config: LangConfig):
     """Evaluate and select, the fast way."""
-    return select_fast(eval_effect(m, config, budget), config)
+    return select_fast(eval_effect(m, config), config)

@@ -17,7 +17,6 @@ nesting uses no Python recursion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -312,43 +311,22 @@ def free_vars(t: Term) -> frozenset[str]:
     return fold_term(t, node)
 
 
-_fresh_counter = itertools.count()
-
-
-def fresh_name(base: str, avoid=()) -> str:
-    """The next ``base%k`` of the global counter that is not in avoid."""
-    while True:
-        name = f"{base}%{next(_fresh_counter)}"
-        if name not in avoid:
-            return name
-
-
 def substitute(t: Term, var: str, val: Term) -> Term:
-    """Capture-avoiding substitution t[val/var].  A binder that would
-    capture a free variable of val is renamed to a ``fresh_name``, in
-    preorder, unless it lies under a binder of var; a closed val renames
-    nothing.  A new name is neither free in val nor anywhere in t, even
-    after the counter restarts."""
+    """Substitution t[val/var] of a value that no binder of t captures.
+    Evaluation substitutes closed values into closed programs, so nothing
+    is ever renamed; a binder of t that binds a free variable of val, and
+    lies under no binder of var, raises ValueError naming it."""
     capture = free_vars(val)
-    taken = None
 
     def bind(lam, env):
-        nonlocal taken
         if lam.var in capture and lam.var != var and var not in env:
-            if taken is None:  # only a rename needs them
-                taken = capture | {s.var if type(s) is Lam else s.name
-                                   for s in nodes(t) if type(s) in (Var, Lam)}
-            return fresh_name(lam.var.split("%")[0], taken)
-        return lam.var
+            raise ValueError(f"substitute: binder {lam.var} would capture "
+                             f"a free variable of the value for {var}")
+        return lam.ty
 
     def node(s, kids, env):
-        cls = type(s)
-        if cls is Var:
-            if s.name in env:
-                return Var(env[s.name])
-            return val if s.name == var else s
-        if cls is Lam:
-            return Lam(env[s.var], s.ty, kids[0])
+        if type(s) is Var:
+            return val if s.name == var and var not in env else s
         return rebuild(s, kids)
 
     return fold_term(t, node, bind)
@@ -358,7 +336,7 @@ def alpha_eq(s: Term, t: Term) -> bool:
     """Structural equality up to renaming of bound variables, by comparing
     one-pass de Bruijn keys: each term's nodes in postorder, a bound
     variable as its de Bruijn index, any other node as itself when a leaf
-    and as its class and non-term fields otherwise.  Draws no fresh name."""
+    and as its class and non-term fields otherwise."""
     def key(u):
         out, binders = [], []
 
@@ -626,21 +604,7 @@ def typecheck(t: Term, env: dict[str, Type] | None = None,
     return ty
 
 
-### substitution of programs for base constants, and case dispatchers
-
-def subst_constants(e: Term, g: dict[Const, Term]) -> Term:
-    """Homomorphically replace every base constant of an effect value using
-    g; operations and reward parameters are left alone."""
-    def image(v):
-        if not isinstance(v, Const):
-            raise ValueError(f"not an effect value over base constants: {v!r}")
-        if v not in g:
-            raise KeyError(f"no image for constant {v.name}")
-        return g[v]
-
-    return fold_effect(e, image, Or, lambda c, m: Rew(RewConst(c), m),
-                       PChoice)
-
+### case dispatchers
 
 def make_dispatcher(consts: list[Const], g) -> Lam:
     """Build fun (x:b) -> if x == c1 then g(c1) else ... else g(cn), with the

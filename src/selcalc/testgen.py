@@ -40,17 +40,11 @@ class GenConfig:
     max_term_size: int = 40
     max_order: int = 2
     mode: str = "rewards"
-    reward_pool: tuple[Fraction, ...] = GAMMA_POOL
-    prob_pool: tuple[Fraction, ...] = PROB_POOL
     structure: RewardStructure = field(default_factory=lambda: DEFAULT_STRUCTURE)
 
     def __post_init__(self):
         if self.max_term_size < 1:
             raise ValueError("max_term_size must be at least 1")
-        if not self.reward_pool or not self.prob_pool:
-            raise ValueError("generator pools must be nonempty")
-        if any(not (0 < p < 1) for p in self.prob_pool):
-            raise ValueError("prob_pool entries must lie strictly in (0,1)")
 
     def lang(self, bases: dict[str, tuple[str, ...]] | None = None) -> LangConfig:
         if bases is None:
@@ -62,23 +56,18 @@ class GenConfig:
 
     @property
     def rewards(self) -> list[Fraction]:
-        pool = [r for r in self.reward_pool if self.structure.contains(r)]
-        if not pool:
-            raise ValueError(f"no reward_pool entry lies in {self.structure.name}")
-        return pool
+        return [r for r in GAMMA_POOL if self.structure.contains(r)]
 
 
 ### valuation tables
 
 def gamma_tables(base: str, config: LangConfig, count: int = 64,
-                 seed: int = 0, pool=GAMMA_POOL) -> list[dict[str, Fraction]]:
+                 seed: int = 0) -> list[dict[str, Fraction]]:
     """A batch of valuation tables over a finite base type.  The zero table
-    always comes first; the rest draw entries from the pool (restricted to
-    the structure's carrier)."""
+    always comes first; the rest draw entries from ``GAMMA_POOL``
+    (restricted to the structure's carrier)."""
     consts = config.constants_of(base)
-    entries = [r for r in pool if config.structure.contains(r)]
-    if not entries:
-        raise ValueError("empty valuation pool after carrier restriction")
+    entries = [r for r in GAMMA_POOL if config.structure.contains(r)]
     rng = random.Random(seed)
     z = config.structure.zero
     tables = [{c.name: z for c in consts}]
@@ -208,7 +197,7 @@ class _TermGen:
 
     def mk_pc(self, ty, size, env):
         a, b = self.split(size - 1, 2)
-        p = self.rng.choice(self.cfg.prob_pool)
+        p = self.rng.choice(PROB_POOL)
         return PChoice(p, self.gen(ty, a, env), self.gen(ty, b, env))
 
     def mk_if(self, ty, size, env):
@@ -254,7 +243,7 @@ class _TermGen:
     def mk_oplus(self, ty, size, env):
         a, b = self.split(size - 1, 2)
         return FnApp("oplus", (self.gen(REW, a, env), self.gen(REW, b, env)),
-                     self.rng.choice(self.cfg.prob_pool))
+                     self.rng.choice(PROB_POOL))
 
 
 def gen_program(cfg: GenConfig, target_type: Type = BOOL,
@@ -315,7 +304,7 @@ def gen_effect_value(cfg: GenConfig, rng: random.Random | None = None,
         left = rng.randint(0, ops - 1)
         right = ops - 1 - left
         if cfg.mode == "prob" and rng.random() < 0.5:
-            return wrap(PChoice(rng.choice(cfg.prob_pool), go(left), go(right)))
+            return wrap(PChoice(rng.choice(PROB_POOL), go(left), go(right)))
         return wrap(Or(go(left), go(right)))
 
     return go(rng.randint(0, max_ops))
@@ -422,7 +411,7 @@ def _pr_pair(g: _TermGen, geq: bool | None = None) -> dict[str, Term]:
     consts = g.config.constants_of("Bool")
     for _ in range(100):
         if st.mixing_verified and rng.random() < 0.6:
-            p = rng.choice(g.cfg.prob_pool)
+            p = rng.choice(PROB_POOL)
             l1, l2 = rng.choice(consts), rng.choice(consts)
             x1, x2, y1, y2 = rc(), rc(), rc(), rc()
             m = PChoice(p, Rew(x1, l1), Rew(x2, l2))
@@ -465,7 +454,7 @@ def _draw_meta(g: _TermGen, name: str, size: int):
         return g.rc()
     if name in "cd":
         return g.rc()
-    return g.rng.choice(g.cfg.prob_pool)
+    return g.rng.choice(PROB_POOL)
 
 
 def gen_axiom_instance(name: str, cfg: GenConfig,

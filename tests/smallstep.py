@@ -1,8 +1,7 @@
 """The small-step relation written out literally: one root-to-redex
 decomposition per step, then contract and plug.  It is the reference that
 the refocused machine in ``selcalc.operational`` is checked against, for
-effect values, step counts, fresh names, errors and ``trace_eval``
-snapshots."""
+effect values, step counts, errors and ``trace_eval`` snapshots."""
 
 from dataclasses import dataclass
 from fractions import Fraction

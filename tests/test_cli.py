@@ -451,6 +451,14 @@ def test_gen_bad_type_is_a_usage_error(capsys, type_text):
     assert out == "" and "internal error" not in err
 
 
+@pytest.mark.parametrize("args", [("--size", "0"), ("--size", "-3"),
+                                  ("--count", "-1")])
+def test_gen_out_of_range_is_a_usage_error(capsys, args):
+    rc, out, err = run(capsys, "gen", *args)
+    assert rc == 3
+    assert out == "" and "internal error" not in err
+
+
 @pytest.mark.parametrize("structure", ["MulPositiveRationals", "NonNegAdd"])
 def test_equiv_without_context_procedure_is_indeterminate(sel, capsys,
                                                           structure):

@@ -1,6 +1,7 @@
 """The effect-value fold and the generic term walk, checked on deep terms at
 the default recursion limit, plus the names the package exports."""
 
+import inspect
 import sys
 from fractions import Fraction as F
 
@@ -150,8 +151,122 @@ EXPORTS = """
 """.split()
 
 
+# The parameter names of every exported function and class, in EXPORTS
+# order, so that a parameter no caller sets does not come back unnoticed.
+# Exception classes take any arguments and are left out.
+SIGNATURES = """
+RewardStructure(name, zero, add, contains, condition_c, mixing, gathering)
+parse_reward(text)
+App(fn, arg)
+Arrow(arg, res)
+Base(name)
+Const(name, base, index)
+FnApp(sym, args, weight)
+Fst(arg)
+Hole()
+If(cond, then, els)
+Lam(var, ty, body)
+LangConfig(mode, bases, structure)
+Or(left, right)
+PChoice(weight, left, right)
+Pair(fst, snd)
+Prod(fst, snd)
+Program(config, term)
+Rew(param, body)
+RewConst(value)
+Snd(arg)
+Star()
+Term()
+Type()
+Var(name)
+alpha_eq(s, t)
+is_effect_value(t)
+is_value(t)
+parse_program(src, mode, structure)
+plug(ctx, t)
+pretty(t)
+type_rank(ty)
+typecheck(t, env, config, path)
+eval_effect(t, config, budget)
+trace_eval(t, config)
+argmax(candidates, score)
+max_by(score, u, v)
+outcome_score(out, config)
+select_bruteforce(m, config, cap)
+select_fast(e, config)
+select_program(m, config)
+Dist(weighted)
+MRVal(entries)
+T2Val(dist, rew)
+T3Val(dist, rew)
+atom_key(a)
+cond_reward(u, x, structure)
+expect0(u, structure)
+k_gamma(gamma, u, monad)
+make_monad(name, structure)
+mr_of_effect(e, structure)
+mrval(mapping)
+t2val(dist, rho)
+theta(u, monad)
+vdis(u)
+ConstElem(name, base, index)
+FnElem(fn, uid)
+PairElem(fst, snd)
+RewElem(value)
+UnitElem()
+agree_at(m, n, config, monad, gammas)
+denote(t, config, monad, env)
+denote_value(v, config, monad)
+embed_outcome(out, config, monad)
+gamma_from_table(table, config)
+kappa_term(consts, table)
+observe(m, config, monad_name)
+zero_gamma(config)
+PurityResult(constant, witness)
+apply_axiom(name, t, path, config)
+canon_equal(a, b)
+canon_rewards(m, config)
+canonical_term(cf)
+decide_equiv_prob(m, n, config, monad_name)
+decide_equiv_rewards(m, n, config)
+decide_pure_prob(m, config, monad_name)
+decide_pure_rewards(m, config)
+distinguish_rewards(m, n, config)
+replace_at(t, path, new)
+rewards_impurity_witness(m, config)
+subterm_at(t, path)
+weak_canon_prob(m, config, monad_name)
+weak_canonical_term(branches, monad_name)
+GenConfig(seed, max_term_size, max_order, mode, structure)
+default_gammas(m, n, config, count, seed)
+gamma_tables(base, config, count, seed)
+gen_axiom_instance(name, cfg, rng, config)
+gen_effect_value(cfg, rng, max_ops, base, config)
+gen_equivalent_pair(cfg, rng, config)
+gen_kleisli(cfg, monad, dom, carrier, rng)
+gen_monad_value(cfg, monad, carrier, rng)
+gen_program(cfg, target_type, rng, config)
+gen_tie_effect(cfg, rng, max_ops, base, config)
+or_swap(e, rng)
+main(argv)
+run_suite(name, seed, cases, monad, jobs)
+suites()
+""".strip().splitlines()
+
+
 def test_package_names_resolve():
     assert [n for n in EXPORTS if not hasattr(selcalc, n)] == []
     assert equations.subterm_at is syntax.subterm_at
     assert equations.replace_at is syntax.replace_at
-    assert callable(syntax.plug) and callable(syntax.subst_constants)
+    assert callable(syntax.plug)
+
+
+def test_package_signatures_are_pinned():
+    got = []
+    for name in EXPORTS:
+        obj = getattr(selcalc, name)
+        if callable(obj) and not (isinstance(obj, type)
+                                  and issubclass(obj, BaseException)):
+            params = inspect.signature(obj).parameters
+            got.append(f"{name}({', '.join(params)})")
+    assert got == SIGNATURES

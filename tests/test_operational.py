@@ -89,10 +89,8 @@ def test_generated_programs_terminate_in_effect_values(seed, mode):
 
 # --- the refocused machine against the small-step reference ---------------
 
-import itertools
 import sys
 
-from selcalc import syntax
 from selcalc.selection import denote, zero_gamma
 from selcalc.monads import make_monad
 from selcalc.rewards import NONNEG_ADD
@@ -129,16 +127,8 @@ def step_effect(t, config, budget=10 ** 6):
 
 
 def same_run(t, config):
-    """Run the machine and the reference from the same fresh-name counter;
-    both must give equal effect values and use up the same fresh names."""
-    start = next(syntax._fresh_counter)
-    syntax._fresh_counter = itertools.count(start)
-    got = eval_effect(t, config)
-    after_machine = next(syntax._fresh_counter)
-    syntax._fresh_counter = itertools.count(start)
-    want, _ = step_effect(t, config)
-    after_reference = next(syntax._fresh_counter)
-    return got == want and after_machine == after_reference
+    """The machine and the reference give equal effect values."""
+    return eval_effect(t, config) == step_effect(t, config)[0]
 
 
 def _show(t):
@@ -163,19 +153,15 @@ def _snapshots(run):
 
 
 def same_trace(t, config):
-    """Run ``trace_eval`` and the fold of the reference ``step`` from the
-    same fresh-name counter: both must yield the same snapshots, then raise
-    the same error; a finished trace returns the reference effect value."""
-    start = next(syntax._fresh_counter)
-    syntax._fresh_counter = itertools.count(start)
+    """Run ``trace_eval`` and the fold of the reference ``step``: both must
+    yield the same snapshots, then raise the same error; a finished trace
+    returns the reference effect value."""
     got, value = _snapshots(trace_eval(t, config))
-    syntax._fresh_counter = itertools.count(start)
     want, _ = _snapshots(step_trace(t, config))
     if got != want:
         return False
     if value is None:
         return _error_of(lambda: step_effect(t, config)) == want[-1]
-    syntax._fresh_counter = itertools.count(start)
     return value == step_effect(t, config)[0]
 
 
@@ -224,13 +210,15 @@ def test_trace_matches_step_reference_on_deep_families(family):
     assert same_trace(p.term, p.config)
 
 
-def test_machine_renames_like_the_reference():
-    # the argument is open under its binder, so substitution must rename
+def test_machine_refuses_capture_like_the_reference():
+    # the argument is open, and a binder of its free variable y would
+    # capture it, so substitution refuses instead of renaming
     arg = Lam("z", BOOL, Var("y"))
     t = App(Lam("x", BOOL, Or(Lam("y", BOOL, Var("x")), Lam("y", BOOL, Var("x")))), arg)
-    e = eval_effect(t, REWARDS)
-    assert "%" in e.left.var and e.left.var != e.right.var
-    assert same_run(t, REWARDS)
+    got = _error_of(lambda: eval_effect(t, REWARDS))
+    assert got == _error_of(lambda: step_effect(t, REWARDS))
+    assert got[0] is ValueError and "binder y" in got[1]
+    assert same_trace(t, REWARDS)
 
 
 BUDGET_PROGRAMS = [

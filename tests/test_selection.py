@@ -156,11 +156,11 @@ def test_agree_at_detects_difference():
 
 def test_constant_renaming_commutes_with_selection():
     # swapping the two booleans everywhere maps the outcome accordingly
-    from selcalc.syntax import Const, subst_constants
+    from selcalc.syntax import Const
     from selcalc.strategies import select_program
     p = parse_program("(5 . tt) or ((6 . ff) or tt)")
+    swapped = parse_program("(5 . ff) or ((6 . tt) or ff)").term
     tt, ff = Const("tt", "Bool", 0), Const("ff", "Bool", 1)
-    swapped = subst_constants(p.term, {tt: ff, ff: tt})
     r1, v1 = select_program(p.term, p.config)
     r2, v2 = select_program(swapped, p.config)
     assert r1 == r2
@@ -175,9 +175,10 @@ def test_sel_bind_runs_each_continuation_once_per_valuation():
 
     def k(x):
         calls[x] += 1
-        return sel_unit(x, mon)
+        return sel_unit(mon, x)
 
-    f = sel_bind(sel_or(sel_unit(TT_ELEM, mon), sel_unit(FF_ELEM, mon)), k)
+    either = sel_or(mon, sel_unit(mon, TT_ELEM), sel_unit(mon, FF_ELEM))
+    f = sel_bind(mon, either, k)
     gamma = gamma_from_table({"ff": F(1)}, parse_program("tt").config)
     assert f(gamma) == (F(0), FF_ELEM)
     assert calls == {TT_ELEM: 1, FF_ELEM: 1}

@@ -1,12 +1,10 @@
 """Parser, printer, and typechecker behavior, including mode inference from
 the file prelude."""
 
-import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from selcalc import syntax
 from selcalc.rewards import STRUCTURES
 from selcalc.syntax import (
     App, Arrow, BOOL, Base, Const, FF, Hole, If, Lam, LangConfig, Or,
@@ -120,6 +118,7 @@ def test_alpha_eq():
     b = Lam("y", BOOL, Var("y"))
     assert alpha_eq(a, b)
     assert not alpha_eq(a, Lam("y", BOOL, TT))
+    assert not alpha_eq(a, Lam("y", BOOL, Var("x")))
 
 
 def test_pretty_parse_roundtrip_fixed():
@@ -170,12 +169,11 @@ def test_dispatcher_rejects_open_branches():
         make_dispatcher([TT, FF], lambda c: If(Var("x"), c, FF))
 
 
-def test_substitute_avoids_names_after_a_counter_restart(monkeypatch):
-    # fun (y:Bool) -> y%0 (x y), with x := y: the binder must be renamed,
-    # and not to y%0, which occurs free in the body
-    monkeypatch.setattr(syntax, "_fresh_counter", itertools.count(0))
-    t = Lam("y", BOOL, App(Var("y%0"), App(Var("x"), Var("y"))))
-    got = substitute(t, "x", Var("y"))
-    assert got.var not in ("y", "y%0")
-    assert got == Lam(got.var, BOOL,
-                      App(Var("y%0"), App(Var("y"), Var(got.var))))
+def test_substitute_refuses_capture_of_an_open_value():
+    # fun (y:Bool) -> z (x y), with x := y: the binder would capture y
+    t = Lam("y", BOOL, App(Var("z"), App(Var("x"), Var("y"))))
+    with pytest.raises(ValueError, match="binder y would capture"):
+        substitute(t, "x", Var("y"))
+    # a value free of y goes in
+    assert substitute(t, "x", Var("w")) == Lam(
+        "y", BOOL, App(Var("z"), App(Var("w"), Var("y"))))
