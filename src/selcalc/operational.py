@@ -18,6 +18,19 @@ pending branches, so neither term depth nor effect depth uses Python
 recursion.  ``trace_eval`` runs the machine ``eval_effect`` runs and also
 yields the whole term, the focus plugged into its frames, at each branch
 and step.  The literal relation is the tests' reference for both.
+
+Branches often reach the same state: a ``let`` whose variable does not
+occur in its body substitutes into the same body object (``substitute``
+returns what it does not change) under the same shared continuation.
+Untraced, the machine keeps a memo for the length of one call, keyed by
+the identity of the term and continuation after a beta-step; it records
+a state while another branch is pending, evaluates it once and hands its
+effect value to every branch that reaches it again.  Effect values may
+therefore share subtrees; they print, compare and hash as the trees they
+stand for.  The budget still counts steps of the small-step relation: a
+memo hit charges the steps the state took the first time, so a run
+fails where the relation would.  ``trace_eval`` keeps no memo, because
+it yields every snapshot.
 """
 
 from __future__ import annotations
@@ -92,8 +105,10 @@ def _plug_frames(k, t: Term) -> Term:
 
 # Work stack entries: (_EVAL, term, continuation) evaluates a branch;
 # (_BUILD, node, depth) rebuilds an operation node (for a reward, its
-# constant) from the effect values of its branches, which run at ``depth``.
-_EVAL, _BUILD = 0, 1
+# constant) from the effect values of its branches, which run at ``depth``;
+# (_STORE, (term, continuation), steps left) records in the memo the
+# effect value that state finished with, and the steps it took.
+_EVAL, _BUILD, _STORE = 0, 1, 2
 
 _VALUE_LEAVES = (Const, RewConst, Star, Lam)
 
@@ -105,8 +120,16 @@ def _machine(t: Term, config: LangConfig, budget: int, trace: bool):
     done: list[Term] = []      # effect values of finished branches
     work = [(_EVAL, t, None)]
     depth = 0                  # branch depth of the focus
+    # (id(term), id(continuation)) of a state reached by a beta-step ->
+    # (its effect value, the steps it took, the keyed state, kept so that
+    # the ids stay its own)
+    memo = {}
+    branches = 1               # _EVAL entries on the work stack
     while work:
         kind, t, k = work.pop()
+        if kind == _STORE:
+            memo[id(t[0]), id(t[1])] = (done[-1], k - remaining, t)
+            continue
         if kind == _BUILD:
             b = done.pop()
             if type(t) is RewConst:
@@ -115,6 +138,7 @@ def _machine(t: Term, config: LangConfig, budget: int, trace: bool):
                 a = done.pop()
                 done.append(Or(a, b) if type(t) is Or else PChoice(t.weight, a, b))
             continue
+        branches -= 1
         if trace:
             # a right branch sits just above its node's build entry
             depth = work[-1][2] if work else 0
@@ -160,6 +184,7 @@ def _machine(t: Term, config: LangConfig, budget: int, trace: bool):
                 depth += 1
                 work.append((_BUILD, t, depth))
                 work.append((_EVAL, t.right, k))
+                branches += 1
                 t = t.left
                 if trace:
                     yield depth, _plug_frames(k, t)
@@ -229,6 +254,22 @@ def _machine(t: Term, config: LangConfig, budget: int, trace: bool):
                 k = outer
                 if trace:
                     yield depth, _plug_frames(k, t)
+                elif tag == _APP_ARG and (branches or memo):
+                    # a state another branch may have reached: finish it
+                    # from the memo; else, while a branch is pending that
+                    # may reach it, record it when it finishes
+                    hit = memo.get((id(t), id(k)))
+                    if hit is None:
+                        if branches:
+                            work.append((_STORE, (t, k), remaining))
+                    else:
+                        remaining -= hit[1]
+                        if remaining < 0:
+                            raise BudgetExceeded(
+                                f"exceeded {budget} evaluation steps")
+                        v = hit[0]
+                        k = None       # so the else below ends the branch
+                        continue
                 break
             else:
                 done.append(v)
@@ -241,7 +282,8 @@ def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Te
     described in the module docstring.  ``budget`` bounds the total number
     of ordinary steps across all branches.  Redexes fire in the order of
     the small-step relation, branches left before right, so the result and
-    the step count are the ones that relation gives."""
+    the step count are the ones that relation gives; a repeated state is
+    evaluated once and its subtree shared."""
     try:
         next(_machine(t, config, budget, False))
     except StopIteration as finished:

@@ -46,16 +46,28 @@ def outcomes(e: Term, config: LangConfig, cap: int = DEFAULT_CAP) -> list:
         raise StrategyCapExceeded(f"more than {cap} strategies")
     monad = make_monad(default_monad(config.mode), config.structure)
 
-    def or_(a, b):
-        a.extend(b)
-        return a
+    # An ``or`` pairs its sides' folds, which are flattened only where
+    # needed: a left-nested chain costs linear time, and no fold, which
+    # another node sharing the subtree may read, is changed.
+    def flat(a):
+        if type(a) is list:
+            return a
+        out, stack = [], [a]
+        while stack:
+            x = stack.pop()
+            if type(x) is list:
+                out += x
+            else:
+                stack += (x[1], x[0])
+        return out
 
     def pchoice(p, a, b):
-        return [monad.pchoice(p, u, v) for u in a for v in b]
+        b = flat(b)
+        return [monad.pchoice(p, u, v) for u in flat(a) for v in b]
 
-    return fold_effect(e, lambda v: [monad.unit(v)], or_,
-                       lambda c, a: [monad.reward(c, u) for u in a],
-                       pchoice if monad.has_pchoice else None)
+    return flat(fold_effect(e, lambda v: [monad.unit(v)], lambda a, b: (a, b),
+                            lambda c, a: [monad.reward(c, u) for u in flat(a)],
+                            pchoice if monad.has_pchoice else None))
 
 
 def outcome_score(out, config: LangConfig) -> Fraction:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import is_
 
 from .rewards import DEFAULT_STRUCTURE, RewardStructure, STRUCTURES
 
@@ -80,7 +81,56 @@ def type_rank(ty: Type) -> int:
 ### terms
 
 class Term:
-    pass
+    """A term.  Leaves (variables, constants, ``*``, the hole) keep the
+    equality and hash their dataclass generates; every other node compares
+    and hashes structurally on an explicit stack, so term depth uses no
+    Python recursion.  Equality returns at once on the same object, so
+    comparing effect values that share subtrees costs no more than walking
+    one of them."""
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            cls = type(a)
+            if cls is not type(b):
+                return False
+            kids = _KIDS.get(cls)
+            if kids is None:
+                if a != b:
+                    return False
+                continue
+            head = _HEAD.get(cls)
+            if head is not None and head(a) != head(b):
+                return False
+            ka, kb = kids(a), kids(b)
+            if len(ka) != len(kb):
+                return False
+            stack += zip(ka, kb)
+        return True
+
+    def __hash__(self):
+        # the classes and non-term fields of the nodes, and the leaves, in
+        # preorder: equal terms give equal sequences
+        seq = []
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            cls = type(t)
+            kids = _KIDS.get(cls)
+            if kids is None:
+                seq.append(t)
+                continue
+            head = _HEAD.get(cls)
+            seq.append(cls if head is None else (cls, head(t)))
+            stack += kids(t)
+        return hash(tuple(seq))
 
 
 @dataclass(frozen=True)
@@ -114,7 +164,7 @@ class Star(Term):
         return (2,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pair(Term):
     fst: Term
     snd: Term
@@ -123,17 +173,17 @@ class Pair(Term):
         return (3, self.fst.sort_key(), self.snd.sort_key())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fst(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snd(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lam(Term):
     var: str
     ty: Type
@@ -145,20 +195,20 @@ class Lam(Term):
         return (4, pretty(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class If(Term):
     cond: Term
     then: Term
     els: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FnApp(Term):
     """Built-in function symbol application: '+', '<=', '==', 'oplus'.
     ``weight`` is the index of an oplus."""
@@ -167,20 +217,20 @@ class FnApp(Term):
     weight: Fraction | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rew(Term):
     """Reward operation c . M; ``param`` is a term of type Rew."""
     param: Term
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PChoice(Term):
     weight: Fraction
     left: Term
@@ -276,25 +326,36 @@ def fold_effect(e: Term, leaf, or_, rew, pchoice=None):
     the folds of the branches.  Left branches fold before right ones, on an
     explicit stack, so effect depth uses no Python recursion.  Raises
     ValueError on any other node, and at a ``+[p]`` node when ``pchoice``
-    is None."""
+    is None.
+
+    Effect values may share subtrees (``eval_effect`` builds each repeated
+    one once), so a node met again is not folded again: its first fold is
+    reused, by node identity, for the length of the call.  The callbacks
+    must therefore not mutate their arguments."""
     done = []
+    memo = {}                  # id of a node -> its fold
     work = [(False, e)]
     while work:
         built, t = work.pop()
         cls = type(t)
         if built:
             if cls is Rew:
-                done.append(rew(t.param.value, done.pop()))
-                continue
-            b = done.pop()
-            a = done.pop()
-            done.append(or_(a, b) if cls is Or else pchoice(t.weight, a, b))
+                r = rew(t.param.value, done.pop())
+            else:
+                b = done.pop()
+                a = done.pop()
+                r = or_(a, b) if cls is Or else pchoice(t.weight, a, b)
+            memo[id(t)] = r
+            done.append(r)
+        elif id(t) in memo:
+            done.append(memo[id(t)])
         elif cls is Or or (cls is PChoice and pchoice is not None):
             work += ((True, t), (False, t.right), (False, t.left))
         elif cls is Rew and type(t.param) is RewConst:
             work += ((True, t), (False, t.body))
         elif is_value(t):
-            done.append(leaf(t))
+            r = memo[id(t)] = leaf(t)
+            done.append(r)
         else:
             raise ValueError(f"not an effect value: {t!r}")
     return done[0]
@@ -315,7 +376,9 @@ def substitute(t: Term, var: str, val: Term) -> Term:
     """Substitution t[val/var] of a value that no binder of t captures.
     Evaluation substitutes closed values into closed programs, so nothing
     is ever renamed; a binder of t that binds a free variable of val, and
-    lies under no binder of var, raises ValueError naming it."""
+    lies under no binder of var, raises ValueError naming it.  A node none
+    of whose children changed is returned itself, so substituting for a
+    variable that does not occur free returns t."""
     capture = free_vars(val)
 
     def bind(lam, env):
@@ -327,6 +390,8 @@ def substitute(t: Term, var: str, val: Term) -> Term:
     def node(s, kids, env):
         if type(s) is Var:
             return val if s.name == var and var not in env else s
+        if all(map(is_, kids, children(s))):
+            return s
         return rebuild(s, kids)
 
     return fold_term(t, node, bind)
@@ -374,6 +439,11 @@ _KIDS = {Pair: lambda t: (t.fst, t.snd), App: lambda t: (t.fn, t.arg),
          PChoice: lambda t: (t.left, t.right), Fst: lambda t: (t.arg,),
          Snd: lambda t: (t.arg,), Lam: lambda t: (t.body,),
          If: lambda t: (t.cond, t.then, t.els), FnApp: lambda t: t.args}
+
+
+# the fields that are not terms, of each class with children that has any
+_HEAD = {Lam: lambda t: (t.var, t.ty), FnApp: lambda t: (t.sym, t.weight),
+         PChoice: lambda t: t.weight}
 
 
 def children(t: Term) -> list[Term]:

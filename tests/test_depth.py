@@ -1,11 +1,13 @@
 """Deep terms at the default recursion limit: the parser, typecheck,
 selection, printing, free variables, substitution, alpha-equivalence,
-``is_value``, ``node_tally`` and the traced machine keep explicit stacks,
-so nesting depth is bounded by memory, not by Python's recursion limit.
+term equality and hashing, ``is_value``, ``node_tally`` and the traced
+machine keep explicit stacks, so nesting depth is bounded by memory, not
+by Python's recursion limit.
 ``denote`` still recurses once per level; its current reach is pinned so
 that it cannot shrink unnoticed."""
 
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -31,6 +33,28 @@ FAMILIES = {
     "or-chain": " or ".join(f"{i % 3} . {'tt' if i % 2 else 'ff'}"
                             for i in range(N)),
 }
+
+
+# three of the families with their deepest leaf changed, and the fields
+# of the root node
+CHANGED = {
+    "application": (FAMILIES["application"].replace("tt)", "ff)", 1),
+                    ["fn", "arg"]),
+    "stacked-reward": ("1 . " * N + "ff", ["param", "body"]),
+    "or-chain": (FAMILIES["or-chain"].replace("ff", "tt", 1),
+                 ["left", "right"]),
+}
+
+
+@pytest.mark.parametrize("name", CHANGED)
+def test_deep_terms_compare_and_hash(name):
+    s, t = (parse_program(FAMILIES[name]).term for _ in range(2))
+    assert s is not t and s == t and hash(s) == hash(t)
+    changed, names = CHANGED[name]
+    u = parse_program(changed).term
+    assert s != u and u != s
+    assert [f.name for f in fields(s)] == names
+    assert sys.getrecursionlimit() == LIMIT
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -101,6 +125,13 @@ def test_deep_lambdas_free_vars_substitute_alpha_eq():
     assert alpha_eq(substitute(t, "y", Var("z")),
                     substitute(nested_lambdas(N), "y", Var("z")))
     assert sys.getrecursionlimit() == LIMIT
+
+
+def test_substitute_returns_what_it_does_not_change():
+    t = nested_lambdas(N)
+    assert substitute(t, "w", TT) is t
+    s = substitute(Pair(t, Var("w")), "w", TT)
+    assert s.fst is t and s.snd is TT
 
 
 def test_substitute_refuses_a_capturing_binder():

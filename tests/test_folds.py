@@ -14,12 +14,12 @@ from selcalc.equations import (
 )
 from selcalc.monads import Dist, mr_of_effect, mrval
 from selcalc.strategies import (
-    select_bruteforce, select_fast, select_program, strategy_count,
+    outcomes, select_bruteforce, select_fast, select_program, strategy_count,
 )
 from selcalc.syntax import (
     App, FF, FnApp, Hole, LangConfig, Lam, Or, Pair, PChoice, Rew, RewConst,
     TT, Var, BOOL, fold_effect, is_effect_value, parse_program, plug,
-    replace_at, subterm_at,
+    pretty, replace_at, subterm_at,
 )
 
 REWARDS = LangConfig()
@@ -81,6 +81,42 @@ def test_fold_effect_without_pchoice_rejects_it():
         fold_effect(e, _count, _count, _count)
     assert fold_effect(e, _count, _count, lambda c, n: n,
                        lambda p, m, n: m + n) == 2
+
+
+def _subtree(mode):
+    if mode == "prob":
+        return PChoice(F(1, 3), Rew(RewConst(F(2)), TT),
+                       Or(FF, Rew(RewConst(F(1)), TT)))
+    return Or(Rew(RewConst(F(2)), TT), Or(FF, Rew(RewConst(F(1)), TT)))
+
+
+@pytest.mark.parametrize("config", [REWARDS, PROB], ids=["rewards", "prob"])
+def test_shared_subtrees_fold_like_a_tree(config):
+    # Or(Or(x, y), x) with x one object: its fold is reused, so a callback
+    # that changed its arguments would change what the second x reads
+    x, y = _subtree(config.mode), Rew(RewConst(F(3)), FF)
+    dag = Or(Or(x, y), x)
+    tree = Or(Or(_subtree(config.mode), y), _subtree(config.mode))
+    assert dag.right is dag.left.left and tree.right is not tree.left.left
+
+    def show(e):
+        return fold_effect(e, lambda v: ("v", v), lambda a, b: ("or", a, b),
+                           lambda c, b: ("rew", c, b),
+                           lambda p, a, b: ("pc", p, a, b))
+
+    assert show(dag) == show(tree)
+    assert outcomes(dag, config) == outcomes(tree, config)
+    assert select_fast(dag, config) == select_fast(tree, config)
+    assert strategy_count(dag) == strategy_count(tree)
+    canon = canon_rewards if config.mode == "rewards" else weak_canon_prob
+    assert canon(dag, config) == canon(tree, config)
+    assert pretty(dag) == pretty(tree)
+
+
+def test_outcomes_of_a_deep_or_chain_keep_strategy_order():
+    # a left-nested chain: each or pairs its sides' folds, flattened once
+    assert outcomes(_or_chain(DEEP), REWARDS) == [
+        (F(i), (TT, FF)[i % 2]) for i in range(DEEP)]
 
 
 ### the term walk

@@ -92,6 +92,7 @@ def test_generated_programs_terminate_in_effect_values(seed, mode):
 import sys
 
 from selcalc.selection import denote, zero_gamma
+from selcalc.strategies import select_fast, strategy_count
 from selcalc.monads import make_monad
 from selcalc.rewards import NONNEG_ADD
 from selcalc.syntax import (
@@ -198,6 +199,27 @@ DEEP_FAMILIES = {
 }
 
 
+def _let_chain(n):
+    pairs = [(1 + i % 3, 3 - (i * 2) % 3) for i in range(n)]
+    src = "".join(f"let x{i} : Bool = ({a} . tt) or ({b} . ff) in "
+                  for i, (a, b) in enumerate(pairs)) + "x0"
+    a0, b0 = pairs[0]
+    return src, sum(max(a, b) for a, b in pairs), "tt" if a0 >= b0 else "ff"
+
+
+def _plet_chain(n):
+    return "mode prob; " + "".join(
+        f"let x{i} : Bool = (1 . tt) +[1/{2 + i % 3}] ((2 . ff) or ({i} . tt)) in "
+        for i in range(n)) + "x0"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_shared_runs_match_step_reference_on_let_chains(n):
+    for src in (_let_chain(n)[0], _plet_chain(n)):
+        p = parse_program(src)
+        assert same_run(p.term, p.config), src
+
+
 @pytest.mark.parametrize("family", list(DEEP_FAMILIES))
 def test_machine_matches_step_reference_on_deep_families(family):
     p = parse_program(DEEP_FAMILIES[family])
@@ -221,12 +243,16 @@ def test_machine_refuses_capture_like_the_reference():
     assert same_trace(t, REWARDS)
 
 
+# The let and plet chains are where branches reach the same state, and the
+# machine finishes it from its memo.
 BUDGET_PROGRAMS = [
     "(fun (x:Bool) -> 1 . x) (tt or ff)",
     "let f : Bool -> Bool = fun (x:Bool) -> if x then 1 . ff else 2 . tt in "
     "f (f (tt or ff))",
     "mode prob; fst <(1 + 2) . tt, ff> +[1/3] (snd <tt, ff> or (3 <= 4))",
     "let x : Rew = 1 + 2 in (x + x) . (if x == x then tt else ff)",
+    _let_chain(6)[0],
+    _plet_chain(4),
 ]
 
 
@@ -325,17 +351,23 @@ def test_deep_or_chain_runs_without_recursion():
     assert _leaves(e) == [Pair(v, TT) for v in leaves]
 
 
-def _let_chain(n):
-    pairs = [(1 + i % 3, 3 - (i * 2) % 3) for i in range(n)]
-    src = "".join(f"let x{i} : Bool = ({a} . tt) or ({b} . ff) in "
-                  for i, (a, b) in enumerate(pairs)) + "x0"
-    a0, b0 = pairs[0]
-    return src, sum(max(a, b) for a, b in pairs), "tt" if a0 >= b0 else "ff"
-
-
 def test_let_chain_denotes_its_closed_form_in_W():
     src, reward, value = _let_chain(12)
     p = parse_program(src)
     r, v = denote(p.term, p.config, make_monad("W", p.config.structure))(
         zero_gamma(p.config))
     assert (r, v.name) == (reward, value)
+
+
+def test_let_chain_at_forty_shares_its_residuals():
+    # 2**40 strategies over O(n) distinct subtrees: the machine and the
+    # folds work per distinct node, while the budget still counts the steps
+    # of the small-step relation, of which there are exponentially many
+    src, reward, value = _let_chain(40)
+    p = parse_program(src)
+    e = eval_effect(p.term, p.config, budget=10 ** 30)
+    assert strategy_count(e) == 2 ** 40
+    r, v = select_fast(e, p.config)
+    assert (r, v.name) == (reward, value)
+    with pytest.raises(BudgetExceeded):
+        eval_effect(p.term, p.config)
