@@ -34,7 +34,7 @@ from .selection import (
 )
 from .strategies import StrategyCapExceeded, select_bruteforce, select_program
 from .syntax import (
-    App, Base, Hole, LangConfig, Pair, REW, SelSyntaxError, SelTypeError, Term,
+    App, Base, Hole, LangConfig, Pair, REW, SelSyntaxError, SelTypeError,
     _Parser, _lex, parse_program, plug, pretty, type_rank, typecheck,
 )
 from .testgen import GenConfig, gen_program
@@ -45,13 +45,20 @@ JSON_VERSION = "1"
 ### rendering
 
 def _sem_str(x) -> str:
-    match x:
-        case Pair():  # may hold an FnElem, which has no source text
-            return f"<{_sem_str(x.fst)}, {_sem_str(x.snd)}>"
-        case FnElem():
-            return "<function>"
-        case Term():
-            return pretty(x)
+    """A semantic value's text, on an explicit stack.  A pair may hold an
+    FnElem, which has no source text."""
+    out, stack = [], [x]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+        elif isinstance(t, Pair):
+            stack += (">", t.snd, ", ", t.fst, "<")
+        elif isinstance(t, FnElem):
+            out.append("<function>")
+        else:
+            out.append(pretty(t))
+    return "".join(out)
 
 
 def _outcome_atoms(out, mode: str) -> list[dict[str, str]]:
@@ -60,15 +67,6 @@ def _outcome_atoms(out, mode: str) -> list[dict[str, str]]:
         return [{"prob": "1", "reward": str(r), "value": _sem_str(v)}]
     return [{"prob": str(p), "reward": str(r), "value": _sem_str(v)}
             for (r, v), p in out.items()]
-
-
-def _outcome_text(out, mode: str) -> str:
-    atoms = _outcome_atoms(out, mode)
-    if mode == "rewards":
-        a = atoms[0]
-        return f"reward {a['reward']}, value {a['value']}"
-    return "; ".join(f"{a['prob']}: reward {a['reward']}, value {a['value']}"
-                     for a in atoms)
 
 
 def _monad_value_json(u, monad_name: str):
@@ -94,9 +92,11 @@ def _monad_value_json(u, monad_name: str):
 def _monad_value_text(u, monad_name: str) -> str:
     match monad_name:
         case "W":
-            return _outcome_text(u, "rewards")
+            r, v = u
+            return f"reward {r}, value {_sem_str(v)}"
         case "DW":
-            return _outcome_text(u, "prob")
+            return "; ".join(f"{p}: reward {r}, value {_sem_str(v)}"
+                             for (r, v), p in u.items())
         case "T2":
             dist = ", ".join(f"{p} {_sem_str(x)}" for x, p in u.dist.items())
             rew = ", ".join(f"{_sem_str(x)} -> {r}" for x, r in u.rew)
@@ -115,10 +115,10 @@ def _table_str(table: dict[str, Fraction]) -> str:
 ### file and flag handling
 
 def _load(path: str, mode: str | None, structure_name: str | None):
+    """The parsed program and its type."""
     structure = STRUCTURES[structure_name] if structure_name else None
     prog = parse_program(Path(path).read_text(), mode=mode, structure=structure)
-    typecheck(prog.term, config=prog.config)
-    return prog
+    return prog, typecheck(prog.term, config=prog.config)
 
 
 def _load_gamma(gamma_arg: str | None, config: LangConfig):
@@ -215,7 +215,7 @@ def eval_cmd(semantics, monad_name, gamma_arg, oracle, trace, mode,
         raise click.UsageError("--oracle needs --semantics selection")
     if trace and semantics != "ordinary":
         raise click.UsageError("--trace needs --semantics ordinary")
-    prog = _load(file, mode, structure_name)
+    prog, _ = _load(file, mode, structure_name)
     config, term = prog.config, prog.term
 
     if semantics == "ordinary":
@@ -242,7 +242,7 @@ def eval_cmd(semantics, monad_name, gamma_arg, oracle, trace, mode,
             click.echo(json.dumps({"version": JSON_VERSION,
                                    "outcome": _outcome_atoms(out, config.mode)}))
         else:
-            click.echo(_outcome_text(out, config.mode))
+            click.echo(_monad_value_text(out, default_monad(config.mode)))
         return 0
 
     mname = monad_name or default_monad(config.mode)
@@ -264,7 +264,7 @@ def eval_cmd(semantics, monad_name, gamma_arg, oracle, trace, mode,
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def canon(mode, monad_name, structure_name, as_json, file):
     """Print the canonical form of FILE."""
-    prog = _load(file, mode, structure_name)
+    prog, _ = _load(file, mode, structure_name)
     config, term = prog.config, prog.term
     if config.mode == "rewards":
         if monad_name:
@@ -286,13 +286,11 @@ def canon(mode, monad_name, structure_name, as_json, file):
 @click.argument("file_b", type=click.Path(exists=True, dir_okay=False))
 def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
     """Decide whether two programs are observationally equivalent."""
-    pa = _load(file_a, mode, structure_name)
-    pb = _load(file_b, mode or pa.config.mode, structure_name
-               or pa.config.structure.name)
+    pa, ta = _load(file_a, mode, structure_name)
+    pb, tb = _load(file_b, mode or pa.config.mode, structure_name
+                   or pa.config.structure.name)
     if pa.config.mode != pb.config.mode:
         raise click.UsageError("the two programs declare different modes")
-    ta = typecheck(pa.term, config=pa.config)
-    tb = typecheck(pb.term, config=pb.config)
     if ta != tb:
         raise SelTypeError(f"type mismatch: {ta} vs {tb}")
     config = pa.config
@@ -316,8 +314,8 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
         a = select_program(plug(ctx, m), config)
         b = select_program(plug(ctx, n), config)
         return emit(False, ["inequivalent", f"context: {pretty(ctx)}",
-                            f"context[A]: {_outcome_text(a, config.mode)}",
-                            f"context[B]: {_outcome_text(b, config.mode)}"],
+                            f"context[A]: {_monad_value_text(a, 'W')}",
+                            f"context[B]: {_monad_value_text(b, 'W')}"],
                     {"context": pretty(ctx),
                      "left": _outcome_atoms(a, config.mode),
                      "right": _outcome_atoms(b, config.mode)})
@@ -348,7 +346,7 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def pure(mode, monad_name, structure_name, as_json, file):
     """Decide whether FILE is equivalent to a single value."""
-    prog = _load(file, mode, structure_name)
+    prog, _ = _load(file, mode, structure_name)
     config, term = prog.config, prog.term
     if config.mode == "rewards":
         if monad_name:

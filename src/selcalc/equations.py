@@ -20,13 +20,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monads import make_monad, theta, vdis
+from .monads import make_monad, vdis
 from .operational import eval_effect
-from .strategies import outcomes
+from .strategies import best_outcomes, check_cap
 from .syntax import (
     App, Base, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, PChoice,
     Pair, Prod, Rew, RewConst, Snd, Star, Term, TT, FF, UNIT, Var, alpha_eq,
-    fold_effect, is_value, pretty, replace_at, subterm_at,
+    alpha_key, is_value, pretty, replace_at, subterm_at,
 )
 
 
@@ -44,18 +44,9 @@ def canon_rewards(m: Term, config: LangConfig) -> list[tuple[Fraction, Term]]:
     equal to the program.
     """
     st = config.structure
-    out: list[tuple[Fraction, Term]] = []
-    for c, v in outcomes(eval_effect(m, config), config):
-        for k, (ck, vk) in enumerate(out):
-            if alpha_eq(v, vk):
-                if st.leq(c, ck):
-                    break
-                del out[k]
-                out.append((c, v))
-                break
-        else:
-            out.append((c, v))
-    return out
+    return best_outcomes(check_cap(eval_effect(m, config)), make_monad("W", st),
+                         lambda u: alpha_key(u[1]),
+                         lambda u, v: not st.leq(v[0], u[0]))
 
 
 def canonical_term(cf: list[tuple[Fraction, Term]]) -> Term:
@@ -238,15 +229,11 @@ def weak_canon_prob(m: Term, config: LangConfig,
                     monad_name: str = "DW") -> list:
     """Weak canonical form: the strategy outcomes of the program, each a
     distribution of (reward, value) atoms normalized in the chosen monad,
-    with later duplicates dropped."""
+    with later duplicates dropped.  Each is built in that monad directly,
+    which gives the image of its DW outcome under the morphism ``theta``."""
     monad = make_monad(monad_name, config.structure)
-    branches = [theta(d, monad)
-                for d in outcomes(eval_effect(m, config), config)]
-    out = []
-    for b in branches:
-        if b not in out:
-            out.append(b)
-    return out
+    return best_outcomes(check_cap(eval_effect(m, config)), monad,
+                         lambda b: b, lambda b, later: False)
 
 
 def _dw_chain(atoms: list[tuple[Fraction, Fraction, Term]]) -> Term:
@@ -364,8 +351,10 @@ def decide_pure_prob(m: Term, config: LangConfig,
     best = max(scores)
     i0 = scores.index(best)
     vd0, _, unit0 = _branch_view(branches[i0], monad_name, st.zero)
-
-    consts = _value_support(m, config)
+    if not all(isinstance(x, Const) for x in vd0.support()):
+        raise NoDistinguishingContext(
+            "purity decision applies to programs of base type")
+    consts = config.constants_of(vd0.support()[0].base)
 
     def table(cbar_name: str, on_cbar: Fraction, elsewhere: Fraction):
         return {c.name: (on_cbar if c.name == cbar_name else elsewhere)
@@ -395,16 +384,6 @@ def decide_pure_prob(m: Term, config: LangConfig,
         return PurityResult(None, table(cbar.name, low, high))
 
     return PurityResult(cbar, None)
-
-
-def _value_support(m: Term, config: LangConfig) -> list[Const]:
-    """Constants of the program's base type (used to build valuations)."""
-    vs = fold_effect(eval_effect(m, config), lambda v: [v], operator.add,
-                     lambda c, b: b, lambda p, a, b: a + b)
-    if not all(isinstance(v, Const) for v in vs):
-        raise NoDistinguishingContext(
-            "purity decision applies to programs of base type")
-    return config.constants_of(vs[0].base)
 
 
 ### named axioms

@@ -8,8 +8,8 @@ strategy maximizing expected reward, so ties resolve to the leftmost
 option.
 
 ``select_bruteforce`` lists every strategy's outcome and is the reference
-oracle; ``select_fast`` computes the same outcome by one fold of the effect
-value that keeps only the best outcome of each subtree.
+oracle; ``select_fast`` and the canonical forms share ``best_outcomes``,
+one fold that keeps each subtree's outcomes one per key.
 """
 
 from __future__ import annotations
@@ -34,6 +34,13 @@ def strategy_count(e: Term) -> int:
                        lambda p, m, n: m * n)
 
 
+def check_cap(e: Term, cap: int = DEFAULT_CAP) -> Term:
+    """e itself; StrategyCapExceeded when it has more than cap strategies."""
+    if strategy_count(e) > cap:
+        raise StrategyCapExceeded(f"more than {cap} strategies")
+    return e
+
+
 def outcomes(e: Term, config: LangConfig, cap: int = DEFAULT_CAP) -> list:
     """The outcome of every strategy for an effect value, in the canonical
     strategy order: an ``or`` lists its left strategies before its right
@@ -42,8 +49,7 @@ def outcomes(e: Term, config: LangConfig, cap: int = DEFAULT_CAP) -> list:
     rewards mode and a distribution of such pairs in prob mode.  The list
     holds up to ``cap`` outcomes; more strategies raise
     StrategyCapExceeded before any is listed."""
-    if strategy_count(e) > cap:
-        raise StrategyCapExceeded(f"more than {cap} strategies")
+    check_cap(e, cap)
     monad = make_monad(default_monad(config.mode), config.structure)
 
     # An ``or`` pairs its sides' folds, which are flattened only where
@@ -70,6 +76,31 @@ def outcomes(e: Term, config: LangConfig, cap: int = DEFAULT_CAP) -> list:
                             pchoice if monad.has_pchoice else None))
 
 
+def best_outcomes(e: Term, monad, key, prefer_later) -> list:
+    """The strategy outcomes of an effect value in ``monad``, in strategy
+    order, one per key: a later outcome with a listed key replaces the
+    listed one, moving to the end, when ``prefer_later(listed, later)``,
+    and is dropped otherwise.  Reducing each node's list as it is folded
+    gives the same list, since an ``or`` lists its sides in order and
+    reward and ``+[p]`` act on each outcome alone.  Keys are computed only
+    where lists meet."""
+    def merge(outs):
+        kept = {}
+        for u in outs:
+            k = key(u)
+            if k not in kept or prefer_later(kept[k], u):
+                kept.pop(k, None)
+                kept[k] = u
+        return list(kept.values())
+
+    def pchoice(p, a, b):
+        return merge([monad.pchoice(p, u, v) for u in a for v in b])
+
+    return fold_effect(e, lambda v: [monad.unit(v)], lambda a, b: merge(a + b),
+                       lambda c, a: [monad.reward(c, u) for u in a],
+                       pchoice if monad.has_pchoice else None)
+
+
 def outcome_score(out, config: LangConfig) -> Fraction:
     """Expected reward of an outcome, ignoring values."""
     if config.mode == "rewards":
@@ -81,15 +112,7 @@ def outcome_score(out, config: LangConfig) -> Fraction:
 
 def argmax(candidates, score):
     """Least maximizer: first element whose score no later element beats."""
-    best = None
-    best_score = None
-    for c in candidates:
-        sc = score(c)
-        if best is None or sc > best_score:
-            best, best_score = c, sc
-    if best is None:
-        raise ValueError("argmax of empty sequence")
-    return best
+    return max(candidates, key=score)
 
 
 def max_by(score, u, v):
@@ -105,15 +128,12 @@ def select_bruteforce(m: Term, config: LangConfig, cap: int = DEFAULT_CAP):
 
 
 def select_fast(e: Term, config: LangConfig):
-    """Outcome of the optimal strategy, by one fold of the effect value:
-    values give the unit outcome, rewards shift, probabilistic choice
-    mixes, and ``or`` takes the expected-reward maximum of its sides,
-    preferring the left."""
+    """Outcome of the optimal strategy: the first outcome with the
+    greatest expected reward, kept by one fold of the effect value."""
     monad = make_monad(default_monad(config.mode), config.structure)
-    return fold_effect(
-        e, monad.unit,
-        lambda u, v: max_by(lambda w: outcome_score(w, config), u, v),
-        monad.reward, monad.pchoice if monad.has_pchoice else None)
+    return best_outcomes(
+        e, monad, lambda u: None,
+        lambda u, v: outcome_score(v, config) > outcome_score(u, config))[0]
 
 
 def select_program(m: Term, config: LangConfig):

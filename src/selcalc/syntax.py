@@ -27,7 +27,52 @@ from .rewards import DEFAULT_STRUCTURE, RewardStructure, STRUCTURES
 ### types
 
 class Type:
-    pass
+    """A type.  Base and unit types keep the equality and hash their
+    dataclass generates; products and arrows compare, hash and print
+    structurally on an explicit stack, as terms do, so type depth uses no
+    Python recursion."""
+
+    def __eq__(self, other):
+        if not isinstance(other, Type):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            kids = _TYPE_KIDS.get(type(a))
+            if kids is None:
+                if a != b:
+                    return False
+            else:
+                stack += zip(kids(a), kids(b))
+        return True
+
+    def __hash__(self):
+        seq, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            kids = _TYPE_KIDS.get(type(t))
+            if kids is None:
+                seq.append(t)
+            else:
+                seq.append(type(t))
+                stack += kids(t)
+        return hash(tuple(seq))
+
+    def __str__(self) -> str:
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            kids = _TYPE_KIDS.get(type(t))
+            if kids is None:
+                out.append(str(t))
+            else:
+                a, b = kids(t)
+                stack += (")", b, _TYPE_OPS[type(t)], a, "(")
+        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -44,23 +89,20 @@ class UnitType(Type):
         return "Unit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prod(Type):
     fst: Type
     snd: Type
 
-    def __str__(self) -> str:
-        return f"({self.fst} * {self.snd})"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arrow(Type):
     arg: Type
     res: Type
 
-    def __str__(self) -> str:
-        return f"({self.arg} -> {self.res})"
 
+_TYPE_KIDS = {Prod: lambda t: (t.fst, t.snd), Arrow: lambda t: (t.arg, t.res)}
+_TYPE_OPS = {Prod: " * ", Arrow: " -> "}
 
 BOOL = Base("Bool")
 REW = Base("Rew")
@@ -170,7 +212,18 @@ class Pair(Term):
     snd: Term
 
     def sort_key(self):
-        return (3, self.fst.sort_key(), self.snd.sort_key())
+        # 3 for each pair and its leaves' keys, in preorder, on an explicit
+        # stack: the encoding is prefix-free, so this flat key orders pairs
+        # as the nested key (3, fst key, snd key) does
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is Pair:
+                out.append(3)
+                stack += (t.snd, t.fst)
+            else:
+                out += t.sort_key()
+        return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +410,7 @@ def fold_effect(e: Term, leaf, or_, rew, pchoice=None):
             r = memo[id(t)] = leaf(t)
             done.append(r)
         else:
-            raise ValueError(f"not an effect value: {t!r}")
+            raise ValueError(f"not an effect value: {type(t).__name__} node")
     return done[0]
 
 
@@ -397,38 +450,40 @@ def substitute(t: Term, var: str, val: Term) -> Term:
     return fold_term(t, node, bind)
 
 
-def alpha_eq(s: Term, t: Term) -> bool:
-    """Structural equality up to renaming of bound variables, by comparing
-    one-pass de Bruijn keys: each term's nodes in postorder, a bound
+def alpha_key(t: Term) -> tuple:
+    """A hashable key equal for two terms exactly when they are equal up
+    to renaming of bound variables: the term's nodes in postorder, a bound
     variable as its de Bruijn index, any other node as itself when a leaf
     and as its class and non-term fields otherwise."""
-    def key(u):
-        out, binders = [], []
+    out, binders = [], []
 
-        def bind(lam, env):
-            binders.append(lam)
-            return len(binders)
+    def bind(lam, env):
+        binders.append(lam)
+        return len(binders)
 
-        def node(x, kids, env):
-            cls = type(x)
-            if cls is Var and x.name in env:
-                out.append((Var, len(binders) - env[x.name]))
-            elif not kids:
-                out.append(x)
-            elif cls is Lam:
-                binders.pop()
-                out.append((Lam, x.ty))
-            elif cls is PChoice:
-                out.append((PChoice, x.weight))
-            elif cls is FnApp:
-                out.append((FnApp, x.sym, x.weight, len(kids)))
-            else:
-                out.append(cls)
+    def node(x, kids, env):
+        cls = type(x)
+        if cls is Var and x.name in env:
+            out.append((Var, len(binders) - env[x.name]))
+        elif not kids:
+            out.append(x)
+        elif cls is Lam:
+            binders.pop()
+            out.append((Lam, x.ty))
+        elif cls is PChoice:
+            out.append((PChoice, x.weight))
+        elif cls is FnApp:
+            out.append((FnApp, x.sym, x.weight, len(kids)))
+        else:
+            out.append(cls)
 
-        fold_term(u, node, bind)
-        return out
+    fold_term(t, node, bind)
+    return tuple(out)
 
-    return key(s) == key(t)
+
+def alpha_eq(s: Term, t: Term) -> bool:
+    """Structural equality up to renaming of bound variables."""
+    return alpha_key(s) == alpha_key(t)
 
 
 ### generic term structure

@@ -1,0 +1,154 @@
+"""Selection and both canonical forms are one keyed fold of the effect
+value, ``strategies.best_outcomes``.  Checked here against the reference
+route it replaced: list every strategy's outcome, map each through
+``theta``, then deduplicate the whole list."""
+
+import time
+from fractions import Fraction as F
+
+import pytest
+
+from selcalc.cli import main
+from selcalc.equations import (
+    canon_rewards, canonical_term, decide_pure_prob, decide_pure_rewards,
+    rewards_impurity_witness, weak_canon_prob,
+)
+from selcalc.monads import make_monad, theta
+from selcalc.operational import eval_effect
+from selcalc.rewards import STRUCTURES
+from selcalc.strategies import (
+    StrategyCapExceeded, best_outcomes, check_cap, outcomes, strategy_count,
+)
+from selcalc.syntax import (
+    BOOL, Arrow, Or, Prod, Rew, RewConst, TT, FF, alpha_eq, parse_program,
+    pretty,
+)
+from selcalc.testgen import GenConfig, gen_program
+
+TARGETS = [BOOL, Prod(BOOL, BOOL), Arrow(BOOL, BOOL)]
+MOST_STRATEGIES = 1 << 12  # the reference lists every strategy
+
+
+def reference_canon_rewards(m, config):
+    """Every strategy's outcome in strategy order, deduplicated left to
+    right by value: a later entry with a strictly greater reward deletes
+    the earlier one and is appended."""
+    st = config.structure
+    out = []
+    for c, v in outcomes(eval_effect(m, config), config):
+        for k, (ck, vk) in enumerate(out):
+            if alpha_eq(v, vk):
+                if not st.leq(c, ck):
+                    del out[k]
+                    out.append((c, v))
+                break
+        else:
+            out.append((c, v))
+    return out
+
+
+def reference_weak_canon_prob(m, config, monad_name):
+    """Every strategy's outcome in DW, mapped through theta, with later
+    duplicates dropped."""
+    monad = make_monad(monad_name, config.structure)
+    out = []
+    for d in outcomes(eval_effect(m, config), config):
+        b = theta(d, monad)
+        if b not in out:
+            out.append(b)
+    return out
+
+
+def generated(structure, mode, count=60, size=40):
+    """Generated programs of each target type, small enough to list."""
+    cfg = GenConfig(seed=len(structure.name), max_term_size=size, mode=mode,
+                    structure=structure)
+    config = cfg.lang()
+    rng = cfg.rng()
+    for i in range(count):
+        m = gen_program(cfg, TARGETS[i % len(TARGETS)], rng, config)
+        if strategy_count(eval_effect(m, config)) <= MOST_STRATEGIES:
+            yield m, config
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_canon_rewards_matches_the_listing_reference(name):
+    seen = 0
+    for m, config in generated(STRUCTURES[name], "rewards"):
+        assert canon_rewards(m, config) == reference_canon_rewards(m, config), \
+            pretty(m)
+        seen += 1
+    assert seen >= 30
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+@pytest.mark.parametrize("monad_name", ["DW", "T2", "T3"])
+def test_weak_canon_prob_matches_the_listing_reference(name, monad_name):
+    st = STRUCTURES[name]
+    seen = 0
+    for m, config in generated(st, "prob"):
+        if monad_name == "T3" and not st.mixing_verified:
+            with pytest.raises(ValueError, match="does not mix rewards"):
+                weak_canon_prob(m, config, monad_name)
+            continue
+        got = weak_canon_prob(m, config, monad_name)
+        assert got == reference_weak_canon_prob(m, config, monad_name), \
+            pretty(m)
+        seen += 1
+    assert seen >= 30 or not st.mixing_verified
+
+
+def test_a_preferred_later_outcome_moves_to_the_end():
+    # values tt, ff, tt with rewards 1, 0, 2: the second tt wins its key
+    # and is listed after ff
+    e = Or(Or(Rew(RewConst(F(1)), TT), FF), Rew(RewConst(F(2)), TT))
+    monad = make_monad("W")
+    better = lambda u, v: v[0] > u[0]
+    assert best_outcomes(e, monad, lambda u: u[1], better) == [
+        (F(0), FF), (F(2), TT)]
+    assert best_outcomes(e, monad, lambda u: u[1], lambda u, v: False) == [
+        (F(1), TT), (F(0), FF)]
+    assert best_outcomes(e, monad, lambda u: None, better) == [(F(2), TT)]
+
+
+def test_canonical_forms_keep_the_strategy_cap(tmp_path, capsys):
+    # five probabilistic lets: the strategies square at each level, to
+    # 2^31; refused before any outcome is built
+    src = "mode prob; " + "".join(
+        f"let x{i} : Bool = (1 . tt) +[1/2] ((2 . ff) or (1 . tt)) in "
+        for i in range(5)) + "x0"
+    p = parse_program(src)
+    for monad_name in ("DW", "T2", "T3"):
+        with pytest.raises(StrategyCapExceeded,
+                           match="more than 1048576 strategies"):
+            weak_canon_prob(p.term, p.config, monad_name)
+        with pytest.raises(StrategyCapExceeded):
+            decide_pure_prob(p.term, p.config, monad_name)
+    f = tmp_path / "chain.sel"
+    f.write_text(src)
+    for cmd in ("canon", "pure"):
+        assert main([cmd, str(f)]) == 4
+        assert capsys.readouterr().err == (
+            "resource or invariant failure: more than 1048576 strategies\n")
+    # a shared effect value with 2^21 strategies, counted without listing
+    e = TT
+    for _ in range(21):
+        e = Or(Rew(RewConst(F(1)), e), e)
+    with pytest.raises(StrategyCapExceeded):
+        check_cap(e)
+    assert check_cap(e, 1 << 21) is e
+
+
+def test_canon_and_pure_on_a_long_let_chain_are_fast():
+    # 2^18 strategies, which listing every one took seconds to deduplicate
+    src = "".join(f"let x{i} : Bool = ({i % 3} . tt) or ({i % 2} . ff) in "
+                  for i in range(18)) + "x0"
+    p = parse_program(src)
+    start = time.perf_counter()
+    cf = canon_rewards(p.term, p.config)
+    assert decide_pure_rewards(p.term, p.config) is None
+    assert rewards_impurity_witness(p.term, p.config) == {
+        "tt": F(0), "ff": F(0)}
+    elapsed = time.perf_counter() - start
+    assert pretty(canonical_term(cf)) == "21 . tt or 21 . ff"
+    assert elapsed < 2, f"canon and pure took {elapsed:.2f} s"

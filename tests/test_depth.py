@@ -6,19 +6,23 @@ by Python's recursion limit.
 ``denote`` still recurses once per level; its current reach is pinned so
 that it cannot shrink unnoticed."""
 
+import random
 import sys
 from dataclasses import fields
+from fractions import Fraction as F
 
 import pytest
 
+from selcalc.cli import main
 from selcalc.equations import canon_rewards, canonical_term
 from selcalc.monads import make_monad
 from selcalc.operational import trace_eval
 from selcalc.selection import denote, embed_outcome, zero_gamma
 from selcalc.strategies import select_bruteforce, select_program
 from selcalc.syntax import (
-    BOOL, FF, TT, Lam, Or, Pair, Var, alpha_eq, free_vars,
-    parse_program, pretty, substitute, typecheck,
+    BOOL, FF, TT, App, Lam, Or, Pair, RewConst, SelTypeError, Star, Var,
+    alpha_eq, free_vars, is_effect_value, parse_program, pretty, substitute,
+    typecheck,
 )
 from selcalc.testgen import node_tally
 
@@ -161,3 +165,93 @@ def test_denote_reaches_depth_100(src):
     mon = make_monad("W", p.config.structure)
     u = denote(p.term, p.config, mon)(zero_gamma(p.config))
     assert u == embed_outcome(select_program(p.term, p.config), p.config, mon)
+
+
+def deep_pair(leaf, n=N):
+    return "<" * n + leaf + ", ff>" * n
+
+
+def test_deep_product_types_compare_and_hash():
+    p = parse_program(f"{deep_pair('tt')} or {deep_pair('ff')}")
+    ty = typecheck(p.term, config=p.config)
+    again = typecheck(parse_program(deep_pair("tt")).term)
+    assert ty is not again and ty == again and hash(ty) == hash(again)
+    assert ty != typecheck(parse_program(deep_pair("tt", N - 1)).term)
+    assert str(ty) == "(" * N + "Bool" + " * Bool)" * N
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def test_deep_product_types_print_in_type_errors(capsys, tmp_path):
+    a, b = tmp_path / "a.sel", tmp_path / "b.sel"
+    a.write_text(deep_pair("tt"))
+    b.write_text(deep_pair("tt", N - 1))
+    assert main(["equiv", str(a), str(b)]) == 3
+    assert capsys.readouterr().err.startswith("error: type mismatch: (((")
+    with pytest.raises(SelTypeError, match="or branches disagree"):
+        typecheck(parse_program(
+            f"{deep_pair('tt')} or {deep_pair('tt', N - 1)}").term)
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def cli(capsys, tmp_path, src, *args):
+    f = tmp_path / "prog.sel"
+    f.write_text(src)
+    rc = main([*args, str(f)])
+    out = capsys.readouterr()
+    assert rc == 0, out.err
+    return out.out.rstrip("\n")
+
+
+def test_deep_pair_values_print_at_the_cli(capsys, tmp_path):
+    value = pretty(parse_program(deep_pair("tt")).term)
+    both = f"{deep_pair('tt')} or {deep_pair('ff')}"
+    assert cli(capsys, tmp_path, both, "eval", "--semantics", "ordinary") \
+        == f"{value} or {pretty(parse_program(deep_pair('ff')).term)}"
+    src = deep_pair("tt")
+    assert cli(capsys, tmp_path, src, "eval") == f"reward 0, value {value}"
+    assert cli(capsys, tmp_path, src, "eval", "--semantics", "ordinary") \
+        == value
+    assert cli(capsys, tmp_path, src, "canon") == f"0 . {value}"
+    assert cli(capsys, tmp_path, src, "pure") == f"pure: {value}"
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def test_deep_pair_atoms_sort_in_prob_mode(capsys, tmp_path):
+    # the atoms sort tt's pair first, as the nested pair key orders them
+    src = "mode prob; " + deep_pair("(ff +[1/3] tt)")
+    tt, ff = (pretty(parse_program(deep_pair(c)).term) for c in ("tt", "ff"))
+    assert cli(capsys, tmp_path, src, "eval") == (
+        f"2/3: reward 0, value {tt}; 1/3: reward 0, value {ff}")
+    assert cli(capsys, tmp_path, src, "canon") == (
+        f"0 . {tt} +[2/3] 0 . {ff}")
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def nested_sort_key(v):
+    """The nested pair key the flat one replaces."""
+    if isinstance(v, Pair):
+        return (3, nested_sort_key(v.fst), nested_sort_key(v.snd))
+    return v.sort_key()
+
+
+def test_flat_pair_key_orders_as_the_nested_key():
+    rng = random.Random(5)
+    leaves = [TT, FF, Star(), RewConst(F(1)), RewConst(F(-1, 2))]
+
+    def value(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        return Pair(value(depth - 1), value(depth - 1))
+
+    vs = [value(4) for _ in range(300)]
+    assert (sorted(vs, key=lambda v: v.sort_key())
+            == sorted(vs, key=nested_sort_key))
+    for a, b in zip(vs, vs[1:]):
+        assert ((a.sort_key() < b.sort_key())
+                == (nested_sort_key(a) < nested_sort_key(b)))
+
+
+def test_is_effect_value_rejects_an_application_of_a_deep_term():
+    d = parse_program("1 . " * N + "tt").term
+    assert not is_effect_value(Or(TT, App(d, TT)))
+    assert sys.getrecursionlimit() == LIMIT
