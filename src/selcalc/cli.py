@@ -35,7 +35,7 @@ from .selection import (
 from .strategies import StrategyCapExceeded, select_bruteforce, select_program
 from .syntax import (
     App, Base, Hole, LangConfig, Pair, REW, SelSyntaxError, SelTypeError,
-    _Parser, _lex, parse_program, plug, pretty, type_rank, typecheck,
+    parse_program, parse_type, plug, pretty, type_rank, typecheck,
 )
 from .testgen import GenConfig, gen_program
 
@@ -410,9 +410,7 @@ def gen(seed, size, type_text, mode, structure_name, max_order, count):
     cfg = GenConfig(seed=seed, max_term_size=size, max_order=max_order,
                     mode=mode, structure=structure)
     config = cfg.lang()
-    parser = _Parser(_lex(type_text), config)
-    target = parser.type_()
-    parser.expect("eof")
+    target = parse_type(type_text, config)
     if target == REW:
         raise click.UsageError("generation targets value types, not Rew")
     if type_rank(target) > max_order:

@@ -80,9 +80,10 @@ def sel_bind(monad, f, k):
         memo = {}
 
         def cont(x):
-            if x not in memo:
-                memo[x] = k(x)(gamma)
-            return memo[x]
+            u = memo.get(x)  # monad values are never None
+            if u is None:
+                u = memo[x] = k(x)(gamma)
+            return u
 
         scored = f(lambda x: monad.expect(cont(x), gamma))
         return monad.bind(scored, cont)

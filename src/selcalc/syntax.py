@@ -9,126 +9,33 @@ finite base types, with three algebraic operations:
 
 Programs may start with a prelude of ``mode`` and ``base`` declarations.
 
-Terms have one walk, ``fold_term``: free variables, substitution,
-alpha-equivalence, typechecking and printing are folds on it.  It, the
-effect fold ``fold_effect`` and the term parser keep explicit stacks, so
-nesting uses no Python recursion.
+Terms and types are nodes of one layer with one walk, ``fold_term``:
+free variables, substitution, alpha-equivalence, typechecking, printing
+and type rank are folds on it, and one base class compares, hashes and
+``repr``s both.  The walk, the effect fold ``fold_effect`` and the parser,
+whose one loop reads terms and types from their grammars' tables, keep
+explicit stacks, so nesting uses no Python recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import is_
 
 from .rewards import DEFAULT_STRUCTURE, RewardStructure, STRUCTURES
 
 
-### types
+### the node layer
 
-class Type:
-    """A type.  Base and unit types keep the equality and hash their
-    dataclass generates; products and arrows compare, hash and print
-    structurally on an explicit stack, as terms do, so type depth uses no
-    Python recursion."""
-
-    def __eq__(self, other):
-        if not isinstance(other, Type):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            kids = _TYPE_KIDS.get(type(a))
-            if kids is None:
-                if a != b:
-                    return False
-            else:
-                stack += zip(kids(a), kids(b))
-        return True
-
-    def __hash__(self):
-        seq, stack = [], [self]
-        while stack:
-            t = stack.pop()
-            kids = _TYPE_KIDS.get(type(t))
-            if kids is None:
-                seq.append(t)
-            else:
-                seq.append(type(t))
-                stack += kids(t)
-        return hash(tuple(seq))
-
-    def __str__(self) -> str:
-        out, stack = [], [self]
-        while stack:
-            t = stack.pop()
-            kids = _TYPE_KIDS.get(type(t))
-            if kids is None:
-                out.append(str(t))
-            else:
-                a, b = kids(t)
-                stack += (")", b, _TYPE_OPS[type(t)], a, "(")
-        return "".join(out)
-
-
-@dataclass(frozen=True)
-class Base(Type):
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class UnitType(Type):
-    def __str__(self) -> str:
-        return "Unit"
-
-
-@dataclass(frozen=True, eq=False)
-class Prod(Type):
-    fst: Type
-    snd: Type
-
-
-@dataclass(frozen=True, eq=False)
-class Arrow(Type):
-    arg: Type
-    res: Type
-
-
-_TYPE_KIDS = {Prod: lambda t: (t.fst, t.snd), Arrow: lambda t: (t.arg, t.res)}
-_TYPE_OPS = {Prod: " * ", Arrow: " -> "}
-
-BOOL = Base("Bool")
-REW = Base("Rew")
-UNIT = UnitType()
-
-
-def type_rank(ty: Type) -> int:
-    """Functional rank: 0 for first-order data, 1 for functions on data, ..."""
-    if isinstance(ty, (Base, UnitType)):
-        return 0
-    if isinstance(ty, Prod):
-        return max(type_rank(ty.fst), type_rank(ty.snd))
-    if isinstance(ty, Arrow):
-        return max(type_rank(ty.arg) + 1, type_rank(ty.res))
-    raise TypeError(f"unknown type {ty!r}")
-
-
-### terms
-
-class Term:
-    """A term.  Leaves (variables, constants, ``*``, the hole) keep the
-    equality and hash their dataclass generates; every other node compares
-    and hashes structurally on an explicit stack, so term depth uses no
-    Python recursion.  Equality returns at once on the same object, so
-    comparing effect values that share subtrees costs no more than walking
-    one of them."""
+class _Node:
+    """A node of a term or a type.  Leaves (variables, constants, ``*``,
+    the hole, base and unit types) keep the equality, hash and repr their
+    dataclass generates; every other node compares, hashes and prints its
+    repr structurally on an explicit stack, so depth uses no Python
+    recursion.  Equality returns at once on the same object, so comparing
+    effect values that share subtrees costs no more than walking one of
+    them."""
 
     def __eq__(self, other):
         if self is other:
@@ -158,10 +65,9 @@ class Term:
         return True
 
     def __hash__(self):
-        # the classes and non-term fields of the nodes, and the leaves, in
-        # preorder: equal terms give equal sequences
-        seq = []
-        stack = [self]
+        # the classes and other fields of the inner nodes, and the
+        # leaves, in preorder: equal nodes give equal sequences
+        seq, stack = [], [self]
         while stack:
             t = stack.pop()
             cls = type(t)
@@ -173,6 +79,87 @@ class Term:
             seq.append(cls if head is None else (cls, head(t)))
             stack += kids(t)
         return hash(tuple(seq))
+
+    def __repr__(self):
+        # the dataclass form Cls(field=value, ...), on a stack of texts to
+        # write and of inner nodes and tuples still to open
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                out.append(x)
+                continue
+            if type(x) is tuple:
+                parts, close = ["("], ",)" if len(x) == 1 else ")"
+                items = [("", v) for v in x]
+            else:
+                parts, close = [f"{type(x).__qualname__}("], ")"
+                items = [(f.name + "=", getattr(x, f.name)) for f in fields(x)]
+            for i, (name, v) in enumerate(items):
+                inner = type(v) is tuple or type(v) in _KIDS
+                parts += ", " * (i > 0) + name, v if inner else repr(v)
+            stack += reversed(parts + [close])
+        return "".join(out)
+
+
+# an inner node: its equality, hash and repr are _Node's
+_inner = dataclass(frozen=True, eq=False, repr=False)
+
+
+### types
+
+class Type(_Node):
+    """A type.  Types are nodes of the one walk, ``fold_term``: printing
+    and ``type_rank`` are folds on it."""
+
+    def __str__(self) -> str:
+        return fold_term(self, lambda t, kids, env: str(t) if not kids
+                         else f"({kids[0]}{_TYPE_OPS[type(t)]}{kids[1]})")
+
+
+@dataclass(frozen=True)
+class Base(Type):
+    name: str
+
+    def __str__(self) -> str:
+        return self.name
+
+
+@dataclass(frozen=True)
+class UnitType(Type):
+    def __str__(self) -> str:
+        return "Unit"
+
+
+@_inner
+class Prod(Type):
+    fst: Type
+    snd: Type
+
+
+@_inner
+class Arrow(Type):
+    arg: Type
+    res: Type
+
+
+_TYPE_OPS = {Prod: " * ", Arrow: " -> "}
+
+BOOL = Base("Bool")
+REW = Base("Rew")
+UNIT = UnitType()
+
+
+def type_rank(ty: Type) -> int:
+    """Functional rank: 0 for first-order data, 1 for functions on data, ..."""
+    return fold_term(ty, lambda t, kids, env: max(kids[0] + 1, kids[1])
+                     if type(t) is Arrow else max(kids, default=0))
+
+
+### terms
+
+class Term(_Node):
+    """A term."""
 
 
 @dataclass(frozen=True)
@@ -206,7 +193,7 @@ class Star(Term):
         return (2,)
 
 
-@dataclass(frozen=True, eq=False)
+@_inner
 class Pair(Term):
     fst: Term
     snd: Term
@@ -226,17 +213,17 @@ class Pair(Term):
         return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@_inner
 class Fst(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@_inner
 class Snd(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@_inner
 class Lam(Term):
     var: str
     ty: Type
@@ -248,20 +235,20 @@ class Lam(Term):
         return (4, pretty(self))
 
 
-@dataclass(frozen=True, eq=False)
+@_inner
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True, eq=False)
+@_inner
 class If(Term):
     cond: Term
     then: Term
     els: Term
 
 
-@dataclass(frozen=True, eq=False)
+@_inner
 class FnApp(Term):
     """Built-in function symbol application: '+', '<=', '==', 'oplus'.
     ``weight`` is the index of an oplus."""
@@ -270,20 +257,20 @@ class FnApp(Term):
     weight: Fraction | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_inner
 class Or(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@_inner
 class Rew(Term):
     """Reward operation c . M; ``param`` is a term of type Rew."""
     param: Term
     body: Term
 
 
-@dataclass(frozen=True, eq=False)
+@_inner
 class PChoice(Term):
     weight: Fraction
     left: Term
@@ -293,9 +280,6 @@ class PChoice(Term):
 @dataclass(frozen=True)
 class Hole(Term):
     """The hole of a context; never appears in complete programs."""
-
-    def __repr__(self) -> str:
-        return "Hole()"
 
 
 ### language configuration
@@ -486,17 +470,18 @@ def alpha_eq(s: Term, t: Term) -> bool:
     return alpha_key(s) == alpha_key(t)
 
 
-### generic term structure
+### generic node structure
 
-# the immediate subterms of each class that has any
+# the immediate subterms (or subtypes) of each class that has any
 _KIDS = {Pair: lambda t: (t.fst, t.snd), App: lambda t: (t.fn, t.arg),
          Or: lambda t: (t.left, t.right), Rew: lambda t: (t.param, t.body),
          PChoice: lambda t: (t.left, t.right), Fst: lambda t: (t.arg,),
          Snd: lambda t: (t.arg,), Lam: lambda t: (t.body,),
-         If: lambda t: (t.cond, t.then, t.els), FnApp: lambda t: t.args}
+         If: lambda t: (t.cond, t.then, t.els), FnApp: lambda t: t.args,
+         Prod: lambda t: (t.fst, t.snd), Arrow: lambda t: (t.arg, t.res)}
 
 
-# the fields that are not terms, of each class with children that has any
+# the fields that are not children, of each class with children that has any
 _HEAD = {Lam: lambda t: (t.var, t.ty), FnApp: lambda t: (t.sym, t.weight),
          PChoice: lambda t: t.weight}
 
@@ -537,8 +522,9 @@ def fold_term(t: Term, node, bind=None, env=None):
     Lam, node sees the env of its body.  The walk goes depth first, left to
     right, on an explicit stack, so ``bind`` runs in preorder, ``node`` in
     postorder, and term depth uses no Python recursion.  This is the one
-    binder-aware term walk: free variables, substitution, alpha-equivalence,
-    typechecking and printing are folds."""
+    binder-aware walk: free variables, substitution, alpha-equivalence,
+    typechecking and printing are folds, and so are a type's printing and
+    rank."""
     env = dict(env or {})
     done = []
     work = [t]
@@ -818,11 +804,16 @@ _P_TOP, _P_OR, _P_PC, _P_CMP, _P_ADD, _P_REW, _P_APP, _P_ATOM = range(8)
 _INFIX = {"or": (_P_PC, True), "+[": (_P_CMP, True), "==": (_P_ADD, False),
           "<=": (_P_ADD, False), "+": (_P_REW, True), ".": (_P_REW, False)}
 
+# the type operators on the same levels: '->' nests rightwards, '*' binds
+# tighter and associates left
+_TYPE_INFIX = {"->": (_P_TOP, False), "*": (_P_ATOM, True)}
+
 # each construction with subterms, by its opening token or operator
 # ("app" is juxtaposition): (the level of the term it makes, the token
 # (kind, text) that must follow each of its parts or None, the function
 # making the term from its data and parts); an operator's first part is
-# its left operand
+# its left operand.  A construction opens only in a context whose minimum
+# level is at most its own, so if, fun and let open only at the top.
 _CONSTRUCTS = {
     "(": (_P_ATOM, (("punct", ")"),), lambda _, t: t),
     "<": (_P_ATOM, (("punct", ","), ("punct", ">")), lambda _, a, b: Pair(a, b)),
@@ -841,7 +832,19 @@ _CONSTRUCTS = {
     "<=": (_P_CMP, (None, None), lambda _, a, b: FnApp("<=", (a, b))),
     "+": (_P_ADD, (None, None), lambda _, a, b: FnApp("+", (a, b))),
     ".": (_P_REW, (None, None), lambda _, a, b: Rew(a, b)),
+    "->": (_P_TOP, (None, None), lambda _, a, b: Arrow(a, b)),
+    "*": (_P_APP, (None, None), lambda _, a, b: Prod(a, b)),
 }
+
+# the tokens that open a construction of a term
+_OPENERS = {("punct", "("), ("punct", "<"), ("kw", "fst"), ("kw", "snd"),
+            ("kw", "oplus"), ("kw", "if"), ("kw", "fun"), ("kw", "let")}
+
+# the tokens that begin an atom, the argument of an application: those
+# of a primary, (kind, None) standing for every token of its kind, and
+# those opening a construction of level _P_ATOM
+_ARG_STARTS = {("ident", None), ("rat", None), ("hole", None), ("punct", "*"),
+               *(tok for tok in _OPENERS if _CONSTRUCTS[tok[1]][0] == _P_ATOM)}
 
 
 class _Parser:
@@ -873,25 +876,28 @@ class _Parser:
             raise SelSyntaxError(
                 f"zero denominator in {text!r} (token {self.pos})") from None
 
-    def term(self) -> Term:
-        """A whole term, up to the end of input.  term := if/fun/let |
+    def phrase(self, grammar) -> Term | Type:
+        """The longest term (or type) of the grammar, ``_Parser.TERM`` or
+        ``_Parser.TYPE``, at the current token.  term := if/fun/let |
         orterm, where orterm is built from atoms by juxtaposition and the
-        operators of _INFIX.  Precedence climbing over an explicit stack
+        operators of _INFIX; a type is built from names and parentheses by
+        those of _TYPE_INFIX.  Precedence climbing over an explicit stack
         of pending constructions, each frame holding (kind, the minimum
         level of its context, its data, its parts so far), so nesting
         uses no Python recursion."""
+        infix, openers, arg_starts, primary = grammar
         stack = []
         m = _P_TOP
         while True:
-            frame = self.opening(m)
+            frame = self.opening(m, openers)
             if frame is not None:
                 stack.append(frame)
                 m = _P_ATOM if frame[0] in ("fst", "snd") else _P_TOP
                 continue
-            left, level = self.primary(), _P_ATOM
+            left, level = primary(self), _P_ATOM
             while True:
                 k, v = self.peek()
-                op = _INFIX.get(v) if k in ("kw", "punct") else None
+                op = infix.get(v) if k in ("kw", "punct") else None
                 if op is not None:
                     at = _CONSTRUCTS[v][0]
                     if at >= m and (level >= at if op[1] else level > at):
@@ -903,12 +909,12 @@ class _Parser:
                         stack.append((v, m, p, [left]))
                         m = op[0]
                         break
-                if m <= _P_APP <= level and self.at_atom_start():
+                if (m <= _P_APP <= level and ((k, None) in arg_starts
+                                               or (k, v) in arg_starts)):
                     stack.append(("app", m, None, [left]))
                     m = _P_ATOM
                     break
                 if not stack:
-                    self.expect("eof")
                     return left
                 kind, m, data, parts = stack.pop()
                 parts.append(left)
@@ -921,14 +927,12 @@ class _Parser:
                     break
                 left = build(data, *parts)
 
-    def opening(self, m: int):
-        """At a token that opens a construction with subterms (if, fun and
-        let only at the top level m), consume it up to its first part and
-        return the construction's frame; otherwise None."""
+    def opening(self, m: int, openers):
+        """At a token of openers that opens a construction in a context of
+        minimum level m, consume it up to the construction's first part and
+        return its frame; otherwise None."""
         k, v = self.peek()
-        if not ((k == "punct" and v in ("(", "<")) or (k == "kw" and (
-                v in ("fst", "snd", "oplus")
-                or (m == _P_TOP and v in ("if", "fun", "let"))))):
+        if (k, v) not in openers or _CONSTRUCTS[v][0] < m:
             return None
         self.next()
         data = None
@@ -942,16 +946,10 @@ class _Parser:
                 self.expect("punct", "(")
             x = self.expect("ident")
             self.expect("punct", ":")
-            data = (x, self.type_())
+            data = (x, self.phrase(self.TYPE))
             for closer in ((")", "->") if v == "fun" else ("=",)):
                 self.expect("punct", closer)
         return (v, m, data, [])
-
-    def at_atom_start(self) -> bool:
-        k, v = self.peek()
-        return (k in ("ident", "rat", "hole")
-                or (k == "kw" and v in ("fst", "snd", "oplus"))
-                or (k == "punct" and v in ("(", "<", "*")))
 
     def primary(self) -> Term:
         """An atom without subterms: a rational, hole, name or ``*``."""
@@ -969,42 +967,42 @@ class _Parser:
             return Star()
         raise SelSyntaxError(f"unexpected token {v!r} (token {self.pos})")
 
-    # types: arrow right-assoc, * binds tighter
-    def type_(self) -> Type:
-        t = self.type_prod()
-        if self.peek() == ("punct", "->"):
-            self.next()
-            return Arrow(t, self.type_())
-        return t
-
-    def type_prod(self) -> Type:
-        t = self.type_atom()
-        while self.peek() == ("punct", "*"):
-            self.next()
-            t = Prod(t, self.type_atom())
-        return t
-
-    def type_atom(self) -> Type:
+    def type_name(self) -> Type:
+        """A type without subtypes: Unit, Rew or a declared base."""
         k, v = self.next()
-        if k == "ident":
-            if v == "Unit":
-                return UNIT
-            if v == "Rew":
-                return REW
-            if v in self.config.bases:
-                return Base(v)
-            raise SelSyntaxError(f"unknown type {v}")
-        if k == "punct" and v == "(":
-            t = self.type_()
-            self.expect("punct", ")")
-            return t
-        raise SelSyntaxError(f"expected a type, found {v!r}")
+        if k != "ident":
+            raise SelSyntaxError(f"expected a type, found {v!r}")
+        if v == "Unit":
+            return UNIT
+        if v == "Rew":
+            return REW
+        if v in self.config.bases:
+            return Base(v)
+        raise SelSyntaxError(f"unknown type {v}")
+
+    # a grammar: (its infix operators, the tokens that open its
+    # constructions, the tokens that begin a juxtaposed argument, its
+    # primary); types have no juxtaposition
+    TERM = (_INFIX, _OPENERS, _ARG_STARTS, primary)
+    TYPE = (_TYPE_INFIX, {("punct", "(")}, (), type_name)
+
+
+def _parse(toks: list[tuple[str, str]], config: LangConfig, grammar):
+    """The phrase of the grammar that spans toks."""
+    parser = _Parser(toks, config)
+    out = parser.phrase(grammar)
+    parser.expect("eof")
+    return out
 
 
 def parse(src: str, config: LangConfig | None = None) -> Term:
     """Parse a bare term (no prelude)."""
-    config = config or LangConfig(mode="prob")
-    return _Parser(_lex(src), config).term()
+    return _parse(_lex(src), config or LangConfig(mode="prob"), _Parser.TERM)
+
+
+def parse_type(src: str, config: LangConfig | None = None) -> Type:
+    """Parse a type over the bases of config."""
+    return _parse(_lex(src), config or LangConfig(), _Parser.TYPE)
 
 
 def _contains_prob_op(t: Term) -> bool:
@@ -1074,7 +1072,7 @@ def parse_program(src: str, mode: str | None = None,
         scratch = LangConfig(mode="prob", bases=bases, structure=final_structure)
     except ValueError as e:  # a constant declared twice
         raise SelSyntaxError(str(e)) from None
-    term = _Parser(toks[pos:], scratch).term()
+    term = _parse(toks[pos:], scratch, _Parser.TERM)
 
     final_mode = mode or declared_mode
     if final_mode is None:

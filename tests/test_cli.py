@@ -451,6 +451,17 @@ def test_gen_bad_type_is_a_usage_error(capsys, type_text):
     assert out == "" and "internal error" not in err
 
 
+def test_gen_type_is_one_whole_type(capsys):
+    rc, out, err = run(capsys, "gen", "--type", "Bool Bool")
+    assert (rc, out) == (3, "")
+    assert err == "error: expected 'eof', found 'Bool' (token 2)\n"
+    parens = "(" * 2000 + "Bool * Bool" + ")" * 2000
+    rc, out, _ = run(capsys, "gen", "--seed", "3", "--type", parens)
+    assert rc == 0
+    p = parse_program(out, mode="rewards")
+    assert typecheck(p.term, config=p.config) == Prod(BOOL, BOOL)
+
+
 @pytest.mark.parametrize("args", [("--size", "0"), ("--size", "-3"),
                                   ("--count", "-1")])
 def test_gen_out_of_range_is_a_usage_error(capsys, args):

@@ -1,8 +1,8 @@
-"""Deep terms at the default recursion limit: the parser, typecheck,
-selection, printing, free variables, substitution, alpha-equivalence,
-term equality and hashing, ``is_value``, ``node_tally`` and the traced
-machine keep explicit stacks, so nesting depth is bounded by memory, not
-by Python's recursion limit.
+"""Deep terms and types at the default recursion limit: the parser,
+typecheck, selection, printing, free variables, substitution,
+alpha-equivalence, equality, hashing and ``repr`` of terms and types,
+``is_value``, ``node_tally`` and the traced machine keep explicit stacks,
+so nesting depth is bounded by memory, not by Python's recursion limit.
 ``denote`` still recurses once per level; its current reach is pinned so
 that it cannot shrink unnoticed."""
 
@@ -16,13 +16,13 @@ import pytest
 from selcalc.cli import main
 from selcalc.equations import canon_rewards, canonical_term
 from selcalc.monads import make_monad
-from selcalc.operational import trace_eval
+from selcalc.operational import StuckTerm, eval_effect, trace_eval
 from selcalc.selection import denote, embed_outcome, zero_gamma
 from selcalc.strategies import select_bruteforce, select_program
 from selcalc.syntax import (
-    BOOL, FF, TT, App, Lam, Or, Pair, RewConst, SelTypeError, Star, Var,
-    alpha_eq, free_vars, is_effect_value, parse_program, pretty, substitute,
-    typecheck,
+    BOOL, FF, TT, App, Arrow, Lam, Or, Pair, RewConst, SelTypeError, Star,
+    Var, alpha_eq, free_vars, is_effect_value, parse_program, pretty,
+    substitute, typecheck,
 )
 from selcalc.testgen import node_tally
 
@@ -255,3 +255,62 @@ def test_is_effect_value_rejects_an_application_of_a_deep_term():
     d = parse_program("1 . " * N + "tt").term
     assert not is_effect_value(Or(TT, App(d, TT)))
     assert sys.getrecursionlimit() == LIMIT
+
+
+PARENS = "(" * N + "Bool * Bool" + ")" * N
+
+
+@pytest.mark.parametrize("src, ty", [
+    (f"fun (x:{PARENS}) -> fst x", "((Bool * Bool) -> Bool)"),
+    (f"let x : {PARENS} = <tt, ff> in snd x", "Bool"),
+])
+def test_deep_parentheses_in_binder_types(src, ty):
+    p = parse_program(src)
+    assert str(typecheck(p.term, config=p.config)) == ty
+    text = pretty(p.term)
+    assert "(x:(Bool * Bool))" in text
+    assert parse_program(text).term == p.term
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def arrow_chain(n):
+    ty = BOOL
+    for _ in range(n):
+        ty = Arrow(BOOL, ty)
+    return ty
+
+
+def test_deep_arrow_types_parse_typecheck_print_and_repr():
+    ty = arrow_chain(N)
+    p = parse_program(f"fun (f:{'Bool -> ' * N}Bool) -> f")
+    assert p.term.ty == ty and hash(p.term.ty) == hash(ty)
+    assert typecheck(p.term, config=p.config) == Arrow(ty, ty)
+    assert p.term.ty != arrow_chain(N - 1)
+    assert str(ty) == "(Bool -> " * N + "Bool" + ")" * N
+    bool_repr = "Base(name='Bool')"
+    assert repr(ty) == (f"Arrow(arg={bool_repr}, res=" * N + bool_repr
+                        + ")" * N)
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def test_repr_of_deep_terms():
+    tt = "Const(name='tt', base='Bool', index=0)"
+    one = "RewConst(value=Fraction(1, 1))"
+    rewards = parse_program("1 . " * N + "tt").term
+    assert repr(rewards) == (f"Rew(param={one}, body=" * N + tt + ")" * N)
+    pairs = pair_nest(TT, N)
+    assert repr(pairs) == "Pair(fst=" * N + tt + f", snd={tt})" * N
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def test_a_stuck_deep_application_reports_its_redex():
+    config = parse_program("tt").config
+    with pytest.raises(StuckTerm) as err:
+        eval_effect(App(TT, pair_nest(TT, N)), config)
+    assert str(err.value).startswith("stuck redex App(fn=Const(name='tt'")
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def test_canon_of_a_parenthesised_binder_type(capsys, tmp_path):
+    ty = "(" * 400 + "Bool" + ")" * 400
+    assert cli(capsys, tmp_path, f"(fun (x:{ty}) -> x) tt", "canon") == "0 . tt"
