@@ -26,7 +26,7 @@ from .strategies import best_outcomes, check_cap
 from .syntax import (
     App, Base, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, PChoice,
     Pair, Prod, Rew, RewConst, Snd, Star, Term, TT, FF, UNIT, Var, alpha_eq,
-    alpha_key, is_value, pretty, replace_at, subterm_at,
+    alpha_key, fold_term, is_value, pretty, replace_at, subterm_at,
 )
 
 
@@ -238,13 +238,14 @@ def weak_canon_prob(m: Term, config: LangConfig,
 
 def _dw_chain(atoms: list[tuple[Fraction, Fraction, Term]]) -> Term:
     """Weighted rewarded values rendered as a right-nested probabilistic
-    chain; each atom is (probability, reward, value)."""
-    total = sum(p for p, _, _ in atoms)
-    p, r, v = atoms[0]
-    leaf = Rew(RewConst(r), v)
-    if len(atoms) == 1:
-        return leaf
-    return PChoice(p / total, leaf, _dw_chain(atoms[1:]))
+    chain, built from the last atom outward; each atom is (probability,
+    reward, value)."""
+    total, t = Fraction(0), None
+    for p, r, v in reversed(atoms):
+        total += p
+        leaf = Rew(RewConst(r), v)
+        t = leaf if t is None else PChoice(p / total, leaf, t)
+    return t
 
 
 def weak_canonical_term(branches: list, monad_name: str) -> Term:
@@ -480,17 +481,16 @@ def _same_pr_targets(m: Term, n: Term, st):
 
 
 def _eval_closed_reward(t: Term, st) -> Fraction:
-    """Value of a closed reward term built from constants, +, and oplus."""
-    match t:
-        case RewConst(v):
-            return v
-        case FnApp("+", (a, b), _):
-            return st.add(_eval_closed_reward(a, st), _eval_closed_reward(b, st))
-        case FnApp("oplus", (a, b), p):
-            return st.convex(p, _eval_closed_reward(a, st),
-                             _eval_closed_reward(b, st))
-        case _:
+    """Value of a closed reward term built from constants, +, and oplus;
+    a fold."""
+    def node(s, kids, env):
+        if type(s) is RewConst:
+            return s.value
+        if type(s) is not FnApp or len(kids) != 2 or s.sym not in ("+", "oplus"):
             raise NoMatch
+        return st.add(*kids) if s.sym == "+" else st.convex(s.weight, *kids)
+
+    return fold_term(t, node)
 
 
 def _expects(st, x: Term, y: Term, m: Term, n: Term) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .monads import make_monad, theta
@@ -31,7 +32,7 @@ from .operational import _eval_fn, eval_effect
 from .strategies import max_by, select_fast
 from .syntax import (
     FF, TT, App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice,
-    Rew, RewConst, Snd, Star, Term, Var, make_dispatcher,
+    Rew, RewConst, Snd, Star, Term, Var, fold_term, make_dispatcher,
 )
 
 
@@ -96,14 +97,6 @@ def sel_or(monad, f, g):
                                 f(gamma), g(gamma))
 
 
-def sel_reward(monad, c: Fraction, f):
-    return lambda gamma: monad.reward(c, f(gamma))
-
-
-def sel_pchoice(monad, p: Fraction, f, g):
-    return lambda gamma: monad.pchoice(p, f(gamma), g(gamma))
-
-
 ### reward continuations
 
 def zero_gamma(config: LangConfig):
@@ -125,70 +118,76 @@ def gamma_from_table(table: dict[str, Fraction], config: LangConfig):
 
 ### denotation
 
+def _compiler(config: LangConfig, monad):
+    """denote's node callback: each node becomes its run, a function from
+    an environment (variable -> semantic value) to the computation it
+    denotes there, made from its children's runs once per fold.  A node
+    with no denotation (a Hole) fails only when its computation is built."""
+    unit, bind = partial(sel_unit, monad), partial(sel_bind, monad)
+
+    def node(s, kids, _):
+        cls = type(s)
+        if cls is Var:
+            return lambda env: unit(env[s.name])
+        if cls in (Const, RewConst, Star):
+            return lambda env: unit(s)
+        if cls is Lam:
+            return lambda env: unit(FnElem(lambda arg: kids[0]({**env, s.var: arg})))
+        if cls is Pair:
+            return lambda env: bind(kids[0](env), lambda u: bind(
+                kids[1](env), lambda v: unit(Pair(u, v))))
+        if cls is Fst or cls is Snd:
+            return lambda env: bind(kids[0](env), lambda u: unit(
+                u.fst if cls is Fst else u.snd))
+        if cls is App:
+            f, a = kids
+            return lambda env: bind(f(env), lambda phi: bind(a(env), phi.fn))
+        if cls is If:
+            c, a, b = kids
+            return lambda env: bind(c(env), lambda v: a(env) if v == TT else b(env))
+        if cls is FnApp:
+            def chain(env, i, acc):  # one level per argument, at most two
+                if i == len(kids):
+                    return unit(_eval_fn(s.sym, acc, s.weight, config))
+                return bind(kids[i](env), lambda v: chain(env, i + 1, acc + [v]))
+            return lambda env: chain(env, 0, [])
+        if cls is Or:
+            return lambda env: sel_or(monad, kids[0](env), kids[1](env))
+        # a default argument builds a part once per computation, not per gamma
+        if cls is Rew:
+            return lambda env: bind(kids[0](env), lambda r: (
+                lambda gamma, f=kids[1](env): monad.reward(r.value, f(gamma))))
+        if cls is PChoice:
+            return lambda env: (lambda gamma, f=kids[0](env), g=kids[1](env):
+                                monad.pchoice(s.weight, f(gamma), g(gamma)))
+
+        def fail(env):
+            raise ValueError(f"cannot denote {s!r}")
+        return fail
+
+    return node
+
+
 def denote_value(v: Term, config: LangConfig, monad):
-    """Denotation of a value: the value itself, with each lambda, also
-    inside pairs, turned into an FnElem."""
-    match v:
-        case Const() | RewConst() | Star():
-            return v
-        case Pair(a, b):
-            return Pair(denote_value(a, config, monad),
-                        denote_value(b, config, monad))
-        case Lam(x, _, body):
-            return FnElem(lambda arg: denote(body, config, monad, {x: arg}))
-        case _:
-            raise ValueError(f"not a value: {v!r}")
+    """Denotation of a closed value: the value itself, with each lambda,
+    also inside pairs, turned into an FnElem.  A fold, None at non-values."""
+    def node(s, kids, _):
+        if type(s) is Lam:
+            return FnElem(lambda arg: denote(s.body, config, monad, {s.var: arg}))
+        if type(s) is Pair and None not in kids:
+            return Pair(*kids)
+        return s if type(s) in (Const, RewConst, Star) else None
+
+    value = fold_term(v, node)
+    if value is None:
+        raise ValueError(f"not a value: {v!r}")
+    return value
 
 
 def denote(t: Term, config: LangConfig, monad, env: dict | None = None):
     """The computation t denotes: a function from a reward continuation to
-    a value of monad."""
-    env = env or {}
-
-    def go(t, env):
-        match t:
-            case Var(name):
-                return sel_unit(monad, env[name])
-            case Const() | RewConst() | Star():
-                return sel_unit(monad, t)
-            case Lam(x, _, body):
-                return sel_unit(
-                    monad, FnElem(lambda arg: go(body, {**env, x: arg})))
-            case Pair(a, b):
-                return sel_bind(monad, go(a, env), lambda u:
-                                sel_bind(monad, go(b, env), lambda v:
-                                         sel_unit(monad, Pair(u, v))))
-            case Fst(a):
-                return sel_bind(monad, go(a, env),
-                                lambda u: sel_unit(monad, u.fst))
-            case Snd(a):
-                return sel_bind(monad, go(a, env),
-                                lambda u: sel_unit(monad, u.snd))
-            case App(f, a):
-                return sel_bind(monad, go(f, env), lambda phi:
-                                sel_bind(monad, go(a, env), phi.fn))
-            case If(c, a, b):
-                return sel_bind(monad, go(c, env), lambda v:
-                                go(a, env) if v == TT else go(b, env))
-            case FnApp(sym, args, w):
-                def chain(i, acc):
-                    if i == len(args):
-                        return sel_unit(monad, _eval_fn(sym, acc, w, config))
-                    return sel_bind(monad, go(args[i], env),
-                                    lambda v, i=i: chain(i + 1, acc + [v]))
-
-                return chain(0, [])
-            case Or(a, b):
-                return sel_or(monad, go(a, env), go(b, env))
-            case Rew(c, m):
-                return sel_bind(monad, go(c, env), lambda r:
-                                sel_reward(monad, r.value, go(m, env)))
-            case PChoice(p, a, b):
-                return sel_pchoice(monad, p, go(a, env), go(b, env))
-            case _:
-                raise ValueError(f"cannot denote {t!r}")
-
-    return go(t, env)
+    a value of monad.  One fold compiles t; the result runs under env."""
+    return fold_term(t, _compiler(config, monad))(env or {})
 
 
 ### observation (operational summaries) and embedding

@@ -3,8 +3,9 @@ typecheck, selection, printing, free variables, substitution,
 alpha-equivalence, equality, hashing and ``repr`` of terms and types,
 ``is_value``, ``node_tally`` and the traced machine keep explicit stacks,
 so nesting depth is bounded by memory, not by Python's recursion limit.
-``denote`` still recurses once per level; its current reach is pinned so
-that it cannot shrink unnoticed."""
+``denote`` compiles a term in one fold, but the computations it builds
+still nest once per level when they run; their current reach is pinned
+so that it cannot shrink unnoticed."""
 
 import random
 import sys
@@ -314,3 +315,12 @@ def test_a_stuck_deep_application_reports_its_redex():
 def test_canon_of_a_parenthesised_binder_type(capsys, tmp_path):
     ty = "(" * 400 + "Bool" + ")" * 400
     assert cli(capsys, tmp_path, f"(fun (x:{ty}) -> x) tt", "canon") == "0 . tt"
+
+
+def test_canon_renders_a_2048_outcome_distribution(capsys, tmp_path):
+    src = "mode prob;\n" + "".join(
+        f"let x{i} : Unit = ({2 ** i} . * +[1/2] *) in " for i in range(11))
+    dw = cli(capsys, tmp_path, src + "tt", "canon", "--monad", "DW")
+    assert dw.count("+[") == 2047
+    assert cli(capsys, tmp_path, src + "tt", "canon", "--monad", "T2") == \
+        "2047/2 . tt"

@@ -10,7 +10,9 @@ from selcalc.selection import (
     ConstElem, agree_at, denote, denote_value, embed_outcome,
     gamma_from_table, kappa_term, observe, zero_gamma,
 )
-from selcalc.syntax import App, BOOL, parse_program, pretty, typecheck
+from selcalc.syntax import (
+    App, BOOL, TT, Hole, Lam, Pair, parse_program, pretty, typecheck,
+)
 from selcalc.testgen import GenConfig, default_gammas, gamma_tables, gen_program
 
 E1 = "(5 . tt) or (6 . ff)"
@@ -185,3 +187,34 @@ def test_sel_bind_runs_each_continuation_once_per_valuation():
     # the memo lives for one run: a second valuation calls k afresh
     assert f(zero_gamma(parse_program("tt").config)) == (F(0), TT_ELEM)
     assert calls == {TT_ELEM: 2, FF_ELEM: 2}
+
+
+def test_agree_at_compiles_each_program_once(monkeypatch):
+    import selcalc.selection
+    real, calls = selcalc.selection.fold_term, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selcalc.selection, "fold_term", counting)
+    m = parse_program("let f : Bool -> Bool = fun (x:Bool) -> (1 . x) or ff in"
+                      " f (f (f tt))")
+    n = parse_program("let g : Bool -> Bool = fun (y:Bool) -> if y then 2 . ff"
+                      " else y in g (g (g (g ff)))")
+    config, mon = m.config, make_monad("W", m.config.structure)
+    gammas = [gamma_from_table(w, config)
+              for w in gamma_tables("Bool", config, 64)]
+    assert len(gammas) == 64
+    agree_at(m.term, n.term, config, mon, gammas)
+    assert calls == [m.term, n.term]
+
+
+def test_a_hole_fails_only_when_its_computation_is_built():
+    config = parse_program("tt").config
+    mon = make_monad("W", config.structure)
+    fn = denote(Lam("x", BOOL, Hole()), config, mon)(zero_gamma(config))[1]
+    pair = denote(Pair(TT, Hole()), config, mon)
+    for run in (lambda: fn.fn(TT), lambda: pair(zero_gamma(config))):
+        with pytest.raises(ValueError, match="cannot denote Hole"):
+            run()
