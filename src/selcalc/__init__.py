@@ -24,8 +24,8 @@ from .strategies import (
     select_fast, select_program,
 )
 from .monads import (
-    Dist, MRVal, T2Val, T3Val, atom_key, cond_reward, expect0, k_gamma,
-    make_monad, mr_of_effect, mrval, t2val, theta, vdis,
+    Dist, MRVal, atom_key, cond_reward, expect0, k_gamma, make_monad,
+    mr_of_effect, mrval, t2val, theta, vdis,
 )
 from .selection import (
     ConstElem, FnElem, PairElem, RewElem, UnitElem, agree_at, denote,

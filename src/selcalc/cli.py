@@ -23,7 +23,7 @@ from .equations import (
     distinguish_rewards, rewards_impurity_witness, separate_prob,
     weak_canon_prob, weak_canonical_term,
 )
-from .monads import default_monad, make_monad
+from .monads import default_monad, make_monad, value_atoms
 from .operational import BudgetExceeded, StuckTerm, eval_effect, trace_eval
 from .properties import SUITES, run_suite
 from .rewards import (
@@ -77,14 +77,16 @@ def _monad_value_json(u, monad_name: str):
         case "DW":
             return {"outcome": _outcome_atoms(u, "prob")}
         case "T2":
+            atoms = value_atoms(u)
             return {"dist": [{"prob": str(p), "value": _sem_str(x)}
-                             for x, p in u.dist.items()],
+                             for x, p, _ in atoms],
                     "rewards": [{"value": _sem_str(x), "reward": str(r)}
-                                for x, r in u.rew]}
+                                for x, _, r in atoms]}
         case "T3":
+            atoms = value_atoms(u)
             return {"dist": [{"prob": str(p), "value": _sem_str(x)}
-                             for x, p in u.dist.items()],
-                    "reward": str(u.rew)}
+                             for x, p, _ in atoms],
+                    "reward": str(atoms[0][2])}
         case _:
             raise ValueError(f"no rendering for monad {monad_name}")
 
@@ -98,12 +100,14 @@ def _monad_value_text(u, monad_name: str) -> str:
             return "; ".join(f"{p}: reward {r}, value {_sem_str(v)}"
                              for (r, v), p in u.items())
         case "T2":
-            dist = ", ".join(f"{p} {_sem_str(x)}" for x, p in u.dist.items())
-            rew = ", ".join(f"{_sem_str(x)} -> {r}" for x, r in u.rew)
+            atoms = value_atoms(u)
+            dist = ", ".join(f"{p} {_sem_str(x)}" for x, p, _ in atoms)
+            rew = ", ".join(f"{_sem_str(x)} -> {r}" for x, _, r in atoms)
             return f"dist: {dist}; rewards: {rew}"
         case "T3":
-            dist = ", ".join(f"{p} {_sem_str(x)}" for x, p in u.dist.items())
-            return f"dist: {dist}; reward {u.rew}"
+            atoms = value_atoms(u)
+            dist = ", ".join(f"{p} {_sem_str(x)}" for x, p, _ in atoms)
+            return f"dist: {dist}; reward {atoms[0][2]}"
         case _:
             raise ValueError(f"no rendering for monad {monad_name}")
 
@@ -139,6 +143,18 @@ def _load_gamma(gamma_arg: str | None, config: LangConfig):
             raise click.UsageError(
                 f"gamma entry {k}={v} lies outside {config.structure.name}")
     return gamma_from_table(table, config)
+
+
+def _check_monad(mname: str, config: LangConfig) -> str:
+    """mname, or a usage error when the program's mode or reward structure
+    cannot carry that monad."""
+    if (mname == "W") != (config.mode == "rewards"):
+        raise click.UsageError(f"monad {mname} does not fit mode {config.mode}")
+    try:
+        make_monad(mname, config.structure)
+    except ValueError as e:
+        raise click.UsageError(f"monad {mname}: {e}")
+    return mname
 
 
 ### suite names
@@ -245,9 +261,7 @@ def eval_cmd(semantics, monad_name, gamma_arg, oracle, trace, mode,
             click.echo(_monad_value_text(out, default_monad(config.mode)))
         return 0
 
-    mname = monad_name or default_monad(config.mode)
-    if (mname == "W") != (config.mode == "rewards"):
-        raise click.UsageError(f"monad {mname} does not fit mode {config.mode}")
+    mname = _check_monad(monad_name or default_monad(config.mode), config)
     gam = _load_gamma(gamma_arg, config)
     u = denote(term, config, make_monad(mname, config.structure))(gam)
     if as_json:
@@ -271,7 +285,7 @@ def canon(mode, monad_name, structure_name, as_json, file):
             raise click.UsageError("--monad applies to probabilistic mode")
         c = canonical_term(canon_rewards(term, config))
     else:
-        mname = monad_name or "DW"
+        mname = _check_monad(monad_name or "DW", config)
         c = weak_canonical_term(weak_canon_prob(term, config, mname), mname)
     if as_json:
         click.echo(json.dumps({"version": JSON_VERSION, "canonical": pretty(c)}))
@@ -291,6 +305,10 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
                    or pa.config.structure.name)
     if pa.config.mode != pb.config.mode:
         raise click.UsageError("the two programs declare different modes")
+    for base in pa.config.bases.keys() & pb.config.bases.keys():
+        if pa.config.bases[base] != pb.config.bases[base]:
+            raise click.UsageError(
+                f"the two programs declare base {base} differently")
     if ta != tb:
         raise SelTypeError(f"type mismatch: {ta} vs {tb}")
     config = pa.config
@@ -320,7 +338,7 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
                      "left": _outcome_atoms(a, config.mode),
                      "right": _outcome_atoms(b, config.mode)})
 
-    mname = monad_name or "DW"
+    mname = _check_monad(monad_name or "DW", config)
     verdict, table = separate_prob(m, n, config, mname)
     if verdict is True:
         return emit(True, ["equivalent"])
@@ -359,7 +377,8 @@ def pure(mode, monad_name, structure_name, as_json, file):
             except ValueError:
                 witness = None
     else:
-        res = decide_pure_prob(term, config, monad_name or "DW")
+        res = decide_pure_prob(term, config,
+                               _check_monad(monad_name or "DW", config))
         c, witness = res.constant, res.witness
     if c is not None:
         if as_json:

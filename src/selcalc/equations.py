@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monads import make_monad, vdis
+from .monads import make_monad, value_atoms, vdis
 from .operational import eval_effect
 from .strategies import best_outcomes, check_cap
 from .syntax import (
@@ -255,11 +255,11 @@ def weak_canonical_term(branches: list, monad_name: str) -> Term:
             case "DW":
                 return _dw_chain([(p, r, x) for (r, x), p in b.items()])
             case "T2":
-                return _dw_chain([(b.dist.prob(x), b.rho(x), x)
-                                  for x in b.dist.support()])
+                return _dw_chain([(p, r, x) for x, p, r in value_atoms(b)])
             case "T3":
-                vals = [(b.dist.prob(x), Fraction(0), x) for x in b.dist.support()]
-                return Rew(RewConst(b.rew), _dw_chain(vals))
+                atoms = value_atoms(b)
+                vals = [(p, Fraction(0), x) for x, p, _ in atoms]
+                return Rew(RewConst(atoms[0][2]), _dw_chain(vals))
             case _:
                 raise ValueError(f"no term rendering for monad {monad_name}")
 
@@ -308,26 +308,13 @@ class PurityResult:
     witness: dict[str, Fraction] | None  # valuation table when impure
 
 
-def _branch_view(b, monad_name: str, zero: Fraction):
+def _branch_view(b, zero: Fraction):
     """(value distribution, reward floor, unit flag) of a normalized branch.
     The floor satisfies: expected reward under any valuation is at least
     floor combined with the average valuation."""
-    match monad_name:
-        case "DW":
-            vd = vdis(b)
-            floor = min(r for (r, _), _ in b.items())
-            unit = len(b.items()) == 1 and b.items()[0][0][0] == zero
-        case "T2":
-            vd = b.dist
-            floor = min(r for _, r in b.rew)
-            unit = len(vd.items()) == 1 and b.rew[0][1] == zero
-        case "T3":
-            vd = b.dist
-            floor = b.rew
-            unit = len(vd.items()) == 1 and b.rew == zero
-        case _:
-            raise ValueError(f"no purity procedure for monad {monad_name}")
-    return vd, floor, unit
+    atoms = b.items()
+    unit = len(atoms) == 1 and atoms[0][0][0] == zero
+    return vdis(b), min(r for (r, _), _ in atoms), unit
 
 
 def decide_pure_prob(m: Term, config: LangConfig,
@@ -351,7 +338,7 @@ def decide_pure_prob(m: Term, config: LangConfig,
     scores = [monad.expect(b, zero_g) for b in branches]
     best = max(scores)
     i0 = scores.index(best)
-    vd0, _, unit0 = _branch_view(branches[i0], monad_name, st.zero)
+    vd0, _, unit0 = _branch_view(branches[i0], st.zero)
     if not all(isinstance(x, Const) for x in vd0.support()):
         raise NoDistinguishingContext(
             "purity decision applies to programs of base type")
@@ -368,7 +355,7 @@ def decide_pure_prob(m: Term, config: LangConfig,
     for i, b in enumerate(branches):
         if i == i0:
             continue
-        vd, floor, _ = _branch_view(b, monad_name, st.zero)
+        vd, floor, _ = _branch_view(b, st.zero)
         off_mass = sum(vd.prob(x) for x in vd.support() if x != cbar)
         if off_mass == 0:
             continue

@@ -2,15 +2,19 @@
 
 * ``WMonad``   -- reward-and-value pairs (deterministic mode),
 * ``DWMonad``  -- distributions over reward-and-value pairs,
-* ``T2Monad``  -- a value distribution plus a reward for each support point,
-* ``T3Monad``  -- a value distribution plus one pooled reward,
+* ``T2Monad``  -- DW distributions in gathered normal form: no value twice,
+  each value carrying its reward conditioned on it,
+* ``T3Monad``  -- DW distributions in pooled normal form: every atom
+  carrying the one expected reward,
 * ``MRMonad``  -- sets of values tagged with their best reward (used for the
   observational characterization in rewards mode, not for selection).
 
-All are parametric in a reward structure.  T3 additionally requires the
-structure's monoid to mix through convex combination pointwise; its
-constructor verifies this by seeded random trial and refuses structures
-that fail.
+T2 and T3 are the images of DW under the comparison map ``theta``: their
+operations are DW's, with ``mix``, ``bind`` and ``map`` followed by the
+monad's ``normal`` map, so ``vdis``, ``cond_reward`` and ``expect0`` read
+values of all three.  All are parametric in a reward structure.  T2 and
+T3 require the structure to declare the gathering and mixing laws
+respectively; their constructors refuse structures that do not.
 
 The module also provides expectation, the comparison/embedding maps between
 these monads, and the reward-shift maps used to prove programs apart.
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Callable
 
 from .rewards import ONE, ZERO, RewardStructure, DEFAULT_STRUCTURE
@@ -28,7 +31,6 @@ from .rewards import ONE, ZERO, RewardStructure, DEFAULT_STRUCTURE
 
 ### generic sorting key for distribution atoms
 
-@lru_cache(maxsize=1 << 16)
 def atom_key(a: Any):
     if isinstance(a, Fraction):
         return (0, a)
@@ -143,31 +145,19 @@ class Dist:
 
 ### compound carriers
 
-@dataclass(frozen=True)
-class T2Val:
-    """A value distribution with a reward attached to each support point.
-    ``rew`` is a tuple of (atom, reward) aligned with the support, in the
-    order of ``dist.pairs``; T2Monad reads rewards by that position."""
-    dist: Dist
-    rew: tuple[tuple[Any, Fraction], ...]
-
-    def rho(self, x) -> Fraction:
-        for y, r in self.rew:
-            if y == x:
-                return r
-        raise KeyError(f"{x!r} not in support")
-
-
-def t2val(dist: Dist, rho: dict[Any, Fraction] | Callable[[Any], Fraction]) -> T2Val:
+def t2val(dist: Dist, rho: dict[Any, Fraction] | Callable[[Any], Fraction]) -> Dist:
+    """The T2 value over dist whose value x carries reward rho(x): a DW
+    distribution with one (rho(x), x) atom per support point.  With a
+    constant rho it is the T3 value pooling that reward."""
     get = rho.__getitem__ if isinstance(rho, dict) else rho
-    return T2Val(dist, tuple((x, get(x)) for x in dist.support()))
+    return Dist._trusted({(get(x), x): p for x, p in dist.pairs})
 
 
-@dataclass(frozen=True)
-class T3Val:
-    """A value distribution with a single pooled reward."""
-    dist: Dist
-    rew: Fraction
+def value_atoms(u: Dist) -> list[tuple[Any, Fraction, Fraction]]:
+    """A T2 or T3 value's atoms as (value, probability, reward), in the
+    order of their values."""
+    return sorted(((x, p, r) for (r, x), p in u.pairs),
+                  key=lambda a: atom_key(a[0]))
 
 
 @dataclass(frozen=True)
@@ -198,18 +188,6 @@ class Monad:
         return self.alpha(self.map(gamma, u))
 
 
-class ProbMonad(Monad):
-    """A monad with probabilistic choice, as the mixture of two values."""
-    has_pchoice = True
-
-    def pchoice(self, p: Fraction, u, v):
-        if p == 1:
-            return u
-        if p == 0:
-            return v
-        return self.mix([(p, u), (1 - p, v)])
-
-
 class WMonad(Monad):
     """Reward-and-value pairs; binding accumulates rewards."""
     name = "W"
@@ -235,9 +213,11 @@ class WMonad(Monad):
         return self.structure.add(r, s)
 
 
-class DWMonad(ProbMonad):
-    """Distributions over reward-and-value pairs."""
+class DWMonad(Monad):
+    """Distributions over reward-and-value pairs, with probabilistic choice
+    as the mixture of two values."""
     name = "DW"
+    has_pchoice = True
 
     def unit(self, x) -> Dist:
         return Dist.unit((self.structure.zero, x))
@@ -272,11 +252,19 @@ class DWMonad(ProbMonad):
         return self.structure.big_convex(
             [(p, add(r, gamma(x))) for (r, x), p in u.pairs])
 
+    def pchoice(self, p: Fraction, u, v):
+        if p == 1:
+            return u
+        if p == 0:
+            return v
+        return self.mix([(p, u), (1 - p, v)])
 
-class T2Monad(ProbMonad):
-    """Value distribution with per-point rewards.  Requires the reward
-    action to gather through convex combination on a shared point, which
-    every built-in structure satisfies."""
+
+class T2Monad(DWMonad):
+    """DW in gathered normal form: no value twice, each value carrying its
+    reward conditioned on it.  Requires the reward action to gather
+    through convex combination on a shared point, which every built-in
+    structure satisfies."""
     name = "T2"
 
     def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE):
@@ -286,53 +274,37 @@ class T2Monad(ProbMonad):
                 "shared point; per-point pooling is unsound")
         super().__init__(structure)
 
-    def unit(self, x) -> T2Val:
-        return T2Val(Dist.unit(x), ((x, self.structure.zero),))
-
-    def _conditional_rewards(self, dist: Dist, parts: dict[Any, list]) -> T2Val:
-        """Attach to each atom of dist the average of its (weight, reward)
-        parts, conditioned on the atom."""
+    def normal(self, u: Dist) -> Dist:
+        """Gather the atoms of each value into one, with the average of
+        their rewards conditioned on the value."""
+        parts: dict[Any, list] = {}
+        for (r, x), p in u.pairs:
+            parts.setdefault(x, []).append((p, r))
+        if len(parts) == len(u.pairs):
+            return u
         big_convex = self.structure.big_convex
-        return T2Val(dist, tuple(
-            (x, big_convex([(w / total, r) for w, r in parts[x]]))
-            for x, total in dist.pairs))
+        acc: dict[Any, Fraction] = {}
+        for x, ps in parts.items():
+            total = sum(p for p, _ in ps)
+            acc[(big_convex([(p / total, r) for p, r in ps]), x)] = total
+        return Dist._trusted(acc)
 
-    def mix(self, weighted) -> T2Val:
-        """Convex combination of finitely many values; rewards on shared
-        support points are averaged with the conditional weights."""
-        dist = Dist.mix([(p, u.dist) for p, u in weighted])
-        parts: dict[Any, list] = {}
-        for p, u in weighted:
-            if p > 0:
-                for (x, q), (_, r) in zip(u.dist.pairs, u.rew):
-                    parts.setdefault(x, []).append((p * q, r))
-        return self._conditional_rewards(dist, parts)
+    def mix(self, weighted) -> Dist:
+        return self.normal(super().mix(weighted))
 
-    def bind(self, u: T2Val, f) -> T2Val:
-        return self.mix([(p, self.reward(r, f(x)))
-                         for (x, p), (_, r) in zip(u.dist.pairs, u.rew)])
+    def bind(self, u: Dist, f) -> Dist:
+        return self.normal(super().bind(u, f))
 
-    def map(self, f, u: T2Val) -> T2Val:
-        parts: dict[Any, list] = {}
-        for (x, p), (_, r) in zip(u.dist.pairs, u.rew):
-            parts.setdefault(f(x), []).append((p, r))
-        dist = Dist._trusted({y: sum(p for p, _ in ps) for y, ps in parts.items()})
-        return self._conditional_rewards(dist, parts)
-
-    def reward(self, c, u: T2Val) -> T2Val:
-        add = self.structure.add
-        return T2Val(u.dist, tuple((x, add(c, r)) for x, r in u.rew))
-
-    def alpha(self, u: T2Val) -> Fraction:
-        add = self.structure.add
-        return self.structure.big_convex(
-            [(p, add(r, x)) for (x, p), (_, r) in zip(u.dist.pairs, u.rew)])
+    def map(self, f, u: Dist) -> Dist:
+        return self.normal(super().map(f, u))
 
 
-class T3Monad(ProbMonad):
-    """Value distribution with one pooled reward.  Only sound when the
-    monoid mixes through convex combination on distinct points; the
-    constructor checks the structure's declared mixing law."""
+class T3Monad(T2Monad):
+    """DW in pooled normal form: every atom carries the one expected
+    reward, so no value occurs twice and a T3 value is a T2 value too.
+    Only sound when the monoid mixes through convex combination on
+    distinct points; the constructor checks the structure's declared
+    mixing law (and, through T2, the gathering law that it implies)."""
     name = "T3"
 
     def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE):
@@ -342,32 +314,12 @@ class T3Monad(ProbMonad):
                 "accumulation; pooling a single reward is unsound")
         super().__init__(structure)
 
-    def unit(self, x) -> T3Val:
-        return T3Val(Dist.unit(x), self.structure.zero)
-
-    def mix(self, weighted) -> T3Val:
-        live = [(p, u) for p, u in weighted if p > 0]
-        dist = Dist.mix([(p, u.dist) for p, u in live])
-        rew = self.structure.big_convex([(p, u.rew) for p, u in live])
-        return T3Val(dist, rew)
-
-    def bind(self, u: T3Val, f) -> T3Val:
-        return self.reward(u.rew, self.mix([(p, f(x)) for x, p in u.dist.pairs]))
-
-    def map(self, f, u: T3Val) -> T3Val:
-        return T3Val(u.dist.map(f), u.rew)
-
-    def reward(self, c, u: T3Val) -> T3Val:
-        return T3Val(u.dist, self.structure.add(c, u.rew))
-
-    def alpha(self, u: T3Val) -> Fraction:
-        avg = self.structure.big_convex([(p, x) for x, p in u.dist.pairs])
-        return self.structure.add(u.rew, avg)
-
-    def expect(self, u: T3Val, gamma) -> Fraction:
-        """alpha(map(gamma, u)), without building the mapped distribution."""
-        avg = self.structure.big_convex([(p, gamma(x)) for x, p in u.dist.pairs])
-        return self.structure.add(u.rew, avg)
+    def normal(self, u: Dist) -> Dist:
+        """Pool the rewards of all atoms into their expectation."""
+        if len({r for (r, _), _ in u.pairs}) == 1:
+            return u
+        pooled = expect0(u, self.structure)
+        return u.map(lambda rx: (pooled, rx[1]))
 
 
 class MRMonad(Monad):

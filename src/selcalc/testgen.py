@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 
 from .equations import AXIOMS, NoDistinguishingContext
-from .monads import Dist, T3Val, mrval, t2val
+from .monads import Dist, mrval, t2val
 from .rewards import DEFAULT_STRUCTURE, RewardStructure
 from .selection import gamma_from_table
 from .strategies import outcome_score, select_fast
@@ -362,7 +362,8 @@ def gen_monad_value(cfg: GenConfig, monad, carrier,
             d = dist()
             return t2val(d, {x: rng.choice(pool) for x in d.support()})
         case "T3":
-            return T3Val(dist(), rng.choice(pool))
+            d, r = dist(), rng.choice(pool)
+            return t2val(d, lambda _: r)
         case "MR":
             k = rng.randint(1, min(3, len(atoms)))
             return mrval({x: rng.choice(pool) for x in rng.sample(atoms, k)})

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction as F
 
 from selcalc.equations import decide_pure_prob
-from selcalc.monads import Dist, make_monad, t2val, T3Val
+from selcalc.monads import Dist, cond_reward, make_monad, t2val, vdis
 from selcalc.properties import run_suite
 from selcalc.selection import ConstElem, denote, gamma_from_table, observe, zero_gamma
 from selcalc.strategies import outcome_score, select_program
@@ -71,12 +71,12 @@ def test_criterion_03_observation_monads_example():
     assert t1 == Dist([(F(1, 2), (F(1), TT)), (F(1, 5), (F(2), FF)),
                        (F(3, 10), (F(3), TT))])
     vals = Dist([(F(4, 5), TT), (F(1, 5), FF)])
-    assert t3 == T3Val(vals, F(9, 5))
-    assert t2.dist == vals
-    assert t2.rho(FF) == F(2)
+    assert t3 == t2val(vals, lambda _: F(9, 5))
+    assert vdis(t2) == vals
+    assert cond_reward(t2, FF) == F(2)
     # the conditional-reward formula gives 7/4 for tt (not the 1.4 one
     # would get by pooling); frozen after hand-computing both readings
-    assert t2.rho(TT) == F(7, 4)
+    assert cond_reward(t2, TT) == F(7, 4)
     assert t2 == t2val(vals, {TT: F(7, 4), FF: F(2)})
     assert dt < 0.010, f"took {dt * 1000:.2f} ms"
 

@@ -178,6 +178,28 @@ def test_monad_mode_mismatch(sel, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", [["eval", "--semantics", "denotational"],
+                                     ["canon"], ["pure"], ["equiv"]])
+def test_monad_structure_mismatch_is_a_usage_error(sel, capsys, command):
+    # T3 pools rewards, which a multiplicative structure does not mix
+    f = sel("mode prob; structure MulPositiveRationals;\n(2 . tt) +[1/2] ff")
+    files = [f, f] if command == ["equiv"] else [f]
+    rc, out, err = run(capsys, *command, "--monad", "T3", *files)
+    assert rc == 3 and out == ""
+    assert "Error: monad T3: structure MulPositiveRationals does not mix" in err
+
+
+@pytest.mark.parametrize("command", ["equiv", "distinguish"])
+def test_equiv_bases_declared_differently_is_a_usage_error(sel, capsys, command):
+    # A's h is B's t by index, so comparing the terms would mix them up
+    a = sel("base Coin = {h, t};\n(1 . h) or t", "a.sel")
+    b = sel("base Coin = {t, h};\n(1 . h) or t", "b.sel")
+    rc, out, err = run(capsys, command, a, b)
+    assert rc == 3 and out == ""
+    assert "Error: the two programs declare base Coin differently" in err
+    assert run(capsys, command, a, a)[0] == {"equiv": 0, "distinguish": 1}[command]
+
+
 def test_flag_combination_validated(sel, capsys):
     rc, _, err = run(capsys, "eval", "--semantics", "ordinary", "--oracle",
                      sel(E1))

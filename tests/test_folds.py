@@ -173,7 +173,7 @@ EXPORTS = """
     is_value parse_program plug pretty type_rank typecheck BudgetExceeded
     DEFAULT_BUDGET StuckTerm eval_effect trace_eval StrategyCapExceeded
     argmax max_by outcome_score select_bruteforce select_fast select_program
-    Dist MRVal T2Val T3Val atom_key cond_reward expect0 k_gamma make_monad
+    Dist MRVal atom_key cond_reward expect0 k_gamma make_monad
     mr_of_effect mrval t2val theta vdis ConstElem FnElem PairElem RewElem
     UnitElem agree_at denote denote_value embed_outcome gamma_from_table
     kappa_term observe zero_gamma AXIOMS NoMatch PurityResult apply_axiom
@@ -233,8 +233,6 @@ select_fast(e, config)
 select_program(m, config)
 Dist(weighted)
 MRVal(entries)
-T2Val(dist, rew)
-T3Val(dist, rew)
 atom_key(a)
 cond_reward(u, x, structure)
 expect0(u, structure)

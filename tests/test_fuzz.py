@@ -1,9 +1,12 @@
 """Fuzz properties of the command line: random token streams over the
 lexer's vocabulary and generated programs in both modes go through
-``eval`` (also denotational, under each monad of the mode), ``canon``,
-``pure`` and ``equiv`` with themselves; none ever answers "internal
-error", a well-typed program is equivalent to itself, and every term
-printed parses back to an alpha-equal term."""
+``eval``, ``canon``, ``pure`` and ``equiv`` with themselves, the last
+three and the denotational ``eval`` also under each monad of the mode and
+each reward structure; none ever answers "internal error", a well-typed
+program is equivalent to itself, and every term printed parses back to
+an alpha-equal term."""
+
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,6 +15,7 @@ from selcalc.cli import main
 from selcalc.equations import (
     canon_rewards, canonical_term, weak_canon_prob, weak_canonical_term,
 )
+from selcalc.rewards import STRUCTURES
 from selcalc.strategies import select_program
 from selcalc.syntax import (
     BOOL, Arrow, Prod, Program, SelSyntaxError, SelTypeError, _KEYWORDS,
@@ -50,11 +54,12 @@ def canonical(term, config):
 
 
 def check_program(capsys, path, src, term=None):
-    """Run eval, canon, pure, equiv with itself and the denotational eval
-    under each monad of its mode on src; when it is a well-typed program
-    (whose source was printed from term, if given), check that it is
-    equivalent to itself and that the program, its selected value and its
-    printed canonical form parse back alpha-equal."""
+    """Run eval, canon, pure and equiv with itself on src, and all but the
+    first (eval denotationally) under each monad of its mode and each
+    reward structure; when it is a well-typed program (whose source was
+    printed from term, if given), check that it is equivalent to itself
+    and that the program, its selected value and its printed canonical
+    form parse back alpha-equal."""
     path.write_text(src)
     f = str(path)
     run(capsys, "eval", f)
@@ -70,9 +75,14 @@ def check_program(capsys, path, src, term=None):
         return
     assert term is None or alpha_eq(p.term, term)
     monads = ["W"] if p.config.mode == "rewards" else ["DW", "T2", "T3"]
-    for monad in monads:
-        run(capsys, "eval", "--semantics", "denotational", "--monad", monad, f)
-        run(capsys, "pure", *(["--monad", monad] if monad != "W" else []), f)
+    for structure, monad in itertools.product(sorted(STRUCTURES), monads):
+        flags = ["--structure", structure]
+        run(capsys, "eval", "--semantics", "denotational", "--monad", monad,
+            *flags, f)
+        if monad != "W":
+            flags += ["--monad", monad]
+        for command in (["canon"], ["pure"], ["equiv", f]):
+            run(capsys, *command, *flags, f)
     assert run(capsys, "equiv", f, f)[0] == 0
     printed = [p.term, canonical(p.term, p.config)]
     if p.config.mode == "rewards":

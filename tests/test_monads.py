@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selcalc.monads import (
-    Dist, MRVal, T2Val, T3Val, atom_key, cond_reward, expect0, k_gamma,
-    make_monad, mr_of_effect, mrval, t2val, theta, vdis,
+    Dist, MRVal, atom_key, cond_reward, expect0, k_gamma, make_monad,
+    mr_of_effect, mrval, t2val, theta, vdis,
 )
 from selcalc.rewards import DEFAULT_STRUCTURE, STRUCTURES
 from selcalc.syntax import FF, Or, Rew, RewConst, TT, parse_program
@@ -49,7 +49,7 @@ def monad_values(name, atoms=ATOMS):
             {x: rewards for x in atoms})).map(lambda t: t2val(t[0], t[1]))
     if name == "T3":
         return st.tuples(dists(atoms), rewards).map(
-            lambda t: T3Val(t[0], t[1]))
+            lambda t: t2val(t[0], lambda _: t[1]))
     if name == "MR":
         return st.dictionaries(st.sampled_from(atoms), rewards,
                                min_size=1).map(mrval)
@@ -180,16 +180,16 @@ def test_t2_conditional_rewards():
     u = Dist([(F(1, 4), (F(1), "a")), (F(1, 4), (F(3), "a")),
               (F(1, 2), (F(5), "b"))])
     t2 = theta(u, make_monad("T2", ST))
-    assert t2.dist == Dist([(F(1, 2), "a"), (F(1, 2), "b")])
-    assert t2.rho("a") == F(2)
-    assert t2.rho("b") == F(5)
+    assert vdis(t2) == Dist([(F(1, 2), "a"), (F(1, 2), "b")])
+    assert cond_reward(t2, "a") == F(2)
+    assert cond_reward(t2, "b") == F(5)
 
 
 def test_t3_pools_reward():
     u = Dist([(F(1, 4), (F(1), "a")), (F(3, 4), (F(5), "b"))])
     t3 = theta(u, make_monad("T3", ST))
-    assert t3.dist == Dist([(F(1, 4), "a"), (F(3, 4), "b")])
-    assert t3.rew == F(4)
+    assert vdis(t3) == Dist([(F(1, 4), "a"), (F(3, 4), "b")])
+    assert expect0(t3) == F(4)
 
 
 def test_t3_rejects_unverified_structure():
@@ -255,45 +255,46 @@ def ref_dw_expect(mon, u, gamma):
 
 
 def ref_t2_mix(st, weighted):
-    dist = ref_mix([(p, u.dist) for p, u in weighted])
+    dist = ref_mix([(p, vdis(u)) for p, u in weighted])
     rho = {}
     for x in dist.support():
         total = dist.prob(x)
-        parts = [(p * u.dist.prob(x) / total, u.rho(x))
-                 for p, u in weighted if p > 0 and u.dist.prob(x) > 0]
+        parts = [(p * vdis(u).prob(x) / total, cond_reward(u, x, st))
+                 for p, u in weighted if p > 0 and vdis(u).prob(x) > 0]
         rho[x] = st.big_convex(parts)
     return t2val(dist, rho)
 
 
 def ref_t2_map(st, f, u):
-    dist = ref_map(f, u.dist)
+    dist = ref_map(f, vdis(u))
     rho = {}
     for y in dist.support():
-        parts = [(u.dist.prob(x) / dist.prob(y), u.rho(x))
-                 for x in u.dist.support() if f(x) == y]
+        parts = [(vdis(u).prob(x) / dist.prob(y), cond_reward(u, x, st))
+                 for x in vdis(u).support() if f(x) == y]
         rho[y] = st.big_convex(parts)
     return t2val(dist, rho)
 
 
 def ref_t2_bind(mon, u, f):
     return ref_t2_mix(mon.structure,
-                      [(u.dist.prob(x), mon.reward(u.rho(x), f(x)))
-                       for x in u.dist.support()])
+                      [(vdis(u).prob(x),
+                        mon.reward(cond_reward(u, x, mon.structure), f(x)))
+                       for x in vdis(u).support()])
 
 
 def ref_t2_alpha(st, u):
-    return st.big_convex([(u.dist.prob(x), st.add(u.rho(x), x))
-                          for x in u.dist.support()])
+    return st.big_convex([(vdis(u).prob(x), st.add(cond_reward(u, x, st), x))
+                          for x in vdis(u).support()])
 
 
 def ref_t3_bind(mon, u, f):
-    return mon.reward(u.rew, mon.mix([(u.dist.prob(x), f(x))
-                                      for x in u.dist.support()]))
+    return mon.reward(expect0(u, mon.structure),
+                      mon.mix([(vdis(u).prob(x), f(x)) for x in vdis(u).support()]))
 
 
 def ref_t3_alpha(st, u):
-    avg = st.big_convex([(u.dist.prob(x), x) for x in u.dist.support()])
-    return st.add(u.rew, avg)
+    avg = st.big_convex([(vdis(u).prob(x), x) for x in vdis(u).support()])
+    return st.add(expect0(u, st), avg)
 
 
 def assert_dist_invariant(d):
@@ -303,6 +304,15 @@ def assert_dist_invariant(d):
     assert len(set(atoms)) == len(atoms)
     keys = [atom_key(x) for x in atoms]
     assert keys == sorted(keys)
+
+
+def assert_normal_form(name, u):
+    """A T2 value holds no value twice; a T3 value has one reward."""
+    assert_dist_invariant(u)
+    if name == "T2":
+        assert len(vdis(u).pairs) == len(u.pairs)
+    if name == "T3":
+        assert len({r for (r, _), _ in u.pairs}) == 1
 
 
 def kernel_cases(name):
@@ -335,7 +345,7 @@ def test_kernel_bind_matches_reference(name):
         else:
             want = ref_t3_bind(mon, u, f)
         assert got == want
-        assert_dist_invariant(got if name == "DW" else got.dist)
+        assert_normal_form(name, got)
         seen += 1
     assert seen >= 400
 
@@ -353,8 +363,9 @@ def test_kernel_expect_matches_reference(name):
             assert got == ref_t2_alpha(mon.structure,
                                        ref_t2_map(mon.structure, gam, u))
         else:
+            pooled = expect0(u, mon.structure)
             assert got == ref_t3_alpha(mon.structure,
-                                       T3Val(ref_map(gam, u.dist), u.rew))
+                                       t2val(ref_map(gam, vdis(u)), lambda _: pooled))
 
 
 @pytest.mark.parametrize("name", ["DW", "T2", "T3"])
@@ -375,9 +386,12 @@ def test_kernel_map_mix_alpha_match_reference(name):
             assert mon.alpha(mon.map(lambda x: st.zero, u)) == \
                 ref_t2_alpha(st, ref_t2_map(st, lambda x: st.zero, u))
         else:
-            assert mon.map(squash, u).dist == ref_map(squash, u.dist)
-            assert mon.mix(three).dist == ref_mix([(q, d.dist) for q, d in three])
-            pooled = T3Val(ref_map(lambda x: st.zero, u.dist), u.rew)
+            assert vdis(mon.map(squash, u)) == ref_map(squash, vdis(u))
+            assert vdis(mon.mix(three)) == ref_mix([(q, vdis(d)) for q, d in three])
+            for got in (mon.map(squash, u), mon.mix(three)):
+                assert_normal_form(name, got)
+            pooled = t2val(ref_map(lambda x: st.zero, vdis(u)),
+                           lambda _: expect0(u, st))
             assert mon.alpha(pooled) == ref_t3_alpha(st, pooled)
 
 

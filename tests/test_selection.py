@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from selcalc.monads import Dist, make_monad, t2val, T3Val, k_gamma
+from selcalc.monads import Dist, make_monad, t2val, k_gamma
 from selcalc.selection import (
     ConstElem, agree_at, denote, denote_value, embed_outcome,
     gamma_from_table, kappa_term, observe, zero_gamma,
@@ -57,7 +57,7 @@ def test_e2_t2_denotation():
 def test_e2_t3_denotation():
     tt, ff = ConstElem("tt", "Bool", 0), ConstElem("ff", "Bool", 1)
     got, _ = den(E2, "T3")
-    assert got == T3Val(Dist([(F(4, 5), tt), (F(1, 5), ff)]), F(9, 5))
+    assert got == t2val(Dist([(F(4, 5), tt), (F(1, 5), ff)]), lambda _: F(9, 5))
 
 
 def test_denote_value_pairs_and_functions():
