@@ -183,6 +183,9 @@ def test_t2_conditional_rewards():
     assert vdis(t2) == Dist([(F(1, 2), "a"), (F(1, 2), "b")])
     assert cond_reward(t2, "a") == F(2)
     assert cond_reward(t2, "b") == F(5)
+    assert_normal_form("T2", t2)
+    assert t2 == t2val(Dist([(F(1, 2), "a"), (F(1, 2), "b")]),
+                       {"a": F(2), "b": F(5)})
 
 
 def test_t3_pools_reward():
@@ -190,6 +193,8 @@ def test_t3_pools_reward():
     t3 = theta(u, make_monad("T3", ST))
     assert vdis(t3) == Dist([(F(1, 4), "a"), (F(3, 4), "b")])
     assert expect0(t3) == F(4)
+    assert_normal_form("T3", t3)
+    assert t3 == t2val(Dist([(F(1, 4), "a"), (F(3, 4), "b")]), lambda _: F(4))
 
 
 def test_t3_rejects_unverified_structure():
