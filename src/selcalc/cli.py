@@ -4,8 +4,10 @@ compare, decide purity, generate programs, and run the property suites
 
 Exit codes: 0 success / positive decision; 1 negative decision
 (inequivalent, impure, or for ``distinguish`` no separating context); 2
-indeterminate; 3 usage, parse, or type error; 4 internal invariant
-violation, resource exhaustion, or a failing suite (``check``).
+indeterminate; 3 usage, parse, or type error, including an input file
+that is missing, unreadable or not UTF-8 text and a ``base`` declaration
+of a built-in type; 4 internal invariant violation, resource exhaustion,
+or a failing suite (``check``).
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from pathlib import Path
 import click
 
 from .equations import (
-    NoDistinguishingContext, canon_rewards, canonical_term,
+    NoDistinguishingContext, canon_rewards,
     decide_equiv_rewards, decide_pure_prob, decide_pure_rewards,
     distinguish_rewards, rewards_impurity_witness, separate_prob,
     weak_canon_prob, weak_canonical_term,
 )
-from .monads import default_monad, make_monad, value_atoms
+from .monads import atoms, default_monad, make_monad
 from .operational import BudgetExceeded, StuckTerm, eval_effect, trace_eval
 from .properties import SUITES, run_suite
 from .rewards import (
@@ -61,74 +63,73 @@ def _sem_str(x) -> str:
     return "".join(out)
 
 
-def _outcome_atoms(out, mode: str) -> list[dict[str, str]]:
-    if mode == "rewards":
-        r, v = out
-        return [{"prob": "1", "reward": str(r), "value": _sem_str(v)}]
+def _outcome_atoms(u, monad_name: str) -> list[dict[str, str]]:
     return [{"prob": str(p), "reward": str(r), "value": _sem_str(v)}
-            for (r, v), p in out.items()]
+            for p, r, v in atoms(u, monad_name)]
 
 
 def _monad_value_json(u, monad_name: str):
-    match monad_name:
-        case "W":
-            r, v = u
-            return {"reward": str(r), "value": _sem_str(v)}
-        case "DW":
-            return {"outcome": _outcome_atoms(u, "prob")}
-        case "T2":
-            atoms = value_atoms(u)
-            return {"dist": [{"prob": str(p), "value": _sem_str(x)}
-                             for x, p, _ in atoms],
-                    "rewards": [{"value": _sem_str(x), "reward": str(r)}
-                                for x, _, r in atoms]}
-        case "T3":
-            atoms = value_atoms(u)
-            return {"dist": [{"prob": str(p), "value": _sem_str(x)}
-                             for x, p, _ in atoms],
-                    "reward": str(atoms[0][2])}
-        case _:
-            raise ValueError(f"no rendering for monad {monad_name}")
+    listed = atoms(u, monad_name)
+    if monad_name == "W":
+        [(_, r, v)] = listed
+        return {"reward": str(r), "value": _sem_str(v)}
+    if monad_name == "DW":
+        return {"outcome": _outcome_atoms(u, monad_name)}
+    dist = [{"prob": str(p), "value": _sem_str(x)} for p, _, x in listed]
+    if monad_name == "T3":
+        return {"dist": dist, "reward": str(listed[0][1])}
+    return {"dist": dist, "rewards": [{"value": _sem_str(x), "reward": str(r)}
+                                      for _, r, x in listed]}
 
 
 def _monad_value_text(u, monad_name: str) -> str:
-    match monad_name:
-        case "W":
-            r, v = u
-            return f"reward {r}, value {_sem_str(v)}"
-        case "DW":
-            return "; ".join(f"{p}: reward {r}, value {_sem_str(v)}"
-                             for (r, v), p in u.items())
-        case "T2":
-            atoms = value_atoms(u)
-            dist = ", ".join(f"{p} {_sem_str(x)}" for x, p, _ in atoms)
-            rew = ", ".join(f"{_sem_str(x)} -> {r}" for x, _, r in atoms)
-            return f"dist: {dist}; rewards: {rew}"
-        case "T3":
-            atoms = value_atoms(u)
-            dist = ", ".join(f"{p} {_sem_str(x)}" for x, p, _ in atoms)
-            return f"dist: {dist}; reward {atoms[0][2]}"
-        case _:
-            raise ValueError(f"no rendering for monad {monad_name}")
+    listed = atoms(u, monad_name)
+    if monad_name == "W":
+        [(_, r, v)] = listed
+        return f"reward {r}, value {_sem_str(v)}"
+    if monad_name == "DW":
+        return "; ".join(f"{p}: reward {r}, value {_sem_str(v)}"
+                         for p, r, v in listed)
+    dist = ", ".join(f"{p} {_sem_str(x)}" for p, _, x in listed)
+    if monad_name == "T3":
+        return f"dist: {dist}; reward {listed[0][1]}"
+    rew = ", ".join(f"{_sem_str(x)} -> {r}" for _, r, x in listed)
+    return f"dist: {dist}; rewards: {rew}"
 
 
 def _table_str(table: dict[str, Fraction]) -> str:
     return json.dumps({k: str(v) for k, v in table.items()})
 
 
+def _echo(as_json: bool, doc: dict, text: str) -> None:
+    """Print doc as one line of versioned JSON, or else text."""
+    click.echo(json.dumps({"version": JSON_VERSION, **doc}) if as_json
+               else text)
+
+
 ### file and flag handling
+
+def _read(path: str) -> str:
+    """The text of path, or a file error when it is not readable UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise click.FileError(path, "not UTF-8 text")
+    except OSError as e:
+        raise click.FileError(path, e.strerror)
+
 
 def _load(path: str, mode: str | None, structure_name: str | None):
     """The parsed program and its type."""
     structure = STRUCTURES[structure_name] if structure_name else None
-    prog = parse_program(Path(path).read_text(), mode=mode, structure=structure)
+    prog = parse_program(_read(path), mode=mode, structure=structure)
     return prog, typecheck(prog.term, config=prog.config)
 
 
 def _load_gamma(gamma_arg: str | None, config: LangConfig):
     if gamma_arg in (None, "zero"):
         return zero_gamma(config)
-    raw = json.loads(Path(gamma_arg).read_text())
+    raw = json.loads(_read(gamma_arg))
     if not isinstance(raw, dict):
         raise click.UsageError(
             f"valuation table must be a JSON object, got {type(raw).__name__}")
@@ -145,11 +146,19 @@ def _load_gamma(gamma_arg: str | None, config: LangConfig):
     return gamma_from_table(table, config)
 
 
-def _check_monad(mname: str, config: LangConfig) -> str:
-    """mname, or a usage error when the program's mode or reward structure
-    cannot carry that monad."""
+_PROB_ONLY = "--monad applies to probabilistic mode"
+
+
+def _check_monad(mname: str | None, config: LangConfig,
+                 misfit: str | None = None) -> str:
+    """The monad --monad names, by default the one of the program's mode;
+    a usage error (misfit, if given) when the mode cannot carry it, or
+    when the reward structure cannot."""
+    if mname is None:
+        return default_monad(config.mode)
     if (mname == "W") != (config.mode == "rewards"):
-        raise click.UsageError(f"monad {mname} does not fit mode {config.mode}")
+        raise click.UsageError(
+            misfit or f"monad {mname} does not fit mode {config.mode}")
     try:
         make_monad(mname, config.structure)
     except ValueError as e:
@@ -233,6 +242,7 @@ def eval_cmd(semantics, monad_name, gamma_arg, oracle, trace, mode,
         raise click.UsageError("--trace needs --semantics ordinary")
     prog, _ = _load(file, mode, structure_name)
     config, term = prog.config, prog.term
+    mname = _check_monad(monad_name, config)
 
     if semantics == "ordinary":
         if trace:
@@ -245,31 +255,20 @@ def eval_cmd(semantics, monad_name, gamma_arg, oracle, trace, mode,
                 e = finished.value
         else:
             e = eval_effect(term, config)
-        if as_json:
-            click.echo(json.dumps({"version": JSON_VERSION, "effect": pretty(e)}))
-        else:
-            click.echo(pretty(e))
+        _echo(as_json, {"effect": pretty(e)}, pretty(e))
         return 0
 
     if semantics == "selection":
         out = select_bruteforce(term, config) if oracle else \
             select_program(term, config)
-        if as_json:
-            click.echo(json.dumps({"version": JSON_VERSION,
-                                   "outcome": _outcome_atoms(out, config.mode)}))
-        else:
-            click.echo(_monad_value_text(out, default_monad(config.mode)))
+        _echo(as_json, {"outcome": _outcome_atoms(out, mname)},
+              _monad_value_text(out, mname))
         return 0
 
-    mname = _check_monad(monad_name or default_monad(config.mode), config)
     gam = _load_gamma(gamma_arg, config)
     u = denote(term, config, make_monad(mname, config.structure))(gam)
-    if as_json:
-        payload = {"version": JSON_VERSION, "monad": mname}
-        payload.update(_monad_value_json(u, mname))
-        click.echo(json.dumps(payload))
-    else:
-        click.echo(_monad_value_text(u, mname))
+    _echo(as_json, {"monad": mname, **_monad_value_json(u, mname)},
+          _monad_value_text(u, mname))
     return 0
 
 
@@ -280,17 +279,11 @@ def canon(mode, monad_name, structure_name, as_json, file):
     """Print the canonical form of FILE."""
     prog, _ = _load(file, mode, structure_name)
     config, term = prog.config, prog.term
-    if config.mode == "rewards":
-        if monad_name:
-            raise click.UsageError("--monad applies to probabilistic mode")
-        c = canonical_term(canon_rewards(term, config))
-    else:
-        mname = _check_monad(monad_name or "DW", config)
-        c = weak_canonical_term(weak_canon_prob(term, config, mname), mname)
-    if as_json:
-        click.echo(json.dumps({"version": JSON_VERSION, "canonical": pretty(c)}))
-    else:
-        click.echo(pretty(c))
+    mname = _check_monad(monad_name, config, _PROB_ONLY)
+    c = weak_canonical_term(canon_rewards(term, config)
+                            if config.mode == "rewards"
+                            else weak_canon_prob(term, config, mname), mname)
+    _echo(as_json, {"canonical": pretty(c)}, pretty(c))
     return 0
 
 
@@ -313,50 +306,40 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
         raise SelTypeError(f"type mismatch: {ta} vs {tb}")
     config = pa.config
     m, n = pa.term, pb.term
+    mname = _check_monad(monad_name, config, _PROB_ONLY)
 
     def emit(verdict, lines, extra=None):
-        if as_json:
-            payload = {"version": JSON_VERSION, "equivalent": verdict}
-            payload.update(extra or {})
-            click.echo(json.dumps(payload))
-        else:
-            click.echo("\n".join(lines))
+        _echo(as_json, {"equivalent": verdict, **(extra or {})},
+              "\n".join(lines))
         return {True: 0, False: 1, None: 2}[verdict]
 
     if config.mode == "rewards":
-        if monad_name:
-            raise click.UsageError("--monad applies to probabilistic mode")
         if decide_equiv_rewards(m, n, config):
             return emit(True, ["equivalent"])
-        ctx = distinguish_rewards(m, n, config)
+        ctx, table = distinguish_rewards(m, n, config), None
         a = select_program(plug(ctx, m), config)
         b = select_program(plug(ctx, n), config)
-        return emit(False, ["inequivalent", f"context: {pretty(ctx)}",
-                            f"context[A]: {_monad_value_text(a, 'W')}",
-                            f"context[B]: {_monad_value_text(b, 'W')}"],
-                    {"context": pretty(ctx),
-                     "left": _outcome_atoms(a, config.mode),
-                     "right": _outcome_atoms(b, config.mode)})
-
-    mname = _check_monad(monad_name or "DW", config)
-    verdict, table = separate_prob(m, n, config, mname)
-    if verdict is True:
-        return emit(True, ["equivalent"])
-    if verdict is None:
-        return emit(None, ["unknown"])
-    ctx = Hole()
-    if isinstance(ta, Base) and ta.name in config.bases:
-        ctx = App(kappa_term(config.constants_of(ta.name), table), ctx)
-    a = observe(plug(ctx, m), config, mname)
-    b = observe(plug(ctx, n), config, mname)
-    return emit(False, ["inequivalent", f"context: {pretty(ctx)}",
-                        f"gamma: {_table_str(table)}",
-                        f"context[A]: {_monad_value_text(a, mname)}",
-                        f"context[B]: {_monad_value_text(b, mname)}"],
-                {"context": pretty(ctx),
-                 "gamma": {k: str(v) for k, v in table.items()},
-                 "left": _monad_value_json(a, mname),
-                 "right": _monad_value_json(b, mname)})
+        left, right = _outcome_atoms(a, mname), _outcome_atoms(b, mname)
+    else:
+        verdict, table = separate_prob(m, n, config, mname)
+        if verdict is True:
+            return emit(True, ["equivalent"])
+        if verdict is None:
+            return emit(None, ["unknown"])
+        ctx = Hole()
+        if isinstance(ta, Base) and ta.name in config.bases:
+            ctx = App(kappa_term(config.constants_of(ta.name), table), ctx)
+        a = observe(plug(ctx, m), config, mname)
+        b = observe(plug(ctx, n), config, mname)
+        left, right = _monad_value_json(a, mname), _monad_value_json(b, mname)
+    lines = ["inequivalent", f"context: {pretty(ctx)}"]
+    extra = {"context": pretty(ctx)}
+    if table is not None:
+        lines.append(f"gamma: {_table_str(table)}")
+        extra["gamma"] = {k: str(v) for k, v in table.items()}
+    lines += [f"context[A]: {_monad_value_text(a, mname)}",
+              f"context[B]: {_monad_value_text(b, mname)}"]
+    return emit(False, lines, {**extra, "left": left, "right": right})
 
 
 @_cli.command()
@@ -366,9 +349,8 @@ def pure(mode, monad_name, structure_name, as_json, file):
     """Decide whether FILE is equivalent to a single value."""
     prog, _ = _load(file, mode, structure_name)
     config, term = prog.config, prog.term
+    mname = _check_monad(monad_name, config, _PROB_ONLY)
     if config.mode == "rewards":
-        if monad_name:
-            raise click.UsageError("--monad applies to probabilistic mode")
         c = decide_pure_rewards(term, config)
         witness = None
         if c is None:
@@ -377,25 +359,17 @@ def pure(mode, monad_name, structure_name, as_json, file):
             except ValueError:
                 witness = None
     else:
-        res = decide_pure_prob(term, config,
-                               _check_monad(monad_name or "DW", config))
+        res = decide_pure_prob(term, config, mname)
         c, witness = res.constant, res.witness
     if c is not None:
-        if as_json:
-            click.echo(json.dumps({"version": JSON_VERSION, "pure": True,
-                                   "value": pretty(c)}))
-        else:
-            click.echo(f"pure: {pretty(c)}")
+        _echo(as_json, {"pure": True, "value": pretty(c)},
+              f"pure: {pretty(c)}")
         return 0
-    if as_json:
-        payload = {"version": JSON_VERSION, "pure": False}
-        if witness is not None:
-            payload["witness"] = {k: str(v) for k, v in witness.items()}
-        click.echo(json.dumps(payload))
-    else:
-        click.echo("impure")
-        if witness is not None:
-            click.echo(f"witness gamma: {_table_str(witness)}")
+    doc, lines = {"pure": False}, ["impure"]
+    if witness is not None:
+        doc["witness"] = {k: str(v) for k, v in witness.items()}
+        lines.append(f"witness gamma: {_table_str(witness)}")
+    _echo(as_json, doc, "\n".join(lines))
     return 1
 
 
@@ -458,18 +432,14 @@ def check(suite, mode, monad_name, seed, cases, jobs, as_json):
         raise click.UsageError("--cases must be nonnegative")
     if n == 0:
         click.echo(f"warning: suite {name} ran no cases", err=True)
-        click.echo(json.dumps({"version": JSON_VERSION, "suite": name,
-                               "passed": 0, "total": 0, "ok": True})
-                   if as_json else "0/0 OK")
+        _echo(as_json, {"suite": name, "passed": 0, "total": 0, "ok": True},
+              "0/0 OK")
         return 0
     mn = {"T1": "DW"}.get(monad_name, monad_name)
     res = run_suite(name, seed, n, mn, jobs)
-    if as_json:
-        click.echo(json.dumps({"version": JSON_VERSION, "suite": name,
-                               "passed": res.passed, "total": res.total,
-                               "ok": res.ok, "failures": res.failures}))
-    else:
-        click.echo(f"{res.passed}/{res.total} {'OK' if res.ok else 'FAIL'}")
+    _echo(as_json, {"suite": name, "passed": res.passed, "total": res.total,
+                    "ok": res.ok, "failures": res.failures},
+          f"{res.passed}/{res.total} {'OK' if res.ok else 'FAIL'}")
     if not res.ok:
         for f in res.failures:
             click.echo(f"failure: {f}", err=True)

@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monads import make_monad, value_atoms, vdis
+from .monads import atoms, make_monad, vdis
 from .operational import eval_effect
 from .strategies import best_outcomes, check_cap
 from .syntax import (
@@ -51,11 +51,7 @@ def canon_rewards(m: Term, config: LangConfig) -> list[tuple[Fraction, Term]]:
 
 def canonical_term(cf: list[tuple[Fraction, Term]]) -> Term:
     """Render a canonical form back into a left-nested or-chain."""
-    parts = [Rew(RewConst(c), v) for c, v in cf]
-    t = parts[0]
-    for p in parts[1:]:
-        t = Or(t, p)
-    return t
+    return weak_canonical_term(cf, "W")
 
 
 def canon_equal(a: list[tuple[Fraction, Term]], b: list[tuple[Fraction, Term]]) -> bool:
@@ -249,19 +245,15 @@ def _dw_chain(atoms: list[tuple[Fraction, Fraction, Term]]) -> Term:
 
 
 def weak_canonical_term(branches: list, monad_name: str) -> Term:
-    """Render a weak canonical form back into syntax."""
+    """Render a canonical form, a list of monad_name values (W for a
+    rewards canonical form), back into a left-nested or-chain of
+    probabilistic chains.  A T3 branch keeps its pooled reward in front."""
     def branch_term(b):
-        match monad_name:
-            case "DW":
-                return _dw_chain([(p, r, x) for (r, x), p in b.items()])
-            case "T2":
-                return _dw_chain([(p, r, x) for x, p, r in value_atoms(b)])
-            case "T3":
-                atoms = value_atoms(b)
-                vals = [(p, Fraction(0), x) for x, p, _ in atoms]
-                return Rew(RewConst(atoms[0][2]), _dw_chain(vals))
-            case _:
-                raise ValueError(f"no term rendering for monad {monad_name}")
+        listed = atoms(b, monad_name)
+        if monad_name != "T3":
+            return _dw_chain(listed)
+        vals = [(p, Fraction(0), x) for p, _, x in listed]
+        return Rew(RewConst(listed[0][1]), _dw_chain(vals))
 
     t = branch_term(branches[0])
     for b in branches[1:]:

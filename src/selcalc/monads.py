@@ -17,7 +17,8 @@ T3 require the structure to declare the gathering and mixing laws
 respectively; their constructors refuse structures that do not.
 
 The module also provides expectation, the comparison/embedding maps between
-these monads, and the reward-shift maps used to prove programs apart.
+these monads, the reward-shift maps used to prove programs apart, and
+``atoms``, the one listing of a W, DW, T2 or T3 value that printing reads.
 """
 
 from __future__ import annotations
@@ -153,11 +154,17 @@ def t2val(dist: Dist, rho: dict[Any, Fraction] | Callable[[Any], Fraction]) -> D
     return Dist._trusted({(get(x), x): p for x, p in dist.pairs})
 
 
-def value_atoms(u: Dist) -> list[tuple[Any, Fraction, Fraction]]:
-    """A T2 or T3 value's atoms as (value, probability, reward), in the
-    order of their values."""
-    return sorted(((x, p, r) for (r, x), p in u.pairs),
-                  key=lambda a: atom_key(a[0]))
+def atoms(u, monad_name: str) -> list[tuple[Fraction, Any, Any]]:
+    """A W, DW, T2 or T3 value's atoms as (probability, reward, value), in
+    print order: a W pair is one atom of probability 1, a DW value lists
+    its atoms in ``Dist`` order, and a T2 or T3 value in value order."""
+    if monad_name == "W":
+        r, x = u
+        return [(ONE, r, x)]
+    listed = [(p, r, x) for (r, x), p in u.pairs]
+    if monad_name == "DW":
+        return listed
+    return sorted(listed, key=lambda a: atom_key(a[2]))
 
 
 @dataclass(frozen=True)

@@ -1035,6 +1035,8 @@ def parse_program(src: str, mode: str | None = None,
         else:  # base B = { c1, ..., cn }
             if k != "ident":
                 raise SelSyntaxError("expected base type name")
+            if v in BUILTIN_BASES or v in ("Unit", "Rew"):
+                raise SelSyntaxError(f"{v} is a built-in type")
             for text in ("=", "{"):
                 if toks[pos][1] != text:
                     raise SelSyntaxError(f"expected {text!r} in base declaration")

@@ -189,6 +189,21 @@ def test_monad_structure_mismatch_is_a_usage_error(sel, capsys, command):
     assert "Error: monad T3: structure MulPositiveRationals does not mix" in err
 
 
+PROB_ONLY = "--monad applies to probabilistic mode"
+
+
+@pytest.mark.parametrize("command, want", [
+    ("eval", "monad DW does not fit mode rewards"), ("canon", PROB_ONLY),
+    ("equiv", PROB_ONLY), ("distinguish", PROB_ONLY), ("pure", PROB_ONLY)])
+def test_prob_monad_on_a_rewards_program_is_a_usage_error(sel, capsys,
+                                                          command, want):
+    f = sel(E1)
+    files = [f, f] if command in ("equiv", "distinguish") else [f]
+    flags = ["--semantics", "denotational"] if command == "eval" else []
+    rc, out, err = run(capsys, command, *flags, "--monad", "DW", *files)
+    assert (rc, out, err.splitlines()[-1]) == (3, "", f"Error: {want}")
+
+
 @pytest.mark.parametrize("command", ["equiv", "distinguish"])
 def test_equiv_bases_declared_differently_is_a_usage_error(sel, capsys, command):
     # A's h is B's t by index, so comparing the terms would mix them up
@@ -223,6 +238,20 @@ def test_parse_error_exit_3(sel, capsys):
 def test_missing_file_exit_3(capsys):
     rc, _, _ = run(capsys, "eval", "--semantics", "selection", "/no/such.sel")
     assert rc == 3
+
+
+def test_unreadable_files_exit_3(sel, capsys, tmp_path):
+    bad = str(tmp_path / "bad.sel")
+    Path(bad).write_bytes(b"\xff\xfe tt")
+    not_text = f"Error: Could not open file {bad!r}: not UTF-8 text"
+    gamma = ["eval", "--semantics", "denotational", "--gamma"]
+    for args, want in (
+            (["eval", bad], not_text),
+            (gamma + [bad, sel(E1)], not_text),
+            (gamma + ["/no/such.json", sel(E1)], "Error: Could not open file "
+             "'/no/such.json': No such file or directory")):
+        rc, out, err = run(capsys, *args)
+        assert (rc, out, err.strip()) == (3, "", want), args
 
 
 def test_canon(sel, capsys):
@@ -668,3 +697,13 @@ def test_constant_declared_twice_is_a_parse_error(sel, capsys):
     rc, out, err = run(capsys, "eval", sel("base C = {a, a};\na"))
     assert rc == 3 and out == ""
     assert err.strip() == "error: constant 'a' declared twice"
+
+
+@pytest.mark.parametrize("name, src", [
+    ("Bool", "base Bool = {a, b};\nif a then a else b"),
+    ("Rew", "base Rew = {x};\nx . tt"),
+    ("Unit", "base Unit = {u};\n1 <= 2"),
+])
+def test_builtin_type_declared_as_base_is_a_parse_error(sel, capsys, name, src):
+    rc, out, err = run(capsys, "eval", sel(src))
+    assert (rc, out, err.strip()) == (3, "", f"error: {name} is a built-in type")

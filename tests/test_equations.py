@@ -195,7 +195,9 @@ def test_canonical_term_agrees_with_source(seed):
     cfg_g = GenConfig(seed=seed, max_term_size=22)
     config = cfg_g.lang()
     m = gen_program(cfg_g, BOOL, config=config)
-    c = canonical_term(canon_rewards(m, config))
+    cf = canon_rewards(m, config)
+    c = canonical_term(cf)
+    assert c == weak_canonical_term(cf, "W")
     mon = make_monad("W", config.structure)
     gs = default_gammas(m, c, config, count=24, seed=seed)
     assert agree_at(m, c, config, mon, gs), pretty(m)

@@ -47,10 +47,10 @@ def run(capsys, *args):
     return rc, out.out
 
 
-def canonical(term, config):
-    if config.mode == "rewards":
+def canonical(term, config, monad):
+    if monad == "W":
         return canonical_term(canon_rewards(term, config))
-    return weak_canonical_term(weak_canon_prob(term, config, "DW"), "DW")
+    return weak_canonical_term(weak_canon_prob(term, config, monad), monad)
 
 
 def check_program(capsys, path, src, term=None):
@@ -58,8 +58,8 @@ def check_program(capsys, path, src, term=None):
     first (eval denotationally) under each monad of its mode and each
     reward structure; when it is a well-typed program (whose source was
     printed from term, if given), check that it is equivalent to itself
-    and that the program, its selected value and its printed canonical
-    form parse back alpha-equal."""
+    and that the program, its selected value and each canonical form
+    ``canon`` prints parse back alpha-equal."""
     path.write_text(src)
     f = str(path)
     run(capsys, "eval", f)
@@ -81,10 +81,16 @@ def check_program(capsys, path, src, term=None):
             *flags, f)
         if monad != "W":
             flags += ["--monad", monad]
-        for command in (["canon"], ["pure"], ["equiv", f]):
+        rc_s, out_s = run(capsys, "canon", *flags, f)
+        if rc_s == 0:
+            q = parse_program(src, structure=STRUCTURES[structure])
+            c = canonical(q.term, q.config, monad)
+            assert out_s.strip() == pretty(c)
+            assert alpha_eq(parse(pretty(c), q.config), c), pretty(c)
+        for command in (["pure"], ["equiv", f]):
             run(capsys, *command, *flags, f)
     assert run(capsys, "equiv", f, f)[0] == 0
-    printed = [p.term, canonical(p.term, p.config)]
+    printed = [p.term, canonical(p.term, p.config, monads[0])]
     if p.config.mode == "rewards":
         printed.append(select_program(p.term, p.config)[1])
     for t in printed:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selcalc.monads import (
-    Dist, MRVal, atom_key, cond_reward, expect0, k_gamma, make_monad,
+    Dist, MRVal, atom_key, atoms, cond_reward, expect0, k_gamma, make_monad,
     mr_of_effect, mrval, t2val, theta, vdis,
 )
 from selcalc.rewards import DEFAULT_STRUCTURE, STRUCTURES
@@ -398,6 +398,33 @@ def test_kernel_map_mix_alpha_match_reference(name):
             pooled = t2val(ref_map(lambda x: st.zero, vdis(u)),
                            lambda _: expect0(u, st))
             assert mon.alpha(pooled) == ref_t3_alpha(st, pooled)
+
+
+def ref_value_atoms(u):
+    """A T2 or T3 value's atoms as (value, probability, reward), sorted by
+    value: the listing printing read before ``atoms``."""
+    return sorted(((x, p, r) for (r, x), p in u.pairs),
+                  key=lambda a: atom_key(a[0]))
+
+
+@pytest.mark.parametrize("name", ["W", "DW", "T2", "T3"])
+def test_atoms_list_values_in_print_order(name):
+    seen = 0
+    for mon, cfg, rng in kernel_cases(name):
+        u = gen_monad_value(cfg, name, CARRIER, rng)
+        got = atoms(u, name)
+        assert all(len(a) == 3 for a in got)
+        assert sum(p for p, _, _ in got) == 1
+        if name == "W":
+            assert got == [(F(1), u[0], u[1])]
+        else:
+            assert Dist([(p, (r, x)) for p, r, x in got]) == u
+        if name == "DW":
+            assert got == [(p, r, x) for (r, x), p in u.pairs]
+        if name in ("T2", "T3"):
+            assert got == [(p, r, x) for x, p, r in ref_value_atoms(u)]
+        seen += 1
+    assert seen >= 400
 
 
 def test_dist_constructors_match_public_constructor():
