@@ -73,17 +73,24 @@ def sel_bind(monad, f, k):
 
     Scoring and continuing both need k(x)(gamma), a function of x alone
     once gamma is fixed; computing it twice per bind would make nested
-    binds exponential in their depth.  So each run keeps a dict from x to
-    it.  The dict lasts for one run(gamma) call and is keyed by the
-    semantic value x (frozen dataclasses; a function value by its uid),
-    so nothing is shared across valuations or calls."""
+    binds exponential in their depth.  So each run keeps two memos: one
+    from the semantic value x (frozen dataclasses; a function value by its
+    uid) to k(x)(gamma), and behind it one from the computation k(x)
+    returns, by identity, to its run.  The second lets candidates that
+    lead to the same computation, as when k ignores x, run it once.  Both
+    last for one run(gamma) call, so nothing is shared across valuations
+    or calls."""
     def run(gamma):
-        memo = {}
+        memo, runs = {}, {}
 
         def cont(x):
             u = memo.get(x)  # monad values are never None
             if u is None:
-                u = memo[x] = k(x)(gamma)
+                c = k(x)
+                u = runs.get(c)
+                if u is None:
+                    u = runs[c] = c(gamma)
+                memo[x] = u
             return u
 
         scored = f(lambda x: monad.expect(cont(x), gamma))
@@ -121,18 +128,36 @@ def gamma_from_table(table: dict[str, Fraction], config: LangConfig):
 def _compiler(config: LangConfig, monad):
     """denote's node callback: each node becomes its run, a function from
     an environment (variable -> semantic value) to the computation it
-    denotes there, made from its children's runs once per fold.  A node
+    denotes there, made from its children's runs once per fold.  The fold
+    gives each binder a flag, [False], that its bound variables set; a Lam
+    whose body ignores its variable denotes a function that returns one
+    body computation, built on its first call, for every argument.  A node
     with no denotation (a Hole) fails only when its computation is built."""
     unit, bind = partial(sel_unit, monad), partial(sel_bind, monad)
 
-    def node(s, kids, _):
+    def node(s, kids, binders):
         cls = type(s)
         if cls is Var:
+            read = binders.get(s.name)
+            if read is not None:
+                read[0] = True
             return lambda env: unit(env[s.name])
         if cls in (Const, RewConst, Star):
             return lambda env: unit(s)
         if cls is Lam:
-            return lambda env: unit(FnElem(lambda arg: kids[0]({**env, s.var: arg})))
+            body = kids[0]
+            if binders[s.var][0]:
+                return lambda env: unit(FnElem(lambda arg: body({**env, s.var: arg})))
+
+            def constant(env):
+                built = []  # the body's computation, built on the first call
+
+                def fn(_):
+                    if not built:
+                        built.append(body(env))
+                    return built[0]
+                return unit(FnElem(fn))
+            return constant
         if cls is Pair:
             return lambda env: bind(kids[0](env), lambda u: bind(
                 kids[1](env), lambda v: unit(Pair(u, v))))
@@ -187,7 +212,8 @@ def denote_value(v: Term, config: LangConfig, monad):
 def denote(t: Term, config: LangConfig, monad, env: dict | None = None):
     """The computation t denotes: a function from a reward continuation to
     a value of monad.  One fold compiles t; the result runs under env."""
-    return fold_term(t, _compiler(config, monad))(env or {})
+    return fold_term(t, _compiler(config, monad),
+                     lambda lam, binders: [False])(env or {})
 
 
 ### observation (operational summaries) and embedding

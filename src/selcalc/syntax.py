@@ -1044,7 +1044,9 @@ def parse_program(src: str, mode: str | None = None,
             consts = []
             while True:
                 k, c = toks[pos]
-                if k not in ("ident", "kw"):
+                if k == "kw":
+                    raise SelSyntaxError(f"keyword {c!r} cannot name a constant")
+                if k != "ident":
                     raise SelSyntaxError("expected constant name")
                 consts.append(c)
                 pos += 1

@@ -707,3 +707,29 @@ def test_constant_declared_twice_is_a_parse_error(sel, capsys):
 def test_builtin_type_declared_as_base_is_a_parse_error(sel, capsys, name, src):
     rc, out, err = run(capsys, "eval", sel(src))
     assert (rc, out, err.strip()) == (3, "", f"error: {name} is a built-in type")
+
+
+def test_keyword_declared_as_constant_is_a_parse_error(sel, capsys):
+    # `equiv` would otherwise print a context naming the constant `or`,
+    # which does not parse back
+    a = sel("mode prob; base C = {or, b}; (1 . b) +[1/2] b", "a.sel")
+    b = sel("mode prob; base C = {or, b}; b", "b.sel")
+    rc, out, err = run(capsys, "equiv", a, b)
+    assert (rc, out, err.strip()) == (
+        3, "", "error: keyword 'or' cannot name a constant")
+
+
+def test_function_outcome_through_an_unused_binder_is_one_atom(sel, capsys):
+    # both values of x lead to one shared body computation, so the
+    # denotation holds one function value, as the operational outcome does
+    f = sel("mode prob; let x : Bool = tt +[1/2] ff in fun (y:Bool) -> y")
+    den = ["eval", "--semantics", "denotational"]
+    assert run(capsys, *den, f) == (0, "1: reward 0, value <function>\n", "")
+    assert run(capsys, "eval", f) == (
+        0, "1: reward 0, value fun (y:Bool) -> y\n", "")
+    rc, out, _ = run(capsys, *den, "--json", f)
+    assert rc == 0 and json.loads(out) == {"version": "1", "monad": "DW",
+        "outcome": [{"prob": "1", "reward": "0", "value": "<function>"}]}
+    rc, out, _ = run(capsys, "eval", "--json", f)
+    assert rc == 0 and json.loads(out)["outcome"] == [
+        {"prob": "1", "reward": "0", "value": "fun (y:Bool) -> y"}]

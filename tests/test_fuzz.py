@@ -6,6 +6,7 @@ each reward structure; none ever answers "internal error", a well-typed
 program is equivalent to itself, and every term printed parses back to
 an alpha-equal term."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -15,11 +16,13 @@ from selcalc.cli import main
 from selcalc.equations import (
     canon_rewards, canonical_term, weak_canon_prob, weak_canonical_term,
 )
+from selcalc.monads import make_monad
 from selcalc.rewards import STRUCTURES
+from selcalc.selection import denote, embed_outcome, observe, zero_gamma
 from selcalc.strategies import select_program
 from selcalc.syntax import (
-    BOOL, Arrow, Prod, Program, SelSyntaxError, SelTypeError, _KEYWORDS,
-    _PUNCT, alpha_eq, parse, parse_program, pretty, pretty_program,
+    BOOL, App, Arrow, Lam, Prod, Program, SelSyntaxError, SelTypeError,
+    _KEYWORDS, _PUNCT, alpha_eq, parse, parse_program, pretty, pretty_program,
     typecheck,
 )
 from selcalc.testgen import GenConfig, gen_program
@@ -113,3 +116,24 @@ def test_generated_programs(capsys, source_file, seed, mode, ty):
     config = cfg.lang()
     t = gen_program(cfg, ty, config=config)
     check_program(capsys, source_file, pretty_program(Program(config, t)), t)
+
+
+@FUZZ
+@given(st.integers(0, 10**6), st.sampled_from(["rewards", "prob"]),
+       st.integers(1, 3))
+def test_unused_lets_keep_denotation_adequate(seed, mode, lets):
+    """A generated program under lets whose variables it never reads, each
+    bound to a generated choice term, still denotes its operational outcome
+    at the zero valuation under each monad of its mode; the lets take the
+    path that shares a body ignoring its binder."""
+    cfg = GenConfig(seed=seed, max_term_size=20, mode=mode)
+    config, rng = cfg.lang(), cfg.rng()
+    small = dataclasses.replace(cfg, max_term_size=8)
+    t = gen_program(cfg, BOOL, rng, config)
+    for i in range(lets):
+        t = App(Lam(f"unused{i}", BOOL, t), gen_program(small, BOOL, rng, config))
+    out = observe(t, config)
+    for name in ["W"] if mode == "rewards" else ["DW", "T2", "T3"]:
+        mon = make_monad(name, config.structure)
+        got = denote(t, config, mon)(zero_gamma(config))
+        assert got == embed_outcome(out, config, mon), (name, pretty(t))

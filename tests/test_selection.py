@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from selcalc.monads import Dist, make_monad, t2val, k_gamma
+from selcalc.monads import DWMonad, Dist, WMonad, make_monad, t2val, k_gamma
 from selcalc.selection import (
     ConstElem, agree_at, denote, denote_value, embed_outcome,
     gamma_from_table, kappa_term, observe, zero_gamma,
@@ -187,6 +187,51 @@ def test_sel_bind_runs_each_continuation_once_per_valuation():
     # the memo lives for one run: a second valuation calls k afresh
     assert f(zero_gamma(parse_program("tt").config)) == (F(0), TT_ELEM)
     assert calls == {TT_ELEM: 2, FF_ELEM: 2}
+    # a k that ignores x returns one computation, which each run runs once
+    runs = []
+
+    def shared(g):
+        runs.append(g)
+        return either(g)
+
+    h = sel_bind(mon, either, lambda x: shared)
+    assert h(gamma) == (F(0), FF_ELEM) and len(runs) == 1
+    assert h(zero_gamma(parse_program("tt").config)) == (F(0), TT_ELEM)
+    assert len(runs) == 2
+
+
+# a level of a let chain; only x0 is read, so every later level's body
+# ignores its binder
+CHAIN_LEVELS = {
+    "W": "let x{i} : Bool = ({a} . tt) or ({b} . ff) in ",
+    "DW": "let x{i} : Bool = ({a} . tt) +[1/3] ({b} . ff) in ",
+}
+
+
+@pytest.mark.parametrize("monad_name", ["W", "DW"])
+def test_denote_shares_bodies_that_ignore_their_binder(monad_name):
+    # each body that ignores its binder runs once per valuation, not once
+    # per value of the binder, so the work grows linearly with the chain
+    base = {"W": WMonad, "DW": DWMonad}[monad_name]
+
+    class Counting(base):
+        binds = 0
+
+        def bind(self, u, f):
+            self.binds += 1
+            return super().bind(u, f)
+
+    counts = []
+    for n in (8, 16):
+        src = "" if monad_name == "W" else "mode prob; "
+        src += "".join(CHAIN_LEVELS[monad_name].format(
+            i=i, a=1 + i % 3, b=3 - (2 * i) % 3) for i in range(n)) + "x0"
+        p = parse_program(src)
+        mon = Counting(p.config.structure)
+        got = denote(p.term, p.config, mon)(zero_gamma(p.config))
+        counts.append(mon.binds)
+        assert got == embed_outcome(observe(p.term, p.config), p.config, mon)
+    assert counts[1] <= 2.5 * counts[0], counts
 
 
 def test_agree_at_compiles_each_program_once(monkeypatch):
