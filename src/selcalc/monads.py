@@ -19,6 +19,15 @@ respectively; their constructors refuse structures that do not.
 The module also provides expectation, the comparison/embedding maps between
 these monads, the reward-shift maps used to prove programs apart, and
 ``atoms``, the one listing of a W, DW, T2 or T3 value that printing reads.
+
+The ``Dist`` kernel keeps no sort order inside: its arithmetic reads the
+merged weights in insertion order, and only the listings (``pairs``,
+``items()``, ``support()``, ``repr``, ``atoms``) sort by ``atom_key``.
+Wherever a caller's function runs on the atoms (``Dist.map``,
+``t2val`` and the outer loop of ``DWMonad.bind``) it runs in that sorted
+order, since ``denote`` numbers the function values it makes in call order
+and they print in that order.  Expectation trusts the ``Dist`` invariant
+and does not re-check the weights.
 """
 
 from __future__ import annotations
@@ -56,18 +65,28 @@ def _sorted_pairs(acc: dict[Any, Fraction]) -> tuple:
     return tuple(sorted(acc.items(), key=_by_atom))
 
 
+_set = object.__setattr__
+
+
 class Dist:
     """A finite probability distribution with exact rational weights.
-    Atoms must be hashable; equal atoms are merged and the support is kept
-    sorted, so equal distributions compare equal structurally.
+    Atoms must be hashable; equal atoms are merged, so equal distributions
+    compare and hash equal whatever order their atoms were merged in.
 
-    Invariant of every instance: positive weights summing to exactly 1,
-    no atom twice, ``pairs`` sorted by ``atom_key``.  Only the public
-    constructor checks weights; ``unit``, ``map`` and ``mix`` build from
-    distributions that already hold the invariant and so skip the checks
-    they cannot fail (``mix`` still checks its outer weights)."""
+    Invariant of every instance: positive weights summing to exactly 1, no
+    atom twice.  The merged weights are kept in a dict in insertion order,
+    and the arithmetic (``mix``, ``DWMonad.bind``'s inner loop,
+    expectation, ``prob``, ``==``, ``hash``) reads that dict without
+    sorting.  ``pairs``, ``items()``, ``support()`` and ``repr`` list the
+    atoms sorted by ``atom_key``, built on first read and cached, and
+    ``map`` calls its function in that order, because a caller's function
+    may show its call order (``denote`` numbers function values as it
+    makes them).  Only the public constructor checks weights; ``unit``,
+    ``map`` and ``mix`` build from distributions that already hold the
+    invariant and so skip the checks they cannot fail (``mix`` still
+    checks its outer weights)."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("_w", "_pairs", "_hash")
 
     def __init__(self, weighted):
         acc: dict[Any, Fraction] = {}
@@ -79,20 +98,23 @@ class Dist:
             acc[x] = acc.get(x, Fraction(0)) + p
         if sum(acc.values()) != 1:
             raise ValueError(f"weights sum to {sum(acc.values())}, not 1")
-        object.__setattr__(self, "pairs", _sorted_pairs(acc))
+        self._fill(acc)
+
+    def _fill(self, acc: dict[Any, Fraction]) -> None:
+        _set(self, "_w", acc)
+        _set(self, "_pairs", None)  # the sorted listing, built on first read
+        _set(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, acc: dict[Any, Fraction]) -> "Dist":
         """A distribution from merged positive weights known to sum to 1."""
         d = object.__new__(cls)
-        object.__setattr__(d, "pairs", _sorted_pairs(acc))
+        d._fill(acc)
         return d
 
     @staticmethod
     def unit(x) -> "Dist":
-        d = object.__new__(Dist)
-        object.__setattr__(d, "pairs", ((x, ONE),))
-        return d
+        return Dist._trusted({x: ONE})
 
     @staticmethod
     def mix(weighted: list[tuple[Fraction, "Dist"]]) -> "Dist":
@@ -104,37 +126,42 @@ class Dist:
             if p == 0:
                 continue
             total += p
-            for x, q in d.pairs:
-                w = p * q
-                acc[x] = acc[x] + w if x in acc else w
+            sure = len(d._w) == 1  # its one weight is 1: p*1 is p
+            for x, q in d._w.items():
+                w = p if sure else p * q
+                old = acc.get(x)
+                acc[x] = w if old is None else old + w
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
         return Dist._trusted(acc)
 
     def map(self, f) -> "Dist":
-        acc: dict[Any, Fraction] = {}
-        for x, p in self.pairs:
-            y = f(x)
-            acc[y] = acc[y] + p if y in acc else p
-        return Dist._trusted(acc)
+        """The image under f, which runs on the atoms in ``atom_key`` order."""
+        return _image(f, self.pairs)
+
+    @property
+    def pairs(self) -> tuple:
+        """(atom, weight) pairs sorted by ``atom_key``."""
+        if self._pairs is None:
+            _set(self, "_pairs", _sorted_pairs(self._w))
+        return self._pairs
 
     def support(self):
         return [x for x, _ in self.pairs]
 
     def prob(self, x) -> Fraction:
-        for y, p in self.pairs:
-            if y == x:
-                return p
-        return Fraction(0)
+        return self._w.get(x, ZERO)
 
     def items(self):
         return list(self.pairs)
 
     def __eq__(self, other):
-        return isinstance(other, Dist) and self.pairs == other.pairs
+        return isinstance(other, Dist) and self._w == other._w
 
     def __hash__(self):
-        return hash(self.pairs)
+        if self._hash is None:
+            _set(self, "_hash", hash(frozenset(self._w.items())))
+        return self._hash
 
     def __repr__(self):
         body = " + ".join(f"{p}*{x!r}" for x, p in self.pairs)
@@ -142,6 +169,17 @@ class Dist:
 
     def __setattr__(self, *_):
         raise AttributeError("Dist is immutable")
+
+
+def _image(f, weighted) -> Dist:
+    """The distribution of f(x) over (x, weight) pairs that hold the
+    invariant, calling f in their order."""
+    acc: dict[Any, Fraction] = {}
+    for x, p in weighted:
+        y = f(x)
+        old = acc.get(y)
+        acc[y] = p if old is None else old + p
+    return Dist._trusted(acc)
 
 
 ### compound carriers
@@ -233,13 +271,21 @@ class DWMonad(Monad):
         return Dist.mix(weighted)
 
     def bind(self, u: Dist, f) -> Dist:
-        """The mix of reward(r, f(x)) over u, merged in one pass."""
+        """The mix of reward(r, f(x)) over u, merged in one pass.  f runs
+        on u's atoms in ``atom_key`` order, as in ``Dist.map``."""
+        if len(u._w) == 1:  # a point mass: reward(r, f(x)) itself
+            (r, x), = u._w
+            v = f(x)
+            return v if r == self.structure.zero else self.reward(r, v)
         add = self.structure.add
         acc: dict[Any, Fraction] = {}
         for (r, x), p in u.pairs:
-            for (s, y), q in f(x).pairs:
-                a, w = (add(r, s), y), p * q
-                acc[a] = acc[a] + w if a in acc else w
+            v = f(x)._w
+            sure = len(v) == 1  # its one weight is 1: p*1 is p
+            for (s, y), q in v.items():
+                a, w = (add(r, s), y), p if sure else p * q
+                old = acc.get(a)
+                acc[a] = w if old is None else old + w
         return Dist._trusted(acc)
 
     def map(self, f, u: Dist) -> Dist:
@@ -247,17 +293,17 @@ class DWMonad(Monad):
 
     def reward(self, c, u: Dist) -> Dist:
         add = self.structure.add
-        return u.map(lambda rx: (add(c, rx[0]), rx[1]))
+        return _image(lambda rx: (add(c, rx[0]), rx[1]), u._w.items())
 
     def alpha(self, u: Dist) -> Fraction:
         add = self.structure.add
-        return self.structure.big_convex([(p, add(r, s)) for (r, s), p in u.pairs])
+        return self.structure.mean([(p, add(r, s)) for (r, s), p in u._w.items()])
 
     def expect(self, u: Dist, gamma) -> Fraction:
         """alpha(map(gamma, u)), without building the mapped distribution."""
         add = self.structure.add
-        return self.structure.big_convex(
-            [(p, add(r, gamma(x))) for (r, x), p in u.pairs])
+        return self.structure.mean(
+            [(p, add(r, gamma(x))) for (r, x), p in u._w.items()])
 
     def pchoice(self, p: Fraction, u, v):
         if p == 1:
@@ -285,15 +331,19 @@ class T2Monad(DWMonad):
         """Gather the atoms of each value into one, with the average of
         their rewards conditioned on the value."""
         parts: dict[Any, list] = {}
-        for (r, x), p in u.pairs:
+        for (r, x), p in u._w.items():
             parts.setdefault(x, []).append((p, r))
-        if len(parts) == len(u.pairs):
+        if len(parts) == len(u._w):
             return u
-        big_convex = self.structure.big_convex
+        mean = self.structure.mean
         acc: dict[Any, Fraction] = {}
         for x, ps in parts.items():
+            if len(ps) == 1:
+                p, r = ps[0]
+                acc[(r, x)] = p
+                continue
             total = sum(p for p, _ in ps)
-            acc[(big_convex([(p / total, r) for p, r in ps]), x)] = total
+            acc[(mean([(p / total, r) for p, r in ps]), x)] = total
         return Dist._trusted(acc)
 
     def mix(self, weighted) -> Dist:
@@ -323,10 +373,12 @@ class T3Monad(T2Monad):
 
     def normal(self, u: Dist) -> Dist:
         """Pool the rewards of all atoms into their expectation."""
-        if len({r for (r, _), _ in u.pairs}) == 1:
+        rest = iter(u._w)
+        r0 = next(rest)[0]
+        if all(r == r0 for r, _ in rest):
             return u
         pooled = expect0(u, self.structure)
-        return u.map(lambda rx: (pooled, rx[1]))
+        return _image(lambda rx: (pooled, rx[1]), u._w.items())
 
 
 class MRMonad(Monad):
@@ -385,26 +437,26 @@ def default_monad(mode: str) -> str:
 def theta(u: Dist, monad) -> Any:
     """Embed a distribution of reward-and-value pairs into another monad by
     rebuilding it from unit, reward, and convex mixture."""
-    return monad.mix([(p, monad.reward(r, monad.unit(x))) for (r, x), p in u.items()])
+    return monad.mix([(p, monad.reward(r, monad.unit(x))) for (r, x), p in u._w.items()])
 
 
 def vdis(u: Dist) -> Dist:
     """Marginal distribution of values."""
-    return u.map(lambda rx: rx[1])
+    return _image(lambda rx: rx[1], u._w.items())
 
 
 def cond_reward(u: Dist, x, structure: RewardStructure = DEFAULT_STRUCTURE) -> Fraction:
     """Average reward conditioned on the value being x."""
-    total = sum(p for (_, y), p in u.items() if y == x)
+    total = sum(p for (_, y), p in u._w.items() if y == x)
     if total == 0:
         raise KeyError(f"{x!r} has probability 0")
-    return structure.big_convex(
-        [(p / total, r) for (r, y), p in u.items() if y == x])
+    return structure.mean(
+        [(p / total, r) for (r, y), p in u._w.items() if y == x])
 
 
 def expect0(u: Dist, structure: RewardStructure = DEFAULT_STRUCTURE) -> Fraction:
     """Expected reward, ignoring values (expectation at the zero valuation)."""
-    return structure.big_convex([(p, r) for (r, _), p in u.items()])
+    return structure.mean([(p, r) for (r, _), p in u._w.items()])
 
 
 def k_gamma(gamma, u, monad):

@@ -16,6 +16,7 @@ mixing and gathering laws; the tests check each declaration by trial.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable
 
@@ -56,6 +57,11 @@ class RewardStructure:
         self._condition_c = condition_c
         self.mixing_verified = mixing
         self.gathering_verified = gathering
+        if contains is _every_rational:
+            # Every operand is a member, so the operations skip the check.
+            self.add = add
+            self.leq = operator.le
+            self.mean = _mean
 
     def __repr__(self) -> str:
         return f"RewardStructure({self.name})"
@@ -90,7 +96,14 @@ class RewardStructure:
         total = sum(p for p, _ in weighted)
         if total != ONE or any(p <= ZERO for p, _ in weighted):
             raise ValueError("weights must be positive and sum to 1")
-        return sum(p * self.check_member(r) for p, r in weighted)
+        return self.mean(weighted)
+
+    def mean(self, weighted: list[tuple[Fraction, Fraction]]) -> Fraction:
+        """``big_convex`` for weights already known to be positive and to
+        sum to 1, such as a ``Dist``'s: checks only that each reward is a
+        member."""
+        check = self.check_member
+        return _mean([(p, check(r)) for p, r in weighted])
 
     def condition_c_witness(self, p: Fraction, s: Fraction) -> tuple[Fraction, Fraction]:
         """For weight p in (0,1) and a reward s < 0, return rewards (l, r)
@@ -110,6 +123,30 @@ class RewardStructure:
         return self._condition_c(p, s)
 
 
+def _every_rational(r: Fraction) -> bool:
+    return True
+
+
+def _plus(r: Fraction, s: Fraction) -> Fraction:
+    """r + s, returning one operand itself when the other is zero."""
+    if not s:
+        return r
+    if not r:
+        return s
+    return r + s
+
+
+def _mean(weighted: list[tuple[Fraction, Fraction]]) -> Fraction:
+    """The sum of p*r over (p, r) pairs whose weights sum to 1."""
+    if len(weighted) == 1:  # its weight is 1
+        return weighted[0][1]
+    (p, r), *rest = weighted
+    total = p * r
+    for p, r in rest:
+        total += p * r
+    return total
+
+
 def _add_witness(p: Fraction, s: Fraction) -> tuple[Fraction, Fraction]:
     # With l = 0 the requirement becomes s + p*r > 0; r = (1-s)/p gives
     # s + p*r = 1 > 0, and r > 0 = l since s < 0.
@@ -119,8 +156,8 @@ def _add_witness(p: Fraction, s: Fraction) -> tuple[Fraction, Fraction]:
 ADD_RATIONALS = RewardStructure(
     "AddRationals",
     zero=ZERO,
-    add=lambda r, s: r + s,
-    contains=lambda r: True,
+    add=_plus,
+    contains=_every_rational,
     condition_c=_add_witness,
     mixing=True,
     gathering=True,
@@ -129,7 +166,7 @@ ADD_RATIONALS = RewardStructure(
 NONNEG_ADD = RewardStructure(
     "NonNegAdd",
     zero=ZERO,
-    add=lambda r, s: r + s,
+    add=_plus,
     contains=lambda r: r >= ZERO,
     condition_c=None,
     mixing=True,

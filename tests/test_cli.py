@@ -129,6 +129,27 @@ def test_eval_denotational_t3_json(sel, capsys):
     assert doc["reward"] == "11/2"
 
 
+# The program behind the "DW (Bool -> Bool) 0" line of
+# tests/test_denote_golden.py.  Its condition is a two-atom distribution and
+# each branch makes a function value; denote numbers function values in the
+# order it makes them, and they print in that order.  So DW bind's outer
+# loop must reach the atoms in atom_key order: in the order the condition's
+# atoms were merged, the 2/3 atom would print first.
+FN_ORDER = ("mode prob; if oplus[1/3]((-1/2 + -1) . 1, -1) . (ff +[2/3] tt)"
+            " then fun (v1:Bool) -> tt else if tt then fun (v2:Bool) -> ff"
+            " else fun (v3:Bool) -> ff")
+
+
+def test_function_values_print_in_atom_order(sel, capsys):
+    rc, out, _ = run(capsys, "eval", "--semantics", "denotational", "--json",
+                     "--monad", "DW", sel(FN_ORDER))
+    assert rc == 0
+    assert out == (
+        '{"version": "1", "monad": "DW", "outcome": ['
+        '{"prob": "1/3", "reward": "-11/6", "value": "<function>"}, '
+        '{"prob": "2/3", "reward": "-11/6", "value": "<function>"}]}\n')
+
+
 def _outcome_atoms(doc):
     """The outcome atoms of an ``eval --json`` answer; a W value is one
     atom of probability 1."""

@@ -137,10 +137,61 @@ def test_dist_merges_and_sorts():
 
 
 def test_dist_rejects_bad_weights():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weights sum to 1/2, not 1$"):
         Dist([(F(1, 2), "a")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^negative weight -1/2$"):
         Dist([(F(-1, 2), "a"), (F(3, 2), "b")])
+
+
+def opposite_mixes(mon):
+    """One value of mon mixed from the same parts in opposite orders."""
+    parts = [(F(1, 4), mon.reward(F(1), mon.unit("b"))),
+             (F(1, 4), mon.unit("c")),
+             (F(1, 2), mon.pchoice(F(1, 3), mon.unit("a"),
+                                   mon.reward(F(-1), mon.unit("c"))))]
+    return mon.mix(parts), mon.mix(parts[::-1])
+
+
+@pytest.mark.parametrize("name", ["DW", "T2", "T3"])
+def test_merge_order_shows_in_no_listing(name):
+    d, e = opposite_mixes(make_monad(name, ST))
+    assert list(d._w) != list(e._w)  # the merge orders do differ
+    assert d == e and hash(d) == hash(e)
+    want = sorted(d._w.items(), key=lambda a: atom_key(a[0]))
+    listed = [(p, r, x) for (r, x), p in want]
+    if name != "DW":
+        listed.sort(key=lambda a: atom_key(a[2]))
+    for u in (d, e):
+        assert list(u.pairs) == u.items() == want
+        assert u.support() == [x for x, _ in want]
+        assert repr(u) == "Dist(" + " + ".join(
+            f"{p}*{x!r}" for x, p in want) + ")"
+        assert atoms(u, name) == listed
+
+
+def test_kernel_arithmetic_never_sorts(monkeypatch):
+    import selcalc.monads
+    real, calls = selcalc.monads.atom_key, []
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(selcalc.monads, "atom_key", counting)
+    dw = make_monad("DW", ST)
+    gam = {"a": F(1), "b": F(2)}.get
+
+    def fresh():
+        return Dist([(F(1, 2), (F(1), "b")), (F(1, 3), (F(0), "a")),
+                     (F(1, 6), (F(-2), "c"))])
+
+    Dist.mix([(F(1, 3), fresh()), (F(2, 3), fresh())])
+    dw.expect(fresh(), lambda x: gam(x, F(0)))
+    assert fresh() == fresh()
+    hash(fresh())
+    assert calls == []
+    fresh().items()  # a listing does sort
+    assert calls
 
 
 def test_k_gamma_frozen_example():
@@ -199,7 +250,9 @@ def test_t3_pools_reward():
 
 def test_t3_rejects_unverified_structure():
     mul = STRUCTURES["MulPositiveRationals"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=(
+            r"^structure MulPositiveRationals does not mix rewards through "
+            r"accumulation; pooling a single reward is unsound$")):
         make_monad("T3", mul)
 
 

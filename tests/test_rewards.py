@@ -47,6 +47,23 @@ def test_big_convex_matches_binary():
     assert got == F(4)
 
 
+def test_checked_structures_keep_their_errors():
+    # the zero and single-weight fast paths must not skip a check
+    with pytest.raises(ValueError, match=r"^-1 is not a NonNegAdd reward$"):
+        NN.add(F(0), F(-1))
+    with pytest.raises(ValueError, match=r"^-1 is not a NonNegAdd reward$"):
+        NN.leq(F(-1), F(0))
+    with pytest.raises(ValueError,
+                       match=r"^0 is not a MulPositiveRationals reward$"):
+        MUL.add(F(1), F(0))
+    for st in (ADD, NN, MUL):
+        for weighted in ([(F(1, 2), F(4)), (F(1, 4), F(8))], [(F(1, 2), F(4))],
+                         [(F(3, 2), F(4)), (F(-1, 2), F(8))]):
+            with pytest.raises(ValueError,
+                               match=r"^weights must be positive and sum to 1$"):
+                st.big_convex(weighted)
+
+
 def test_condition_c_witness_frozen():
     # s = -1 < 0: witness pair with r0 + s*g == r0 only at the stated g
     assert ADD.condition_c_witness(F(1, 2), F(-1)) == (F(0), F(4))
