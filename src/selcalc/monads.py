@@ -24,10 +24,11 @@ The ``Dist`` kernel keeps no sort order inside: its arithmetic reads the
 merged weights in insertion order, and only the listings (``pairs``,
 ``items()``, ``support()``, ``repr``, ``atoms``) sort by ``atom_key``.
 Wherever a caller's function runs on the atoms (``Dist.map``,
-``t2val`` and the outer loop of ``DWMonad.bind``) it runs in that sorted
-order, since ``denote`` numbers the function values it makes in call order
-and they print in that order.  Expectation trusts the ``Dist`` invariant
-and does not re-check the weights.
+``t2val``, ``DWMonad.expect`` and the outer loop of ``DWMonad.bind``) it
+runs in that sorted order, since ``denote`` numbers the function values it
+makes in call order and they print in that order; an expectation's
+valuation may run a continuation.  Expectation trusts the ``Dist``
+invariant and does not re-check the weights.
 """
 
 from __future__ import annotations
@@ -76,12 +77,12 @@ class Dist:
     Invariant of every instance: positive weights summing to exactly 1, no
     atom twice.  The merged weights are kept in a dict in insertion order,
     and the arithmetic (``mix``, ``DWMonad.bind``'s inner loop,
-    expectation, ``prob``, ``==``, ``hash``) reads that dict without
-    sorting.  ``pairs``, ``items()``, ``support()`` and ``repr`` list the
-    atoms sorted by ``atom_key``, built on first read and cached, and
-    ``map`` calls its function in that order, because a caller's function
-    may show its call order (``denote`` numbers function values as it
-    makes them).  Only the public constructor checks weights; ``unit``,
+    ``alpha``, ``expect0``, ``prob``, ``==``, ``hash``) reads that dict
+    without sorting.  ``pairs``, ``items()``, ``support()`` and ``repr``
+    list the atoms sorted by ``atom_key``, built on first read and cached,
+    and ``map`` and ``DWMonad.expect`` call their function in that order,
+    because a caller's function may show its call order (``denote`` numbers
+    function values as it makes them).  Only the public constructor checks weights; ``unit``,
     ``map`` and ``mix`` build from distributions that already hold the
     invariant and so skip the checks they cannot fail (``mix`` still
     checks its outer weights)."""
@@ -126,9 +127,8 @@ class Dist:
             if p == 0:
                 continue
             total += p
-            sure = len(d._w) == 1  # its one weight is 1: p*1 is p
             for x, q in d._w.items():
-                w = p if sure else p * q
+                w = p * q
                 old = acc.get(x)
                 acc[x] = w if old is None else old + w
         if total != 1:
@@ -273,17 +273,11 @@ class DWMonad(Monad):
     def bind(self, u: Dist, f) -> Dist:
         """The mix of reward(r, f(x)) over u, merged in one pass.  f runs
         on u's atoms in ``atom_key`` order, as in ``Dist.map``."""
-        if len(u._w) == 1:  # a point mass: reward(r, f(x)) itself
-            (r, x), = u._w
-            v = f(x)
-            return v if r == self.structure.zero else self.reward(r, v)
         add = self.structure.add
         acc: dict[Any, Fraction] = {}
         for (r, x), p in u.pairs:
-            v = f(x)._w
-            sure = len(v) == 1  # its one weight is 1: p*1 is p
-            for (s, y), q in v.items():
-                a, w = (add(r, s), y), p if sure else p * q
+            for (s, y), q in f(x)._w.items():
+                a, w = (add(r, s), y), p * q
                 old = acc.get(a)
                 acc[a] = w if old is None else old + w
         return Dist._trusted(acc)
@@ -300,10 +294,11 @@ class DWMonad(Monad):
         return self.structure.mean([(p, add(r, s)) for (r, s), p in u._w.items()])
 
     def expect(self, u: Dist, gamma) -> Fraction:
-        """alpha(map(gamma, u)), without building the mapped distribution."""
+        """alpha(map(gamma, u)), without building the mapped distribution.
+        gamma runs on u's atoms in ``atom_key`` order, as in ``Dist.map``."""
         add = self.structure.add
         return self.structure.mean(
-            [(p, add(r, gamma(x))) for (r, x), p in u._w.items()])
+            [(p, add(r, gamma(x))) for (r, x), p in u.pairs])
 
     def pchoice(self, p: Fraction, u, v):
         if p == 1:
@@ -338,10 +333,6 @@ class T2Monad(DWMonad):
         mean = self.structure.mean
         acc: dict[Any, Fraction] = {}
         for x, ps in parts.items():
-            if len(ps) == 1:
-                p, r = ps[0]
-                acc[(r, x)] = p
-                continue
             total = sum(p for p, _ in ps)
             acc[(mean([(p / total, r) for p, r in ps]), x)] = total
         return Dist._trusted(acc)
@@ -373,9 +364,7 @@ class T3Monad(T2Monad):
 
     def normal(self, u: Dist) -> Dist:
         """Pool the rewards of all atoms into their expectation."""
-        rest = iter(u._w)
-        r0 = next(rest)[0]
-        if all(r == r0 for r, _ in rest):
+        if len({r for r, _ in u._w}) == 1:
             return u
         pooled = expect0(u, self.structure)
         return _image(lambda rx: (pooled, rx[1]), u._w.items())

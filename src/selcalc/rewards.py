@@ -57,11 +57,6 @@ class RewardStructure:
         self._condition_c = condition_c
         self.mixing_verified = mixing
         self.gathering_verified = gathering
-        if contains is _every_rational:
-            # Every operand is a member, so the operations skip the check.
-            self.add = add
-            self.leq = operator.le
-            self.mean = _mean
 
     def __repr__(self) -> str:
         return f"RewardStructure({self.name})"
@@ -123,10 +118,6 @@ class RewardStructure:
         return self._condition_c(p, s)
 
 
-def _every_rational(r: Fraction) -> bool:
-    return True
-
-
 def _plus(r: Fraction, s: Fraction) -> Fraction:
     """r + s, returning one operand itself when the other is zero."""
     if not s:
@@ -138,8 +129,6 @@ def _plus(r: Fraction, s: Fraction) -> Fraction:
 
 def _mean(weighted: list[tuple[Fraction, Fraction]]) -> Fraction:
     """The sum of p*r over (p, r) pairs whose weights sum to 1."""
-    if len(weighted) == 1:  # its weight is 1
-        return weighted[0][1]
     (p, r), *rest = weighted
     total = p * r
     for p, r in rest:
@@ -157,11 +146,15 @@ ADD_RATIONALS = RewardStructure(
     "AddRationals",
     zero=ZERO,
     add=_plus,
-    contains=_every_rational,
+    contains=lambda r: True,
     condition_c=_add_witness,
     mixing=True,
     gathering=True,
 )
+# Every rational is a member, so these skip the membership check.
+ADD_RATIONALS.add = _plus
+ADD_RATIONALS.leq = operator.le
+ADD_RATIONALS.mean = _mean
 
 NONNEG_ADD = RewardStructure(
     "NonNegAdd",

@@ -150,6 +150,25 @@ def test_function_values_print_in_atom_order(sel, capsys):
         '{"prob": "2/3", "reward": "-11/6", "value": "<function>"}]}\n')
 
 
+# A selection whose condition is an ``or``: choosing between the two
+# branches takes the expectation of each, and that expectation's valuation
+# runs the continuation, which makes the function values.  So expect must
+# reach the atoms in atom_key order as well; in merge order the 2/3 atom
+# printed first.
+OR_FN_ORDER = ("mode prob; if ((ff +[2/3] tt) or (ff +[2/3] tt))"
+               " then fun (v1:Bool) -> tt else fun (v2:Bool) -> ff")
+
+
+@pytest.mark.parametrize("monad", ["DW", "T2", "T3"])
+def test_or_condition_prints_functions_in_atom_order(sel, capsys, monad):
+    rc, out, _ = run(capsys, "eval", "--semantics", "denotational", "--json",
+                     "--monad", monad, sel(OR_FN_ORDER))
+    assert rc == 0
+    doc = json.loads(out)
+    atoms = doc["outcome"] if monad == "DW" else doc["dist"]
+    assert [a["prob"] for a in atoms] == ["1/3", "2/3"]
+
+
 def _outcome_atoms(doc):
     """The outcome atoms of an ``eval --json`` answer; a W value is one
     atom of probability 1."""

@@ -48,7 +48,7 @@ def test_big_convex_matches_binary():
 
 
 def test_checked_structures_keep_their_errors():
-    # the zero and single-weight fast paths must not skip a check
+    # the zero fast path must not skip a check
     with pytest.raises(ValueError, match=r"^-1 is not a NonNegAdd reward$"):
         NN.add(F(0), F(-1))
     with pytest.raises(ValueError, match=r"^-1 is not a NonNegAdd reward$"):
