@@ -10,18 +10,20 @@ finite base types, with three algebraic operations:
 Programs may start with a prelude of ``mode`` and ``base`` declarations.
 
 Terms and types are nodes of one layer with one walk, ``fold_term``:
-free variables, substitution, alpha-equivalence, typechecking, printing
-and type rank are folds on it, and one base class compares, hashes and
-``repr``s both.  The walk, the effect fold ``fold_effect`` and the parser,
-whose one loop reads terms and types from their grammars' tables, keep
-explicit stacks, so nesting uses no Python recursion.
+alpha-equivalence, typechecking, printing and type rank are folds on it,
+and one base class compares, hashes and ``repr``s both.  Each term node
+keeps its free variables once asked for them, so substitution walks only
+down to the occurrences of its variable.  The walks, the effect fold
+``fold_effect`` and the parser, whose one loop reads terms and types from
+their grammars' tables, keep explicit stacks, so nesting uses no Python
+recursion.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from operator import is_
 
 from .rewards import DEFAULT_STRUCTURE, RewardStructure, STRUCTURES
 
@@ -400,38 +402,69 @@ def fold_effect(e: Term, leaf, or_, rew, pchoice=None):
 
 ### free variables, substitution, alpha-equivalence
 
-def free_vars(t: Term) -> frozenset[str]:
-    def node(s, kids, env):
-        if type(s) is Var:
-            return frozenset() if s.name in env else frozenset((s.name,))
-        return frozenset().union(*kids)
+_NO_VARS = frozenset()
 
-    return fold_term(t, node)
+
+def free_vars(t: Term) -> frozenset[str]:
+    """The variables free in t.  A node keeps its set, once computed, in
+    the attribute ``_fv``, and dies with it: the first call walks, on an
+    explicit stack, only the subterms that have no set yet, so every
+    subterm of t has one afterwards, and a node whose set equals a
+    child's shares that child's set."""
+    work = [(False, t)]
+    while work:
+        up, s = work.pop()
+        if getattr(s, "_fv", None) is not None:
+            continue
+        kids = _KIDS.get(type(s))
+        if kids is None:
+            fv = frozenset((s.name,)) if type(s) is Var else _NO_VARS
+        elif not up:
+            work.append((True, s))
+            work += [(False, k) for k in kids(s)]
+            continue
+        else:
+            fv = _NO_VARS
+            for k in kids(s):
+                if not k._fv <= fv:
+                    fv = fv | k._fv if fv else k._fv
+            if type(s) is Lam and s.var in fv:
+                fv = fv - {s.var}
+        object.__setattr__(s, "_fv", fv)
+    return t._fv
 
 
 def substitute(t: Term, var: str, val: Term) -> Term:
     """Substitution t[val/var] of a value that no binder of t captures.
-    Evaluation substitutes closed values into closed programs, so nothing
-    is ever renamed; a binder of t that binds a free variable of val, and
-    lies under no binder of var, raises ValueError naming it.  A node none
-    of whose children changed is returned itself, so substituting for a
-    variable that does not occur free returns t."""
+    It descends only into the subterms where var is free, so its cost is
+    bounded by the paths from t to the free occurrences of var; every
+    other subterm, and t itself when var is not free in it, comes back
+    as itself.  Evaluation substitutes closed values into closed
+    programs, so nothing is ever renamed: a binder of a free variable of
+    val with a free occurrence of var under it raises ValueError naming
+    it, the first such binder in preorder."""
+    if var not in free_vars(t):
+        return t
     capture = free_vars(val)
-
-    def bind(lam, env):
-        if lam.var in capture and lam.var != var and var not in env:
-            raise ValueError(f"substitute: binder {lam.var} would capture "
-                             f"a free variable of the value for {var}")
-        return lam.ty
-
-    def node(s, kids, env):
-        if type(s) is Var:
-            return val if s.name == var and var not in env else s
-        if all(map(is_, kids, children(s))):
-            return s
-        return rebuild(s, kids)
-
-    return fold_term(t, node, bind)
+    done, work = [], [t]
+    while work:
+        s = work.pop()
+        if type(s) is tuple:  # exit record: node, where its kids' results start
+            s, k = s
+            kids = done[k:]
+            del done[k:]
+            done.append(rebuild(s, kids))
+        elif var not in s._fv:  # free_vars(t) gave every subterm its set
+            done.append(s)
+        elif type(s) is Var:
+            done.append(val)
+        else:
+            if type(s) is Lam and s.var in capture:
+                raise ValueError(f"substitute: binder {s.var} would capture "
+                                 f"a free variable of the value for {var}")
+            work.append((s, len(done)))
+            work += reversed(_KIDS[type(s)](s))
+    return done[0]
 
 
 def alpha_key(t: Term) -> tuple:
@@ -522,9 +555,8 @@ def fold_term(t: Term, node, bind=None, env=None):
     Lam, node sees the env of its body.  The walk goes depth first, left to
     right, on an explicit stack, so ``bind`` runs in preorder, ``node`` in
     postorder, and term depth uses no Python recursion.  This is the one
-    binder-aware walk: free variables, substitution, alpha-equivalence,
-    typechecking and printing are folds, and so are a type's printing and
-    rank."""
+    binder-aware walk: alpha-equivalence, typechecking and printing are
+    folds, and so are a type's printing and rank."""
     env = dict(env or {})
     done = []
     work = [t]
@@ -744,50 +776,33 @@ _KEYWORDS = {"or", "if", "then", "else", "fun", "let", "in", "fst", "snd",
              "oplus", "base", "mode", "rewards", "prob", "structure"}
 
 
+# one token after any whitespace and comments, named by its kind; the
+# alternatives are tried in order.  \d is a decimal digit (one int()
+# reads), \w a letter, digit or numeral, or '_'; a name starts with a
+# letter or '_', so a numeral that is no decimal digit, such as '²', is
+# a name's first character only to be refused by _lex
+_TOKEN = re.compile(r"(?:\s+|#[^\n]*)*(?:(?P<rat>-?\d+(?:/\d+)?)"
+                    r"|(?P<ident>[^\W\d][\w']*)|(?P<hole>\[-\])"
+                    f"|(?P<punct>{'|'.join(map(re.escape, _PUNCT))})"
+                    r"|(?P<eof>\Z)|(?P<bad>.))", re.S)
+
+
 def _lex(src: str) -> list[tuple[str, str]]:
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and src[i + 1].isdigit()):
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == "/" and j + 1 < n and src[j + 1].isdigit():
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            toks.append(("rat", src[i:j]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            toks.append(("kw" if word in _KEYWORDS else "ident", word))
-            i = j
-            continue
-        if src.startswith("[-]", i):
-            toks.append(("hole", "[-]"))
-            i += 3
-            continue
-        for p in _PUNCT:
-            if src.startswith(p, i):
-                toks.append(("punct", p))
-                i += len(p)
-                break
-        else:
-            raise SelSyntaxError(f"unexpected character {ch!r} at offset {i}")
-    toks.append(("eof", ""))
-    return toks
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        text = m[kind]
+        if kind == "ident":
+            if text in _KEYWORDS:
+                kind = "kw"
+            elif not (text[0].isalpha() or text[0] == "_"):
+                kind = "bad"
+        if kind == "bad":
+            raise SelSyntaxError(f"unexpected character {text[0]!r} at "
+                                 f"offset {m.start(m.lastgroup)}")
+        toks.append((kind, text))
+        if kind == "eof":  # \Z may match again, empty, after trailing space
+            return toks
 
 
 class SelSyntaxError(Exception):
@@ -870,8 +885,9 @@ class _Parser:
 
     def rational(self) -> Fraction:
         text = self.expect("rat")
+        num, _, den = text.partition("/")
         try:
-            return Fraction(text)
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise SelSyntaxError(
                 f"zero denominator in {text!r} (token {self.pos})") from None

@@ -1,7 +1,10 @@
 """The small-step relation written out literally: one root-to-redex
 decomposition per step, then contract and plug.  It is the reference that
 the refocused machine in ``selcalc.operational`` is checked against, for
-effect values, step counts, errors and ``trace_eval`` snapshots."""
+effect values, step counts, errors and ``trace_eval`` snapshots.  Its
+beta-step substitutes with the fold ``substitute`` below, kept apart from
+the library's, so that a fault of the library's substitution shows as a
+difference."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,8 +14,44 @@ from selcalc.operational import (
 )
 from selcalc.syntax import (
     App, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, Pair, PChoice,
-    Rew, RewConst, Snd, Term, Var, is_value, plug, substitute,
+    Rew, RewConst, Snd, Term, Var, children, fold_term, is_value, plug,
+    rebuild,
 )
+
+
+### free variables and substitution, as folds over the whole term
+
+def free_vars(t: Term) -> frozenset[str]:
+    def node(s, kids, env):
+        if type(s) is Var:
+            return frozenset() if s.name in env else frozenset((s.name,))
+        return frozenset().union(*kids)
+
+    return fold_term(t, node)
+
+
+def substitute(t: Term, var: str, val: Term, check_capture: bool = True) -> Term:
+    """Substitution t[val/var] by one fold over all of t.  With
+    check_capture, a binder of t that binds a free variable of val, and
+    lies under no binder of var, raises ValueError naming it, whether or
+    not var occurs under it.  A node none of whose children changed is
+    returned itself."""
+    capture = free_vars(val) if check_capture else frozenset()
+
+    def bind(lam, env):
+        if lam.var in capture and lam.var != var and var not in env:
+            raise ValueError(f"substitute: binder {lam.var} would capture "
+                             f"a free variable of the value for {var}")
+        return lam.ty
+
+    def node(s, kids, env):
+        if type(s) is Var:
+            return val if s.name == var and var not in env else s
+        if all(a is b for a, b in zip(kids, children(s))):
+            return s
+        return rebuild(s, kids)
+
+    return fold_term(t, node, bind)
 
 
 ### decomposition

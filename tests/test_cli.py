@@ -773,3 +773,21 @@ def test_function_outcome_through_an_unused_binder_is_one_atom(sel, capsys):
     rc, out, _ = run(capsys, "eval", "--json", f)
     assert rc == 0 and json.loads(out)["outcome"] == [
         {"prob": "1", "reward": "0", "value": "fun (y:Bool) -> y"}]
+
+
+@pytest.mark.parametrize("src,offset,char", [
+    ("² . tt", 0, "²"), ("① . tt", 0, "①"), ("tt or 1² . ff", 7, "²"),
+], ids=["superscript", "circled", "after-a-digit"])
+def test_numeral_that_is_no_decimal_digit_is_a_parse_error(sel, capsys, src,
+                                                            offset, char):
+    # str.isdigit accepts '²' and '①', which no int() reads
+    rc, out, err = run(capsys, "eval", sel(src))
+    assert (rc, out, err.strip()) == (
+        3, "", f"error: unexpected character {char!r} at offset {offset}")
+
+
+def test_decimal_digits_of_any_script_still_read_as_numbers(sel, capsys):
+    assert run(capsys, "eval", sel("٣ . tt")) == (0, "reward 3, value tt\n", "")
+    # a numeral after a name's first letter is part of the name
+    assert run(capsys, "eval", sel("x²")) == (
+        3, "", "error: unbound variable x²\n")

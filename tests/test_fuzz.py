@@ -4,10 +4,13 @@ lexer's vocabulary and generated programs in both modes go through
 three and the denotational ``eval`` also under each monad of the mode and
 each reward structure; none ever answers "internal error", a well-typed
 program is equivalent to itself, and every term printed parses back to
-an alpha-equal term."""
+an alpha-equal term.  Free variables and substitution, on generated
+programs and random open terms, agree with the folds over the whole term
+that ``tests/smallstep.py`` keeps as their reference."""
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,11 +24,15 @@ from selcalc.rewards import STRUCTURES
 from selcalc.selection import denote, embed_outcome, observe, zero_gamma
 from selcalc.strategies import select_program
 from selcalc.syntax import (
-    BOOL, App, Arrow, Lam, Prod, Program, SelSyntaxError, SelTypeError,
-    _KEYWORDS, _PUNCT, alpha_eq, parse, parse_program, pretty, pretty_program,
-    typecheck,
+    BOOL, FF, TT, App, Arrow, Fst, If, Lam, Or, Pair, Prod, Program, Rew,
+    RewConst, SelSyntaxError, SelTypeError, Star, Var, _KEYWORDS, _PUNCT,
+    alpha_eq, fold_term, free_vars, nodes, parse, parse_program, pretty,
+    pretty_program, substitute, typecheck,
 )
 from selcalc.testgen import GenConfig, gen_program
+from smallstep import (
+    free_vars as reference_free_vars, substitute as reference_substitute,
+)
 
 TOKENS = sorted(_PUNCT) + sorted(_KEYWORDS) + [
     "tt", "ff", "x", "f", "Bool", "Rew", "Unit", "C", "a", "NonNegAdd",
@@ -137,3 +144,88 @@ def test_unused_lets_keep_denotation_adequate(seed, mode, lets):
         mon = make_monad(name, config.structure)
         got = denote(t, config, mon)(zero_gamma(config))
         assert got == embed_outcome(out, config, mon), (name, pretty(t))
+
+
+def capturing_binders(t, var, val):
+    """The variables of the binders of t, in preorder, that bind a free
+    variable of val and have a free occurrence of var under them."""
+    capture, found = reference_free_vars(val), []
+
+    def bind(lam, env):
+        if (lam.var in capture and lam.var != var and var not in env
+                and var in reference_free_vars(lam.body)):
+            found.append(lam.var)
+        return lam.ty
+
+    fold_term(t, lambda s, kids, env: None, bind)
+    return found
+
+
+def check_substitution(t, var, val):
+    """free_vars and substitute agree with the folds over the whole term in
+    tests/smallstep.py; substitute refuses exactly where var occurs under
+    a capturing binder, naming the first, and returns t itself when var
+    is not free in it."""
+    assert free_vars(t) == reference_free_vars(t)
+    binders = capturing_binders(t, var, val)
+    try:
+        got = substitute(t, var, val)
+    except ValueError as e:
+        assert binders and f"binder {binders[0]} would capture" in str(e)
+        with pytest.raises(ValueError, match="would capture"):
+            reference_substitute(t, var, val)
+        return
+    assert not binders
+    assert got == reference_substitute(t, var, val, check_capture=False)
+    if var not in reference_free_vars(t):
+        assert got is t
+    assert free_vars(got) == reference_free_vars(got)
+
+
+NAMES = ("x", "y", "z")
+
+
+def open_term(rng, depth):
+    """A random term over the variables x, y and z, with binders of them."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([Var(n) for n in NAMES] + [TT, FF, Star()])
+    cls, arity = rng.choice([(App, 2), (Pair, 2), (Or, 2), (If, 3), (Fst, 1),
+                             (Lam, 1), (Rew, 1)])
+    kids = [open_term(rng, depth - 1) for _ in range(arity)]
+    if cls is Lam:
+        return Lam(rng.choice(NAMES), BOOL, *kids)
+    if cls is Rew:
+        return Rew(RewConst(1), *kids)
+    return cls(*kids)
+
+
+@FUZZ
+@given(st.integers(0, 10**6))
+def test_substitution_matches_the_fold_on_open_terms(seed):
+    rng = random.Random(seed)
+    t = open_term(rng, 6)
+    vals = [TT, Var("y"), Pair(Var("y"), Var("z")),
+            Lam("y", BOOL, Var("x")), open_term(rng, 3)]
+    for var, val in itertools.product(NAMES, vals):
+        check_substitution(t, var, val)
+        # again, reading the sets the first pass left on t's nodes
+        check_substitution(t, var, val)
+
+
+@FUZZ
+@given(st.integers(0, 10**6), st.sampled_from(["rewards", "prob"]))
+def test_substitution_matches_the_fold_on_generated_programs(seed, mode):
+    cfg = GenConfig(seed=seed, max_term_size=30, mode=mode)
+    config = cfg.lang()
+    t = gen_program(cfg, BOOL, cfg.rng(), config)
+    lams = [s for s in nodes(t) if type(s) is Lam]
+    names = sorted({lam.var for lam in lams})
+    vals = [TT, gen_program(cfg, Arrow(BOOL, BOOL), cfg.rng(), config)]
+    vals += [Var(n) for n in names[:2]] + [Pair(Var(n), TT) for n in names[-1:]]
+    for var in names[:3] + ["unused"]:
+        for val in vals:
+            check_substitution(t, var, val)
+    # the beta-step's substitutions, into bodies whose sets t's walk left
+    for lam in lams:
+        for val in vals:
+            check_substitution(lam.body, lam.var, val)

@@ -1,15 +1,19 @@
 """Parser, printer, and typechecker behavior, including mode inference from
-the file prelude."""
+the file prelude; the lexer against the character loop it replaced, and
+the work substitution does."""
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from selcalc import syntax
 from selcalc.rewards import STRUCTURES
 from selcalc.syntax import (
     App, Arrow, BOOL, Base, Const, FF, Hole, If, Lam, LangConfig, Or,
-    PChoice, Pair, Prod, REW, Rew, RewConst, SelSyntaxError, SelTypeError,
-    TT, UNIT, Var, alpha_eq, make_dispatcher, parse_program, plug, pretty,
+    PChoice, Pair, Prod, Program, REW, Rew, RewConst, SelSyntaxError,
+    SelTypeError, TT, UNIT, Var, _KEYWORDS, _lex, alpha_eq, free_vars,
+    make_dispatcher, nodes, parse_program, plug, pretty, pretty_program,
     substitute, type_rank, typecheck,
 )
 from selcalc.testgen import GenConfig, gen_program
@@ -177,3 +181,182 @@ def test_substitute_refuses_capture_of_an_open_value():
     # a value free of y goes in
     assert substitute(t, "x", Var("w")) == Lam(
         "y", BOOL, App(Var("z"), App(Var("w"), Var("y"))))
+
+
+### the lexer against the character loop it replaced
+
+_PUNCT_REF = ["+[", "->", "==", "<=", "(", ")", "<", ">", ",", ":", ".",
+              "+", "=", "[", "]", ";", "{", "}", "*"]
+
+
+def reference_lex(src, digit=str.isdigit):
+    """The character-loop lexer, as it read every input before the lexer
+    became one regular expression.  Its numbers are made of the
+    characters ``digit`` accepts: by default those of ``str.isdigit``,
+    '²' among them, which no int() reads."""
+    toks = []
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        if digit(ch) or (ch == "-" and i + 1 < n and digit(src[i + 1])):
+            j = i + 1
+            while j < n and digit(src[j]):
+                j += 1
+            if j < n and src[j] == "/" and j + 1 < n and digit(src[j + 1]):
+                j += 1
+                while j < n and digit(src[j]):
+                    j += 1
+            toks.append(("rat", src[i:j]))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (src[j].isalnum() or src[j] in "_'"):
+                j += 1
+            word = src[i:j]
+            toks.append(("kw" if word in _KEYWORDS else "ident", word))
+            i = j
+            continue
+        if src.startswith("[-]", i):
+            toks.append(("hole", "[-]"))
+            i += 3
+            continue
+        for p in _PUNCT_REF:
+            if src.startswith(p, i):
+                toks.append(("punct", p))
+                i += len(p)
+                break
+        else:
+            raise SelSyntaxError(f"unexpected character {ch!r} at offset {i}")
+    toks.append(("eof", ""))
+    return toks
+
+
+def lexed(lex, src):
+    """The tokens of src, or the message of the SelSyntaxError it raises."""
+    try:
+        return lex(src)
+    except SelSyntaxError as e:
+        return str(e)
+
+
+def same_tokens(src):
+    """The lexer gives the reference's tokens, or its error message and
+    offset.  The one difference allowed is on a numeral that is no
+    decimal digit, such as '²': the lexer refuses it as the reference
+    does when its numbers take decimal digits only."""
+    got = lexed(_lex, src)
+    if got != lexed(reference_lex, src):
+        assert any(c.isdigit() and not c.isdecimal() for c in src), src
+        assert got == lexed(lambda s: reference_lex(s, str.isdecimal), src)
+        assert got.startswith("unexpected character"), src
+
+
+LEXER_CASES = [
+    "", "   \n\t ", "# only a comment", "tt # comment\n or ff # again",
+    "#no newline at the end", "(fun (x:Bool) -> x) [-]", "[-] or [-]",
+    "[ - ]", "[-", "-3/4 . tt", "tt +[-1/2] ff", "x -1", "x-1", "1-2", "-",
+    "->", "--1", "-/1", "1/", "1/-2", "3/0 . tt", "007 . tt", "a'b' _x x_1",
+    "oplus[1/3](1, 2)", "<tt, ff> == <ff, tt>", "1 <= 2 == tt", "+[+[",
+    "fst <tt, ff>", "é . tt", " tt ", "tt\x1cor\x1fff", "tt @ ff",
+    "٣ . tt", "x²", "x٣", "² . tt", "① . tt", "tt or 1² . ff", "½", "-²",
+    "1/²", "²abc", "-٣/٤ . tt", "Ⅻ", "x́", "́x",
+]
+
+
+@pytest.mark.parametrize("src", LEXER_CASES)
+def test_lexer_matches_the_character_loop(src):
+    same_tokens(src)
+
+
+def test_lexer_matches_the_character_loop_on_golden_programs():
+    import test_errors_golden
+    import test_prob_golden
+    srcs = [src for src, _ in test_errors_golden.SYNTAX_ERRORS]
+    srcs += [test_prob_golden._program(ty, seed)
+             for ty in test_prob_golden.TARGETS
+             for seed in test_prob_golden.SEEDS]
+    for src in srcs:
+        same_tokens(src)
+
+
+@pytest.mark.parametrize("mode", ["rewards", "prob"])
+def test_lexer_matches_the_character_loop_on_generated_programs(mode):
+    for seed in range(2000):
+        cfg = GenConfig(seed=seed, mode=mode, max_term_size=20)
+        config = cfg.lang()
+        t = gen_program(cfg, BOOL, cfg.rng(), config)
+        same_tokens(pretty_program(Program(config, t)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(list("tf ()<>,:.+-=[]*;{}#/\n'_x0123") + [
+    "or ", "fun", "\u00b2", "\u2460", "\u00bd", "\u0663", "\u00e9", "\u00a0",
+    "\x1c", "\u216b", "@"]), max_size=24))
+def test_lexer_matches_the_character_loop_on_random_text(pieces):
+    same_tokens("".join(pieces))
+
+
+### the work substitution does
+
+def closed_chain(m):
+    """A closed term of 2m + 1 nodes: tt or (tt or ... (tt or ff))."""
+    t = FF
+    for _ in range(m):
+        t = Or(TT, t)
+    return t
+
+
+def ladder(k, m, leaf=Var("x")):
+    """leaf under k levels fun (yi:Bool) -> <closed, ...>, each level
+    holding its own closed (2m + 1)-node chain beside the path to leaf."""
+    t = leaf
+    for i in range(k):
+        t = Lam(f"y{i}", BOOL, Pair(closed_chain(m), t))
+    return t
+
+
+def counted(monkeypatch):
+    """Count the nodes whose children any walk of syntax asks for."""
+    seen = [0]
+    for cls, kids in list(syntax._KIDS.items()):
+        def counting(t, kids=kids):
+            seen[0] += 1
+            return kids(t)
+        monkeypatch.setitem(syntax._KIDS, cls, counting)
+    return seen
+
+
+def test_substitution_visits_only_the_path_to_the_variable(monkeypatch):
+    seen = counted(monkeypatch)
+    work = {}
+    for k, m in [(10, 5), (10, 50), (20, 5), (20, 50)]:
+        body = ladder(k, m)
+        free_vars(body)  # the first walk gives every node its set
+        seen[0] = 0
+        out = substitute(body, "x", TT)
+        work[k, m] = seen[0]
+        assert out == ladder(k, m, TT)
+    # two nodes per level, whatever the size of the closed subterms
+    assert work[10, 5] == work[10, 50] == 2 * 10
+    assert work[20, 5] == work[20, 50] == 2 * 20
+
+
+def test_second_substitution_builds_no_free_variable_set(monkeypatch):
+    body = ladder(10, 50)
+    first = substitute(body, "x", TT)
+    sets = {id(s): s._fv for s in nodes(body)}
+    seen = counted(monkeypatch)
+    second = substitute(body, "x", FF)
+    assert seen[0] == 2 * 10
+    assert all(s._fv is sets[id(s)] for s in nodes(body))
+    # the rebuilt path gets its sets only when something asks for them
+    assert getattr(second, "_fv", None) is None
+    assert first.body.fst is second.body.fst is body.body.fst
