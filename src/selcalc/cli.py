@@ -129,7 +129,13 @@ def _load(path: str, mode: str | None, structure_name: str | None):
 def _load_gamma(gamma_arg: str | None, config: LangConfig):
     if gamma_arg in (None, "zero"):
         return zero_gamma(config)
-    raw = json.loads(_read(gamma_arg))
+    try:
+        raw = json.loads(_read(gamma_arg))
+    except ValueError as e:  # malformed, or a number past the digit limit
+        if isinstance(e, json.JSONDecodeError):
+            raise
+        raise click.UsageError("bad valuation table: a number has more than "
+                               f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(raw, dict):
         raise click.UsageError(
             f"valuation table must be a JSON object, got {type(raw).__name__}")
@@ -475,6 +481,10 @@ def main(argv: list[str] | None = None) -> int:
     except click.Abort:
         return 3
     except Exception as e:  # pragma: no cover - defensive
+        if isinstance(e, ValueError) and "integer string conversion" in str(e):
+            print("resource or invariant failure: a number too long to print"
+                  f" (over {sys.get_int_max_str_digits()} digits)", file=sys.stderr)
+            return 4
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
 

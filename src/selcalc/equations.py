@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .monads import atoms, make_monad, vdis
 from .operational import eval_effect
+from .rewards import ONE, ZERO
 from .strategies import best_outcomes, check_cap
 from .syntax import (
     App, Base, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, PChoice,
@@ -161,7 +162,7 @@ def distinguish_rewards(m: Term, n: Term, config: LangConfig) -> Term | None:
     if st.name != "AddRationals":
         raise NoDistinguishingContext(
             f"distinguishing contexts are built over AddRationals, not {st.name}")
-    low, high = Fraction(0), Fraction(1)
+    low, high = ZERO, ONE
 
     def find(entries, v):
         for i, (c, w) in enumerate(entries):
@@ -183,7 +184,7 @@ def distinguish_rewards(m: Term, n: Term, config: LangConfig) -> Term | None:
         c0, v0 = entries[i0]
         rest = [c for k, (c, _) in enumerate(entries) if k != i0]
         rest += [c for c, _ in other]
-        cap = max(rest) if rest else Fraction(0)
+        cap = max(rest) if rest else ZERO
         yes, no = Rew(RewConst(cap + high), TT), Rew(RewConst(c0 + low), TT)
         ty = _ground_type(v0)
         if ty is None:
@@ -236,7 +237,7 @@ def _dw_chain(atoms: list[tuple[Fraction, Fraction, Term]]) -> Term:
     """Weighted rewarded values rendered as a right-nested probabilistic
     chain, built from the last atom outward; each atom is (probability,
     reward, value)."""
-    total, t = Fraction(0), None
+    total, t = ZERO, None
     for p, r, v in reversed(atoms):
         total += p
         leaf = Rew(RewConst(r), v)
@@ -252,7 +253,7 @@ def weak_canonical_term(branches: list, monad_name: str) -> Term:
         listed = atoms(b, monad_name)
         if monad_name != "T3":
             return _dw_chain(listed)
-        vals = [(p, Fraction(0), x) for p, _, x in listed]
+        vals = [(p, ZERO, x) for p, _, x in listed]
         return Rew(RewConst(listed[0][1]), _dw_chain(vals))
 
     t = branch_term(branches[0])
@@ -428,16 +429,16 @@ def _pr_value_info(t: Term):
     reward-value with constant rewards, a tree of probabilistic choices
     over rewarded values; None otherwise.  The marginal keys targets by
     their printed form."""
-    total = Fraction(0)
+    total = ZERO
     marginal: dict[str, Fraction] = {}
-    stack = [(Fraction(1), t)]
+    stack = [(ONE, t)]
     while stack:
         w, s = stack.pop()
         match s:
             case Rew(RewConst(r), l) if is_value(l):
                 total += w * r
                 key = pretty(l)
-                marginal[key] = marginal.get(key, Fraction(0)) + w
+                marginal[key] = marginal.get(key, ZERO) + w
             case PChoice(p, a, b):
                 stack += [((1 - p) * w, b), (p * w, a)]
             case _:
@@ -513,7 +514,7 @@ AXIOMS = {
                 lambda st, c, d, M, N: (_consts(c, d)
                                         and not st.leq(d.value, c.value))),
     # probabilistic calculus
-    "pchoice-one": Axiom((4,), lambda st, M, N: PChoice(Fraction(1), M, N),
+    "pchoice-one": Axiom((4,), lambda st, M, N: PChoice(ONE, M, N),
                          lambda st, M, N: M),
     "pchoice-comm": Axiom((4,), lambda st, p, M, N: PChoice(p, M, N),
                           lambda st, p, M, N: PChoice(1 - p, N, M)),

@@ -96,7 +96,7 @@ class Dist:
                 raise ValueError(f"negative weight {p}")
             if p == 0:
                 continue
-            acc[x] = acc.get(x, Fraction(0)) + p
+            acc[x] = acc.get(x, ZERO) + p
         if sum(acc.values()) != 1:
             raise ValueError(f"weights sum to {sum(acc.values())}, not 1")
         self._fill(acc)

@@ -16,7 +16,6 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .equations import (
@@ -25,7 +24,7 @@ from .equations import (
     rewards_impurity_witness, weak_canon_prob, weak_canonical_term,
 )
 from .monads import default_monad, k_gamma, make_monad, mr_of_effect, mrval, theta
-from .rewards import DEFAULT_STRUCTURE
+from .rewards import DEFAULT_STRUCTURE, ZERO, Rational
 from .selection import (
     agree_at, denote, embed_outcome, gamma_from_table, kappa_term, observe,
     zero_gamma,
@@ -190,7 +189,7 @@ def _suite_axioms(seed, cases, monad, lo, hi, names, mode) -> SuiteResult:
 
 
 # A stored tie: two branches with equal rewards, and the same choice swapped
-_TIE = Or(Rew(RewConst(Fraction(0)), TT), Rew(RewConst(Fraction(0)), FF))
+_TIE = Or(Rew(RewConst(ZERO), TT), Rew(RewConst(ZERO), FF))
 _SWAPPED_TIE = Or(_TIE.right, _TIE.left)
 
 
@@ -492,7 +491,7 @@ def _suite_argmax(seed, cases, monad, lo, hi) -> SuiteResult:
         # a maximizer over a split order is the biased max of the parts
         n = rng.randint(1, 9)
         k = rng.randint(0, n)
-        scores = [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        scores = [Rational(rng.randint(-3, 3), rng.choice((1, 2)))
                   for _ in range(n)]
         g = scores.__getitem__
         whole = argmax(range(n), g)
@@ -505,7 +504,7 @@ def _suite_argmax(seed, cases, monad, lo, hi) -> SuiteResult:
         assert whole == combined, f"split: {scores} at {k}: {whole} vs {combined}"
         # stagewise maximization over a lexicographic product is global
         np_, nq = rng.randint(1, 5), rng.randint(1, 5)
-        table = {(u, v): Fraction(rng.randint(-2, 2))
+        table = {(u, v): Rational(rng.randint(-2, 2))
                  for u in range(np_) for v in range(nq)}
         pairs = [(u, v) for u in range(np_) for v in range(nq)]
         whole2 = argmax(pairs, table.__getitem__)

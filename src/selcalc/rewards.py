@@ -17,13 +17,134 @@ mixing and gathering laws; the tests check each declaration by trial.
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
-Reward = Fraction
+_MODULUS = sys.hash_info.modulus
+_INVERSES: dict[int, int] = {}  # denominator -> its inverse mod _MODULUS, or 0
+_new = object.__new__
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _rational(n: int, d: int) -> "Rational":
+    """The Rational n/d for coprime n and d > 0, without Fraction's checks."""
+    q = _new(Rational)
+    q._numerator = n
+    q._denominator = d
+    q._hash = None
+    return q
+
+
+# Fraction's algorithms on numerator and denominator pairs in lowest terms
+
+def _sum(na, da, nb, db):
+    g = gcd(da, db)
+    if g == 1:
+        return _rational(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _rational(t, s * db)
+    return _rational(t // g2, s * (db // g2))
+
+
+def _product(na, da, nb, db):
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _rational(na * nb, db * da)
+
+
+def _quotient(na, da, nb, db):
+    if nb == 0:
+        raise ZeroDivisionError(f"Fraction({na}, 0)")
+    return _product(na, da, -db, -nb) if nb < 0 else _product(na, da, db, nb)
+
+
+def _binary(op, fallback):
+    """The method a OP b of a Rational a: op on the numerators and
+    denominators, (na, da, nb, db), when b is a Rational, a Fraction or an
+    int, else Fraction's own method (floats, complex numbers, other types)."""
+    def method(a, b):
+        t = type(b)
+        if t is Rational or t is Fraction:
+            return op(a._numerator, a._denominator, b._numerator, b._denominator)
+        if isinstance(b, int):
+            return op(a._numerator, a._denominator, b, 1)
+        return fallback(a, b)
+    return method
+
+
+class Rational(Fraction):
+    """The exact rational of every reward, weight and expectation: equal,
+    hash-equal and printed alike to the Fraction of its value.  Arithmetic
+    and comparison with a Rational, a Fraction or an int skip Fraction's
+    operator dispatch; the reflected methods take ``Fraction + Rational``
+    and ``0 + Rational`` too, as Python tries a subclass's first.  The hash
+    is computed once.  ``abs``, ``**`` and ``//`` give plain Fractions."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        self = super().__new__(cls, numerator, denominator)
+        self._hash = None
+        return self
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __hash__(self):
+        """Fraction.__hash__, with the denominators' inverses cached."""
+        h = self._hash
+        if h is None:
+            n, d = self._numerator, self._denominator
+            if d == 1:
+                h = hash(n)
+            else:
+                inv = _INVERSES.get(d)
+                if inv is None:
+                    if len(_INVERSES) >= 4096:
+                        _INVERSES.clear()
+                    inv = _INVERSES[d] = pow(d, -1, _MODULUS) if d % _MODULUS else 0
+                h = hash(hash(abs(n)) * inv) if inv else sys.hash_info.inf
+                if n < 0:
+                    h = -2 if h == 1 else -h
+            self._hash = h
+        return h
+
+    __eq__ = _binary(lambda na, da, nb, db: na == nb and da == db, Fraction.__eq__)
+    __lt__ = _binary(lambda na, da, nb, db: na * db < nb * da, Fraction.__lt__)
+    __le__ = _binary(lambda na, da, nb, db: na * db <= nb * da, Fraction.__le__)
+    __gt__ = _binary(lambda na, da, nb, db: na * db > nb * da, Fraction.__gt__)
+    __ge__ = _binary(lambda na, da, nb, db: na * db >= nb * da, Fraction.__ge__)
+
+    def __bool__(a):
+        return a._numerator != 0
+
+    def __neg__(a):
+        return _rational(-a._numerator, a._denominator)
+
+    # a reflected method computes b OP a: + and * commute, - and / swap
+    __add__ = _binary(_sum, Fraction.__add__)
+    __radd__ = _binary(_sum, Fraction.__radd__)
+    __sub__ = _binary(lambda na, da, nb, db: _sum(na, da, -nb, db), Fraction.__sub__)
+    __rsub__ = _binary(lambda na, da, nb, db: _sum(nb, db, -na, da), Fraction.__rsub__)
+    __mul__ = _binary(_product, Fraction.__mul__)
+    __rmul__ = _binary(_product, Fraction.__rmul__)
+    __truediv__ = _binary(_quotient, Fraction.__truediv__)
+    __rtruediv__ = _binary(lambda na, da, nb, db: _quotient(nb, db, na, da),
+                           Fraction.__rtruediv__)
+
+
+ZERO = Rational(0)
+ONE = Rational(1)
 
 
 class ConditionCUnavailable(Exception):
@@ -182,10 +303,14 @@ DEFAULT_STRUCTURE = ADD_RATIONALS
 
 
 def parse_reward(text) -> Fraction:
-    """Parse an exact rational literal like '2', '-1', '5/2'.  Integers and
-    Fractions pass through; floats are rejected to keep arithmetic exact."""
+    """Parse an exact rational literal like '2', '-1', '5/2' or '0.5'.
+    Integers and Fractions pass through; floats are rejected to keep
+    arithmetic exact, and exponent notation, whose '1e400000000' would
+    build a 400-million-digit numerator, is refused."""
     if isinstance(text, str):
-        return Fraction(text.strip())
+        if "e" in text.lower():
+            raise ValueError(f"exponent notation not accepted: {text!r}")
+        return Rational(text.strip())
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
-        return Fraction(text)
+        return Rational(text)
     raise ValueError(f"not an exact rational: {text!r}")

@@ -24,8 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from math import gcd
 
-from .rewards import DEFAULT_STRUCTURE, RewardStructure, STRUCTURES
+from .rewards import DEFAULT_STRUCTURE, RewardStructure, STRUCTURES, _rational
 
 
 ### the node layer
@@ -887,10 +888,15 @@ class _Parser:
         text = self.expect("rat")
         num, _, den = text.partition("/")
         try:
-            return Fraction(int(num), int(den or 1))
-        except ZeroDivisionError:
+            n, d = int(num), int(den or 1)
+        except ValueError:  # past Python's int/str digit limit
+            raise SelSyntaxError(f"numeral {text[:20]}... has too many digits "
+                                 f"(token {self.pos})") from None
+        if d == 0:
             raise SelSyntaxError(
-                f"zero denominator in {text!r} (token {self.pos})") from None
+                f"zero denominator in {text!r} (token {self.pos})")
+        g = gcd(n, d)
+        return _rational(n // g, d // g)
 
     def phrase(self, grammar) -> Term | Type:
         """The longest term (or type) of the grammar, ``_Parser.TERM`` or

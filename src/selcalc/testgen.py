@@ -12,12 +12,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from .equations import AXIOMS, NoDistinguishingContext
 from .monads import Dist, mrval, t2val
-from .rewards import DEFAULT_STRUCTURE, RewardStructure
+from .rewards import DEFAULT_STRUCTURE, Rational, RewardStructure
 from .selection import gamma_from_table
 from .strategies import outcome_score, select_fast
 from .syntax import (
@@ -26,11 +25,11 @@ from .syntax import (
     fold_effect, nodes, replace_at, subterm_at, type_rank, typecheck,
 )
 
-GAMMA_POOL = tuple(Fraction(n) for n in range(-3, 4)) + (
-    Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3))
+GAMMA_POOL = tuple(Rational(n) for n in range(-3, 4)) + (
+    Rational(1, 2), Rational(-1, 2), Rational(1, 3), Rational(-1, 3))
 
-PROB_POOL = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4),
-             Fraction(3, 4), Fraction(2, 5), Fraction(3, 5), Fraction(1, 5))
+PROB_POOL = (Rational(1, 2), Rational(1, 3), Rational(2, 3), Rational(1, 4),
+             Rational(3, 4), Rational(2, 5), Rational(3, 5), Rational(1, 5))
 
 
 @dataclass
@@ -55,14 +54,14 @@ class GenConfig:
         return random.Random(self.seed)
 
     @property
-    def rewards(self) -> list[Fraction]:
+    def rewards(self) -> list[Rational]:
         return [r for r in GAMMA_POOL if self.structure.contains(r)]
 
 
 ### valuation tables
 
 def gamma_tables(base: str, config: LangConfig, count: int = 64,
-                 seed: int = 0) -> list[dict[str, Fraction]]:
+                 seed: int = 0) -> list[dict[str, Rational]]:
     """A batch of valuation tables over a finite base type.  The zero table
     always comes first; the rest draw entries from ``GAMMA_POOL``
     (restricted to the structure's carrier)."""
@@ -77,7 +76,7 @@ def gamma_tables(base: str, config: LangConfig, count: int = 64,
 
 
 def default_tables(m: Term, n: Term, config: LangConfig,
-                   count: int = 64, seed: int = 0) -> list[dict[str, Fraction]]:
+                   count: int = 64, seed: int = 0) -> list[dict[str, Rational]]:
     """Sampled valuation tables for comparing two programs of a finite
     base type.  At any other first-order type only the zero table is
     drawn, since ``gamma_from_table`` scores every value it does not name
@@ -347,7 +346,7 @@ def gen_monad_value(cfg: GenConfig, monad, carrier,
         chosen = rng.sample(atoms, k)
         ws = [rng.randint(1, 5) for _ in chosen]
         tot = sum(ws)
-        return Dist([(Fraction(w, tot), a) for w, a in zip(ws, chosen)])
+        return Dist([(Rational(w, tot), a) for w, a in zip(ws, chosen)])
 
     match name:
         case "W":
@@ -356,7 +355,7 @@ def gen_monad_value(cfg: GenConfig, monad, carrier,
             k = rng.randint(1, 3)
             ws = [rng.randint(1, 5) for _ in range(k)]
             tot = sum(ws)
-            return Dist([(Fraction(w, tot), (rng.choice(pool), rng.choice(atoms)))
+            return Dist([(Rational(w, tot), (rng.choice(pool), rng.choice(atoms)))
                          for w in ws])
         case "T2":
             d = dist()

@@ -627,14 +627,14 @@ def test_prob_context_parses_back(sel, capsys, command, monad):
     assert outcomes[0] != outcomes[1]
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
     """Run a fresh interpreter with this checkout's package importable."""
     src = str(Path(selcalc.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=timeout)
 
 
 def test_package_import_loads_cli_on_first_use():
@@ -791,3 +791,35 @@ def test_decimal_digits_of_any_script_still_read_as_numbers(sel, capsys):
     # a numeral after a name's first letter is part of the name
     assert run(capsys, "eval", sel("x²")) == (
         3, "", "error: unbound variable x²\n")
+
+
+def test_numeral_past_the_digit_limit_is_a_parse_error(sel, capsys):
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, "eval", sel("1" * (limit + 700) + " . tt"))
+    assert (rc, out, err.strip()) == (
+        3, "", f"error: numeral {'1' * 20}... has too many digits (token 1)")
+
+
+def test_result_past_the_digit_limit_is_a_resource_failure(sel, capsys):
+    # each factor is legal; their product has 5000 digits
+    src = ("structure MulPositiveRationals;\n"
+           + " ".join(["9" * 1000 + " ."] * 5) + " tt")
+    for json_flag in ([], ["--json"]):
+        rc, out, err = run(capsys, "eval", *json_flag, sel(src))
+        assert (rc, out, err.strip()) == (
+            4, "", "resource or invariant failure: a number too long to "
+            f"print (over {sys.get_int_max_str_digits()} digits)")
+
+
+@pytest.mark.parametrize("table, why", [
+    # Fraction("1e400000000") would build a 400-million-digit numerator
+    ('{"tt": "1e400000000"}', "exponent notation"),
+    ('{"tt": 1' + "0" * 5000 + "}", "a number has more than"),
+], ids=["exponent", "long-json-number"])
+def test_gamma_too_large_is_refused_at_once(sel, tmp_path, table, why):
+    g = tmp_path / "gamma.json"
+    g.write_text(table)
+    done = run_python("-m", "selcalc.cli", "eval", "--semantics",
+                      "denotational", "--gamma", str(g), sel(E1), timeout=30)
+    assert done.returncode == 3
+    assert f"bad valuation table: {why}" in done.stderr

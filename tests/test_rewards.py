@@ -1,12 +1,22 @@
+import copy
+import operator
+import pickle
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from selcalc.monads import Dist, make_monad
 from selcalc.rewards import (
-    ConditionCUnavailable, DEFAULT_STRUCTURE, STRUCTURES, parse_reward,
+    ConditionCUnavailable, DEFAULT_STRUCTURE, ONE, STRUCTURES, ZERO, Rational,
+    _mean, _plus, parse_reward,
+)
+from selcalc.syntax import parse_program
+from selcalc.testgen import (
+    GAMMA_POOL, PROB_POOL, GenConfig, gen_kleisli, gen_monad_value,
 )
 
 ADD = STRUCTURES["AddRationals"]
@@ -188,3 +198,115 @@ def test_parse_reward():
     assert parse_reward(F(5)) == F(5)
     with pytest.raises(ValueError):
         parse_reward("0.5.1")
+
+
+def test_parse_reward_accepts_decimals_and_refuses_exponents():
+    assert parse_reward("0.5") == F(1, 2)
+    assert parse_reward(" 3/4 ") == F(3, 4)
+    for text in ("1e400000000", "2E3", "0.5e-1"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            parse_reward(text)
+
+
+### Rational against fractions.Fraction
+
+P = sys.hash_info.modulus
+integers = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-(2 ** 80), 2 ** 80),  # past 2^64
+    st.integers(-3, 3).map(lambda k: k * P),  # multiples of the hash modulus
+)
+denominators = st.one_of(st.integers(1, 50), st.integers(1, 2 ** 80),
+                         st.integers(1, 3).map(lambda k: k * P))
+values = st.builds(F, integers, denominators)
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le,
+               operator.gt, operator.ge)
+
+
+def _same(got, want):
+    """got is a Rational equal to the Fraction want in value, normalised
+    numerator and denominator, and hash."""
+    assert type(got) is Rational
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got.__hash__() == hash(got) == want.__hash__() == F.__hash__(got)
+
+
+def _apply(op, a, b):
+    """op(a, b), or the type of the exception it raises."""
+    try:
+        return op(a, b)
+    except ZeroDivisionError as e:
+        return type(e)
+
+
+@settings(max_examples=300)
+@given(values, values, integers)
+@example(F(-(P + 2), 2), F(1, P), -1)  # hashes that fold -1 to -2, and inf
+def test_rational_matches_fraction(x, y, n):
+    a = Rational(x)
+    _same(a, x)
+    _same(-a, -x)
+    assert bool(a) == bool(x)
+    assert (repr(a), str(a)) == (repr(x), str(x))
+    for other, plain in ((Rational(y), y), (y, y), (n, n)):
+        for op in ARITHMETIC:
+            for got, want in ((_apply(op, a, other), _apply(op, x, plain)),
+                              (_apply(op, other, a), _apply(op, plain, x))):
+                if want is ZeroDivisionError:
+                    assert got is ZeroDivisionError
+                else:
+                    _same(got, want)
+        for op in COMPARISONS:
+            assert op(a, other) == op(x, plain)
+            assert op(other, a) == op(plain, x)
+
+
+@given(values)
+def test_rational_pickles_copies_and_keys_like_fraction(x):
+    a = Rational(x)
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        _same(b, x)
+    assert {x: "plain"}[a] == "plain" and {a: "lean"}[x] == "lean"
+
+
+@given(values, st.floats(allow_nan=False, allow_infinity=False, width=32))
+def test_rational_with_a_float_gives_what_fraction_gives(x, f):
+    a = Rational(x)
+    for op in ARITHMETIC:
+        want = _apply(op, x, f), _apply(op, f, x)
+        assert (_apply(op, a, f), _apply(op, f, a)) == want
+    for op in COMPARISONS:
+        assert (op(a, f), op(f, a)) == (op(x, f), op(f, x))
+
+
+def test_sum_of_rationals_is_rational():
+    _same(sum([Rational(1, 3), Rational(1, 6)]), F(1, 2))
+    _same(F(1, 3) + Rational(1, 6), F(1, 2))
+
+
+### the library makes every rational a Rational
+
+def _rationals(u: Dist):
+    """The rewards and weights of a DW, T2 or T3 value."""
+    return [q for (r, _), p in u._w.items() for q in (r, p)]
+
+
+def test_library_rationals_are_rational():
+    t = parse_program("mode prob;\n(5/2 . tt) +[2/6] (-1 . ff)").term
+    made = [t.weight, t.left.param.value, t.right.param.value, ZERO, ONE,
+            parse_reward("3/4"), parse_reward(-2), parse_reward(F(1, 2)),
+            *GAMMA_POOL, *PROB_POOL, _plus(ONE, PROB_POOL[0]),
+            _mean([(PROB_POOL[0], ONE), (PROB_POOL[0], GAMMA_POOL[0])])]
+    cfg = GenConfig(mode="prob")
+    atoms = ("a", "b", "c")
+    gamma = dict(zip(atoms, GAMMA_POOL)).__getitem__
+    for name in ("DW", "T2", "T3"):
+        m, rng = make_monad(name), random.Random(name)
+        for _ in range(20):
+            u, v = (gen_monad_value(cfg, name, atoms, rng) for _ in range(2))
+            f = gen_kleisli(cfg, name, atoms, atoms, rng)
+            p = rng.choice(PROB_POOL)
+            made += _rationals(m.bind(u, f)) + [m.expect(u, gamma)]
+            made += _rationals(m.mix([(p, u), (1 - p, v)]))
+    assert {type(q) for q in made} == {Rational}
