@@ -20,10 +20,9 @@ from pathlib import Path
 import click
 
 from .equations import (
-    NoDistinguishingContext, canon_rewards,
-    decide_equiv_rewards, decide_pure_prob, decide_pure_rewards,
-    distinguish_rewards, rewards_impurity_witness, separate_prob,
-    weak_canon_prob, weak_canonical_term,
+    NoDistinguishingContext, canon_rewards, decide_pure_prob,
+    decide_pure_rewards, distinguish_rewards, rewards_impurity_witness,
+    separate_prob, weak_canon_prob, weak_canonical_term,
 )
 from .monads import atoms, default_monad, make_monad
 from .operational import BudgetExceeded, StuckTerm, eval_effect, trace_eval
@@ -47,8 +46,8 @@ JSON_VERSION = "1"
 ### rendering
 
 def _sem_str(x) -> str:
-    """A semantic value's text, on an explicit stack.  A pair may hold an
-    FnElem, which has no source text."""
+    """A semantic value's text, on an explicit stack.  An FnElem, also
+    inside a pair, prints as ``<function>``."""
     out, stack = [], [x]
     while stack:
         t = stack.pop()
@@ -320,9 +319,9 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
         return {True: 0, False: 1, None: 2}[verdict]
 
     if config.mode == "rewards":
-        if decide_equiv_rewards(m, n, config):
-            return emit(True, ["equivalent"])
         ctx, table = distinguish_rewards(m, n, config), None
+        if ctx is None:
+            return emit(True, ["equivalent"])
         a = select_program(plug(ctx, m), config)
         b = select_program(plug(ctx, n), config)
         left, right = _outcome_atoms(a, mname), _outcome_atoms(b, mname)

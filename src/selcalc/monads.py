@@ -23,12 +23,8 @@ these monads, the reward-shift maps used to prove programs apart, and
 The ``Dist`` kernel keeps no sort order inside: its arithmetic reads the
 merged weights in insertion order, and only the listings (``pairs``,
 ``items()``, ``support()``, ``repr``, ``atoms``) sort by ``atom_key``.
-Wherever a caller's function runs on the atoms (``Dist.map``,
-``t2val``, ``DWMonad.expect`` and the outer loop of ``DWMonad.bind``) it
-runs in that sorted order, since ``denote`` numbers the function values it
-makes in call order and they print in that order; an expectation's
-valuation may run a continuation.  Expectation trusts the ``Dist``
-invariant and does not re-check the weights.
+Expectation trusts the ``Dist`` invariant and does not re-check the
+weights.
 """
 
 from __future__ import annotations
@@ -56,14 +52,10 @@ def atom_key(a: Any):
 
 ### finite distributions
 
-def _by_atom(kv):
-    return atom_key(kv[0])
-
-
 def _sorted_pairs(acc: dict[Any, Fraction]) -> tuple:
     if len(acc) == 1:
         return tuple(acc.items())
-    return tuple(sorted(acc.items(), key=_by_atom))
+    return tuple(sorted(acc.items(), key=lambda kv: atom_key(kv[0])))
 
 
 _set = object.__setattr__
@@ -76,16 +68,14 @@ class Dist:
 
     Invariant of every instance: positive weights summing to exactly 1, no
     atom twice.  The merged weights are kept in a dict in insertion order,
-    and the arithmetic (``mix``, ``DWMonad.bind``'s inner loop,
-    ``alpha``, ``expect0``, ``prob``, ``==``, ``hash``) reads that dict
-    without sorting.  ``pairs``, ``items()``, ``support()`` and ``repr``
-    list the atoms sorted by ``atom_key``, built on first read and cached,
-    and ``map`` and ``DWMonad.expect`` call their function in that order,
-    because a caller's function may show its call order (``denote`` numbers
-    function values as it makes them).  Only the public constructor checks weights; ``unit``,
-    ``map`` and ``mix`` build from distributions that already hold the
-    invariant and so skip the checks they cannot fail (``mix`` still
-    checks its outer weights)."""
+    and the arithmetic (``map``, ``mix``, ``DWMonad.bind``, ``alpha``,
+    ``expect0``, ``prob``, ``==``, ``hash``) reads that dict without
+    sorting.  ``pairs``, ``items()``, ``support()`` and ``repr`` list the
+    atoms sorted by ``atom_key``, built on first read and cached.  Only
+    the public constructor checks weights; ``unit``, ``map`` and ``mix``
+    build from distributions that already hold the invariant and so skip
+    the checks they cannot fail (``mix`` still checks its outer
+    weights)."""
 
     __slots__ = ("_w", "_pairs", "_hash")
 
@@ -136,8 +126,7 @@ class Dist:
         return Dist._trusted(acc)
 
     def map(self, f) -> "Dist":
-        """The image under f, which runs on the atoms in ``atom_key`` order."""
-        return _image(f, self.pairs)
+        return _image(f, self._w.items())
 
     @property
     def pairs(self) -> tuple:
@@ -173,7 +162,7 @@ class Dist:
 
 def _image(f, weighted) -> Dist:
     """The distribution of f(x) over (x, weight) pairs that hold the
-    invariant, calling f in their order."""
+    invariant."""
     acc: dict[Any, Fraction] = {}
     for x, p in weighted:
         y = f(x)
@@ -189,7 +178,7 @@ def t2val(dist: Dist, rho: dict[Any, Fraction] | Callable[[Any], Fraction]) -> D
     distribution with one (rho(x), x) atom per support point.  With a
     constant rho it is the T3 value pooling that reward."""
     get = rho.__getitem__ if isinstance(rho, dict) else rho
-    return Dist._trusted({(get(x), x): p for x, p in dist.pairs})
+    return Dist._trusted({(get(x), x): p for x, p in dist._w.items()})
 
 
 def atoms(u, monad_name: str) -> list[tuple[Fraction, Any, Any]]:
@@ -271,11 +260,10 @@ class DWMonad(Monad):
         return Dist.mix(weighted)
 
     def bind(self, u: Dist, f) -> Dist:
-        """The mix of reward(r, f(x)) over u, merged in one pass.  f runs
-        on u's atoms in ``atom_key`` order, as in ``Dist.map``."""
+        """The mix of reward(r, f(x)) over u, merged in one pass."""
         add = self.structure.add
         acc: dict[Any, Fraction] = {}
-        for (r, x), p in u.pairs:
+        for (r, x), p in u._w.items():
             for (s, y), q in f(x)._w.items():
                 a, w = (add(r, s), y), p * q
                 old = acc.get(a)
@@ -294,11 +282,10 @@ class DWMonad(Monad):
         return self.structure.mean([(p, add(r, s)) for (r, s), p in u._w.items()])
 
     def expect(self, u: Dist, gamma) -> Fraction:
-        """alpha(map(gamma, u)), without building the mapped distribution.
-        gamma runs on u's atoms in ``atom_key`` order, as in ``Dist.map``."""
+        """alpha(map(gamma, u)), without building the mapped distribution."""
         add = self.structure.add
         return self.structure.mean(
-            [(p, add(r, gamma(x))) for (r, x), p in u.pairs])
+            [(p, add(r, gamma(x))) for (r, x), p in u._w.items()])
 
     def pchoice(self, p: Fraction, u, v):
         if p == 1:

@@ -21,7 +21,6 @@ types, and built-in function symbols have one table,
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -32,7 +31,8 @@ from .operational import _eval_fn, eval_effect
 from .strategies import max_by, select_fast
 from .syntax import (
     FF, TT, App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice,
-    Rew, RewConst, Snd, Star, Term, Var, fold_term, make_dispatcher,
+    Rew, RewConst, Snd, Star, Term, Var, fold_term, free_vars,
+    make_dispatcher, substitute,
 )
 
 
@@ -43,19 +43,52 @@ from .syntax import (
 ConstElem, RewElem, UnitElem, PairElem = Const, RewConst, Star, Pair
 TT_ELEM, FF_ELEM = TT, FF
 
-_fn_uid = itertools.count()
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FnElem:
-    """A semantic function: semantic value -> computation.  Compared by
-    identity; use extensional comparison helpers where function equality
-    matters."""
-    fn: Callable = field(compare=False, repr=False)
-    uid: int = field(default_factory=lambda: next(_fn_uid))
+    """A semantic function, semantic value -> computation: the closure of
+    the Lam it came from over the values of its free variables, ``env``,
+    as (name, value) pairs in name order.  It compares and orders as its
+    read-back term; its hash reads the binder and type equal terms share."""
+    fn: Callable = field(repr=False)
+    lam: Lam
+    env: tuple
+    _term: Lam | None = field(default=None, init=False, repr=False)
+
+    def __eq__(self, other):
+        return type(other) is FnElem and (
+            self is other or read_back(self) == read_back(other))
+
+    def __hash__(self):
+        return hash((self.lam.var, self.lam.ty))
 
     def sort_key(self):
-        return (4, self.uid)
+        return read_back(self).sort_key()
+
+
+def read_back(v):
+    """The closed value term a semantic value stands for: a function value
+    is its ``lam`` with each captured value's read-back substituted in,
+    built on first need and kept.  On an explicit stack."""
+    done, work = [], [v]
+    while work:
+        x = work.pop()
+        if type(x) is tuple:  # exit record: value, where its parts' terms start
+            x, k = x
+            parts, done[k:] = done[k:], []
+            if type(x) is FnElem:
+                t = x.lam
+                for (name, _), part in zip(x.env, parts):
+                    t = substitute(t, name, part)
+                object.__setattr__(x, "_term", t)
+            done.append(x._term if type(x) is FnElem else Pair(*parts))
+        elif type(x) is Pair or (type(x) is FnElem and x._term is None):
+            work.append((x, len(done)))
+            work += reversed((x.fst, x.snd) if type(x) is Pair
+                             else [u for _, u in x.env])
+        else:
+            done.append(x._term if type(x) is FnElem else x)
+    return done[0]
 
 
 ### selection computations
@@ -74,12 +107,11 @@ def sel_bind(monad, f, k):
     Scoring and continuing both need k(x)(gamma), a function of x alone
     once gamma is fixed; computing it twice per bind would make nested
     binds exponential in their depth.  So each run keeps two memos: one
-    from the semantic value x (frozen dataclasses; a function value by its
-    uid) to k(x)(gamma), and behind it one from the computation k(x)
-    returns, by identity, to its run.  The second lets candidates that
-    lead to the same computation, as when k ignores x, run it once.  Both
-    last for one run(gamma) call, so nothing is shared across valuations
-    or calls."""
+    from the semantic value x to k(x)(gamma), and behind it one from the
+    computation k(x) returns, by identity, to its run.  The second lets
+    candidates that lead to the same computation, as when k ignores x, run
+    it once.  Both last for one run(gamma) call, so nothing is shared
+    across valuations or calls."""
     def run(gamma):
         memo, runs = {}, {}
 
@@ -145,9 +177,12 @@ def _compiler(config: LangConfig, monad):
         if cls in (Const, RewConst, Star):
             return lambda env: unit(s)
         if cls is Lam:
-            body = kids[0]
+            body, names = kids[0], sorted(free_vars(s))
+
+            def closure(env, fn):
+                return unit(FnElem(fn, s, tuple((n, env[n]) for n in names)))
             if binders[s.var][0]:
-                return lambda env: unit(FnElem(lambda arg: body({**env, s.var: arg})))
+                return lambda env: closure(env, lambda a: body({**env, s.var: a}))
 
             def constant(env):
                 built = []  # the body's computation, built on the first call
@@ -156,7 +191,7 @@ def _compiler(config: LangConfig, monad):
                     if not built:
                         built.append(body(env))
                     return built[0]
-                return unit(FnElem(fn))
+                return closure(env, fn)
             return constant
         if cls is Pair:
             return lambda env: bind(kids[0](env), lambda u: bind(
@@ -198,7 +233,7 @@ def denote_value(v: Term, config: LangConfig, monad):
     also inside pairs, turned into an FnElem.  A fold, None at non-values."""
     def node(s, kids, _):
         if type(s) is Lam:
-            return FnElem(lambda arg: denote(s.body, config, monad, {s.var: arg}))
+            return FnElem(lambda a: denote(s.body, config, monad, {s.var: a}), s, ())
         if type(s) is Pair and None not in kids:
             return Pair(*kids)
         return s if type(s) in (Const, RewConst, Star) else None

@@ -131,10 +131,9 @@ def test_eval_denotational_t3_json(sel, capsys):
 
 # The program behind the "DW (Bool -> Bool) 0" line of
 # tests/test_denote_golden.py.  Its condition is a two-atom distribution and
-# each branch makes a function value; denote numbers function values in the
-# order it makes them, and they print in that order.  So DW bind's outer
-# loop must reach the atoms in atom_key order: in the order the condition's
-# atoms were merged, the 2/3 atom would print first.
+# each branch makes a function value.  The atoms print in atom_key order,
+# whatever order DW bind's outer loop merged them in (the 2/3 atom was
+# merged first).
 FN_ORDER = ("mode prob; if oplus[1/3]((-1/2 + -1) . 1, -1) . (ff +[2/3] tt)"
             " then fun (v1:Bool) -> tt else if tt then fun (v2:Bool) -> ff"
             " else fun (v3:Bool) -> ff")
@@ -152,9 +151,8 @@ def test_function_values_print_in_atom_order(sel, capsys):
 
 # A selection whose condition is an ``or``: choosing between the two
 # branches takes the expectation of each, and that expectation's valuation
-# runs the continuation, which makes the function values.  So expect must
-# reach the atoms in atom_key order as well; in merge order the 2/3 atom
-# printed first.
+# runs the continuation, which makes the function values.  They print in
+# atom_key order too, whatever order expect ran the valuation in.
 OR_FN_ORDER = ("mode prob; if ((ff +[2/3] tt) or (ff +[2/3] tt))"
                " then fun (v1:Bool) -> tt else fun (v2:Bool) -> ff")
 
@@ -167,6 +165,25 @@ def test_or_condition_prints_functions_in_atom_order(sel, capsys, monad):
     doc = json.loads(out)
     atoms = doc["outcome"] if monad == "DW" else doc["dist"]
     assert [a["prob"] for a in atoms] == ["1/3", "2/3"]
+
+
+# Two equal closures are one value in both semantics, as the two equal
+# lambdas are one outcome of the selection semantics.
+EQUAL_FNS = "mode prob; (fun (y:Bool) -> y) +[1/2] (fun (y:Bool) -> y)"
+
+
+@pytest.mark.parametrize("monad, want", [
+    ("DW", "1: reward 0, value <function>"),
+    ("T2", "dist: 1 <function>; rewards: <function> -> 0"),
+    ("T3", "dist: 1 <function>; reward 0"),
+], ids=["DW", "T2", "T3"])
+def test_equal_function_values_are_one_atom(sel, capsys, monad, want):
+    f = sel(EQUAL_FNS)
+    rc, out, _ = run(capsys, "eval", "--semantics", "denotational",
+                     "--monad", monad, f)
+    assert (rc, out) == (0, want + "\n")
+    rc, out, _ = run(capsys, "eval", f)
+    assert (rc, out) == (0, "1: reward 0, value fun (y:Bool) -> y\n")
 
 
 def _outcome_atoms(doc):

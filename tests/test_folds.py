@@ -244,7 +244,7 @@ t2val(dist, rho)
 theta(u, monad)
 vdis(u)
 ConstElem(name, base, index)
-FnElem(fn, uid)
+FnElem(fn, lam, env)
 PairElem(fst, snd)
 RewElem(value)
 UnitElem()

@@ -127,16 +127,18 @@ def test_generated_programs(capsys, source_file, seed, mode, ty):
 
 @FUZZ
 @given(st.integers(0, 10**6), st.sampled_from(["rewards", "prob"]),
-       st.integers(1, 3))
-def test_unused_lets_keep_denotation_adequate(seed, mode, lets):
+       st.integers(1, 3),
+       st.sampled_from([BOOL, Arrow(BOOL, BOOL), Prod(BOOL, Arrow(BOOL, BOOL))]))
+def test_unused_lets_keep_denotation_adequate(seed, mode, lets, ty):
     """A generated program under lets whose variables it never reads, each
     bound to a generated choice term, still denotes its operational outcome
-    at the zero valuation under each monad of its mode; the lets take the
-    path that shares a body ignoring its binder."""
+    at the zero valuation under each monad of its mode, at function types
+    too, where a function value is its closure; the lets take the path
+    that shares a body ignoring its binder."""
     cfg = GenConfig(seed=seed, max_term_size=20, mode=mode)
     config, rng = cfg.lang(), cfg.rng()
     small = dataclasses.replace(cfg, max_term_size=8)
-    t = gen_program(cfg, BOOL, rng, config)
+    t = gen_program(cfg, ty, rng, config)
     for i in range(lets):
         t = App(Lam(f"unused{i}", BOOL, t), gen_program(small, BOOL, rng, config))
     out = observe(t, config)
