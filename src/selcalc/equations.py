@@ -68,10 +68,11 @@ def decide_equiv_rewards(m: Term, n: Term, config: LangConfig) -> bool:
 def decide_pure_rewards(m: Term, config: LangConfig) -> Term | None:
     """The value this program is equivalent to, if any: a single canonical
     entry carrying the zero reward."""
-    cf = canon_rewards(m, config)
-    if len(cf) == 1 and cf[0][0] == config.structure.zero:
-        return cf[0][1]
-    return None
+    return _pure_value(canon_rewards(m, config), config.structure)
+
+
+def _pure_value(cf, st) -> Term | None:
+    return cf[0][1] if len(cf) == 1 and cf[0][0] == st.zero else None
 
 
 def rewards_impurity_witness(m: Term, config: LangConfig
@@ -79,9 +80,12 @@ def rewards_impurity_witness(m: Term, config: LangConfig
     """A valuation table under which the program's denotation differs from
     the unit of its zero-valuation winner, or None when the program is
     pure.  Canonical values must be constants."""
-    cf = canon_rewards(m, config)
-    st = config.structure
-    if len(cf) == 1 and cf[0][0] == st.zero:
+    return _impurity_witness(canon_rewards(m, config), config.structure)
+
+
+def _impurity_witness(cf, st) -> dict[str, Fraction] | None:
+    """rewards_impurity_witness, over the program's canonical form cf."""
+    if _pure_value(cf, st) is not None:
         return None
     if not all(isinstance(v, Const) for _, v in cf):
         raise ValueError("witness construction needs constant-valued programs")

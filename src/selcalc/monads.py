@@ -33,13 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .rewards import ONE, ZERO, RewardStructure, DEFAULT_STRUCTURE
+from .rewards import ONE, ZERO, Rational, RewardStructure, DEFAULT_STRUCTURE
 
 
 ### generic sorting key for distribution atoms
 
 def atom_key(a: Any):
-    if isinstance(a, Fraction):
+    # Fraction's isinstance goes through ABCMeta, so it comes last
+    if type(a) is Rational:
         return (0, a)
     if isinstance(a, str):
         return (1, a)
@@ -47,6 +48,8 @@ def atom_key(a: Any):
         return (2, tuple(atom_key(x) for x in a))
     if hasattr(a, "sort_key"):
         return (3, a.sort_key())
+    if isinstance(a, Fraction):
+        return (0, a)
     raise TypeError(f"cannot order atom {a!r}")
 
 

@@ -12,6 +12,15 @@ Choice takes the side whose T-value has greater expected reward under the
 current continuation, preferring the left one on ties; that makes every
 choice globally optimal with respect to the final valuation.
 
+Only choice (``sel_or``) and the scorer of ``sel_bind`` read the
+continuation, so a fragment with no choice denotes the image of one value
+of T under the monad morphism t -> (lambda gamma: t).  ``denote`` marks a
+node *free* when it is no Or and no Hole, its children are free, and, at
+an App, its function is a literal Lam with a free body: any other
+function may run a body that chooses (a Lam itself is a value, so free).
+A free node denotes straight in T, once per value of its free variables
+for the life of the denotation, and valuations re-run only the choices.
+
 Semantic values are the syntax's own ground values (constants, reward
 constants, ``*`` and pairs of semantic values) plus functions, ``FnElem``;
 so the denotation and the operational semantics share one carrier at base
@@ -31,8 +40,8 @@ from .operational import _eval_fn, eval_effect
 from .strategies import max_by, select_fast
 from .syntax import (
     FF, TT, App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice,
-    Rew, RewConst, Snd, Star, Term, Var, fold_term, free_vars,
-    make_dispatcher, substitute,
+    Hole, Rew, RewConst, Snd, Star, Term, Var, fold_term, make_dispatcher,
+    substitute,
 )
 
 
@@ -158,74 +167,141 @@ def gamma_from_table(table: dict[str, Fraction], config: LangConfig):
 ### denotation
 
 def _compiler(config: LangConfig, monad):
-    """denote's node callback: each node becomes its run, a function from
-    an environment (variable -> semantic value) to the computation it
-    denotes there, made from its children's runs once per fold.  The fold
-    gives each binder a flag, [False], that its bound variables set; a Lam
-    whose body ignores its variable denotes a function that returns one
-    body computation, built on its first call, for every argument.  A node
-    with no denotation (a Hole) fails only when its computation is built."""
-    unit, bind = partial(sel_unit, monad), partial(sel_bind, monad)
+    """denote's node callback, and its lift to a selection computation.
+    Each node becomes (run, free, fv, body, leaf), from its children's once
+    per fold: its run, from an environment (variable -> semantic value) to
+    what it denotes there, a value of T if the node is free (see the module
+    docstring) and a selection computation if not, both built by one case
+    per constructor from the unit and bind of T or of ``sel_*``; its free
+    variables; its body's tuple, at a Lam; whether it is a Var or constant.
+    ``keep`` computes a free value on the first run that needs it, at a
+    choosing parent, the root or a let's body, and keeps it per value of
+    its free variables.  A Lam whose body ignores its variable returns one
+    body computation, built on first call; a Hole fails when built."""
+    free_ops = (monad.unit, monad.bind, monad.reward,
+                getattr(monad, "pchoice", None))
+    sel_ops = (partial(sel_unit, monad), partial(sel_bind, monad),
+               lambda c, f: lambda gamma: monad.reward(c, f(gamma)),
+               lambda p, f, g: lambda gamma: monad.pchoice(p, f(gamma), g(gamma)))
 
-    def node(s, kids, binders):
+    def keep(run, fv):
+        kept, names = {}, tuple(fv)
+
+        def value(env):
+            key = tuple([env[n] for n in names])
+            u = kept.get(key)  # monad values are never None
+            if u is None:
+                u = kept[key] = run(env)
+            return u
+        return value
+
+    def as_sel(kid):
+        run, free, fv, _, leaf = kid
+        if not free:
+            return run
+        if leaf:  # a unit: nothing worth keeping
+            return lambda env: (lambda gamma, u=run(env): u)
+        value = keep(run, fv)
+        return lambda env: lambda gamma: value(env)
+
+    # one case per constructor, over ops = (unit, bind, reward, pchoice)
+
+    def pair(s, runs, ops):
+        (f, g), (unit, bind, _, _) = runs, ops
+        return lambda env: bind(f(env), lambda u: bind(
+            g(env), lambda v: unit(Pair(u, v))))
+
+    def proj(s, runs, ops):
+        (f,), (unit, bind, _, _), snd = runs, ops, type(s) is Snd
+        return lambda env: bind(f(env), lambda u: unit(u.snd if snd else u.fst))
+
+    def app(s, runs, ops):
+        (f, a), bind = runs, ops[1]
+        return lambda env: bind(f(env), lambda phi: bind(a(env), phi.fn))
+
+    def cond(s, runs, ops):
+        (c, a, b), bind = runs, ops[1]
+        return lambda env: bind(c(env), lambda v: a(env) if v == TT else b(env))
+
+    def fn_app(s, runs, ops):
+        unit, bind, _, _ = ops
+
+        def chain(env, i, acc):  # one level per argument, at most two
+            if i == len(runs):
+                return unit(_eval_fn(s.sym, acc, s.weight, config))
+            return bind(runs[i](env), lambda v: chain(env, i + 1, acc + [v]))
+        return lambda env: chain(env, 0, [])
+
+    def rew(s, runs, ops):
+        (r, f), (_, bind, reward, _) = runs, ops
+        return lambda env: bind(r(env), lambda c: reward(c.value, f(env)))
+
+    def pchoice(s, runs, ops):
+        (f, g), choice = runs, ops[3]
+        return lambda env: choice(s.weight, f(env), g(env))
+
+    def choose(s, runs, ops):
+        f, g = runs
+        return lambda env: sel_or(monad, f(env), g(env))
+
+    def fail(s, runs, ops):
+        def run(env):
+            raise ValueError(f"cannot denote {s!r}")
+        return run
+
+    cases = {Pair: pair, Fst: proj, Snd: proj, App: app, If: cond,
+             FnApp: fn_app, Rew: rew, PChoice: pchoice, Or: choose}
+
+    def let(x, arg, body):  # a free App of a literal Lam
+        body, bind = keep(body[0], body[2]), monad.bind
+        return lambda env: bind(arg(env), lambda v: body({**env, x: v}))
+
+    def leaf(s):
+        if type(s) is Var:
+            return lambda env: monad.unit(env[s.name])
+        return lambda env: monad.unit(s)
+
+    def lam(s, body, fv):
+        x, names, reads, body = s.var, sorted(fv), s.var in body[2], as_sel(body)
+
+        def run(env):
+            captured = tuple((n, env[n]) for n in names)
+            if reads:
+                return monad.unit(FnElem(lambda a: body({**env, x: a}), s, captured))
+            built = []  # the body's computation, built on the first call
+
+            def fn(_):
+                if not built:
+                    built.append(body(env))
+                return built[0]
+            return monad.unit(FnElem(fn, s, captured))
+        return run
+
+    def node(s, kids, _):
         cls = type(s)
         if cls is Var:
-            read = binders.get(s.name)
-            if read is not None:
-                read[0] = True
-            return lambda env: unit(env[s.name])
+            return leaf(s), True, {s.name}, None, True
         if cls in (Const, RewConst, Star):
-            return lambda env: unit(s)
+            return leaf(s), True, frozenset(), None, True
         if cls is Lam:
-            body, names = kids[0], sorted(free_vars(s))
+            fv = kids[0][2] - {s.var}
+            return lam(s, kids[0], fv), True, fv, kids[0], False
+        free, fv = cls is not Or and cls is not Hole, frozenset()
+        for k in kids:
+            free = free and k[1]
+            if k[2]:
+                fv = fv | k[2] if fv else k[2]
+        if free and cls is App:
+            body = kids[0][3]
+            if body is not None and body[1]:
+                return let(s.fn.var, kids[1][0], body), True, fv, None, False
+            free = False
+        if free:
+            return cases[cls](s, [k[0] for k in kids], free_ops), True, fv, None, False
+        runs = [as_sel(k) if k[1] else k[0] for k in kids]
+        return cases.get(cls, fail)(s, runs, sel_ops), False, fv, None, False
 
-            def closure(env, fn):
-                return unit(FnElem(fn, s, tuple((n, env[n]) for n in names)))
-            if binders[s.var][0]:
-                return lambda env: closure(env, lambda a: body({**env, s.var: a}))
-
-            def constant(env):
-                built = []  # the body's computation, built on the first call
-
-                def fn(_):
-                    if not built:
-                        built.append(body(env))
-                    return built[0]
-                return closure(env, fn)
-            return constant
-        if cls is Pair:
-            return lambda env: bind(kids[0](env), lambda u: bind(
-                kids[1](env), lambda v: unit(Pair(u, v))))
-        if cls is Fst or cls is Snd:
-            return lambda env: bind(kids[0](env), lambda u: unit(
-                u.fst if cls is Fst else u.snd))
-        if cls is App:
-            f, a = kids
-            return lambda env: bind(f(env), lambda phi: bind(a(env), phi.fn))
-        if cls is If:
-            c, a, b = kids
-            return lambda env: bind(c(env), lambda v: a(env) if v == TT else b(env))
-        if cls is FnApp:
-            def chain(env, i, acc):  # one level per argument, at most two
-                if i == len(kids):
-                    return unit(_eval_fn(s.sym, acc, s.weight, config))
-                return bind(kids[i](env), lambda v: chain(env, i + 1, acc + [v]))
-            return lambda env: chain(env, 0, [])
-        if cls is Or:
-            return lambda env: sel_or(monad, kids[0](env), kids[1](env))
-        # a default argument builds a part once per computation, not per gamma
-        if cls is Rew:
-            return lambda env: bind(kids[0](env), lambda r: (
-                lambda gamma, f=kids[1](env): monad.reward(r.value, f(gamma))))
-        if cls is PChoice:
-            return lambda env: (lambda gamma, f=kids[0](env), g=kids[1](env):
-                                monad.pchoice(s.weight, f(gamma), g(gamma)))
-
-        def fail(env):
-            raise ValueError(f"cannot denote {s!r}")
-        return fail
-
-    return node
+    return node, as_sel
 
 
 def denote_value(v: Term, config: LangConfig, monad):
@@ -247,8 +323,8 @@ def denote_value(v: Term, config: LangConfig, monad):
 def denote(t: Term, config: LangConfig, monad, env: dict | None = None):
     """The computation t denotes: a function from a reward continuation to
     a value of monad.  One fold compiles t; the result runs under env."""
-    return fold_term(t, _compiler(config, monad),
-                     lambda lam, binders: [False])(env or {})
+    node, as_sel = _compiler(config, monad)
+    return as_sel(fold_term(t, node))(env or {})
 
 
 ### observation (operational summaries) and embedding

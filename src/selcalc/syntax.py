@@ -1027,11 +1027,6 @@ def parse_type(src: str, config: LangConfig | None = None) -> Type:
     return _parse(_lex(src), config or LangConfig(), _Parser.TYPE)
 
 
-def _contains_prob_op(t: Term) -> bool:
-    return fold_term(t, lambda s, kids, env: any(kids) or type(s) is PChoice
-                     or (type(s) is FnApp and s.sym == "oplus"))
-
-
 def parse_program(src: str, mode: str | None = None,
                   structure: RewardStructure | None = None) -> Program:
     """Parse a prelude (mode / structure / base declarations) followed by a
@@ -1100,10 +1095,12 @@ def parse_program(src: str, mode: str | None = None,
         raise SelSyntaxError(str(e)) from None
     term = _parse(toks[pos:], scratch, _Parser.TERM)
 
+    # no prelude has these tokens; in a parsed term they are its PChoice and oplus
+    has_prob = ("punct", "+[") in toks or ("kw", "oplus") in toks
     final_mode = mode or declared_mode
     if final_mode is None:
-        final_mode = "prob" if _contains_prob_op(term) else "rewards"
-    elif final_mode == "rewards" and _contains_prob_op(term):
+        final_mode = "prob" if has_prob else "rewards"
+    elif final_mode == "rewards" and has_prob:
         raise SelSyntaxError("mode rewards has no probabilistic choice")
     config = LangConfig(mode=final_mode, bases=bases, structure=final_structure)
     return Program(config, term)

@@ -385,6 +385,22 @@ def test_pure_negative_with_witness(sel, capsys):
     assert "witness" in out
 
 
+def test_pure_canonicalises_an_impure_program_once(sel, capsys, monkeypatch):
+    import selcalc.cli
+    import selcalc.equations
+    real, calls = selcalc.equations.canon_rewards, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (selcalc.cli, selcalc.equations):
+        monkeypatch.setattr(module, "canon_rewards", counting)
+    rc, out, _ = run(capsys, "pure", sel("ff or ((-1) . (tt or ff))"))
+    assert rc == 1 and "witness" in out
+    assert len(calls) == 1
+
+
 def test_pure_monad_relative(sel, capsys):
     f = sel("mode prob;\n(1 . tt) +[1/2] ((-1) . tt)")
     rc, out, _ = run(capsys, "pure", f)

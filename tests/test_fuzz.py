@@ -4,9 +4,12 @@ lexer's vocabulary and generated programs in both modes go through
 three and the denotational ``eval`` also under each monad of the mode and
 each reward structure; none ever answers "internal error", a well-typed
 program is equivalent to itself, and every term printed parses back to
-an alpha-equal term.  Free variables and substitution, on generated
-programs and random open terms, agree with the folds over the whole term
-that ``tests/smallstep.py`` keeps as their reference."""
+an alpha-equal term.  Under sampled valuations, a generated program's
+denotation, shifted by the valuation, is the machine's outcome for the
+program under the context that grants the valuation's rewards.  Free
+variables and substitution, on generated programs and random open terms,
+agree with the folds over the whole term that ``tests/smallstep.py``
+keeps as their reference."""
 
 import dataclasses
 import itertools
@@ -19,9 +22,11 @@ from selcalc.cli import main
 from selcalc.equations import (
     canon_rewards, canonical_term, weak_canon_prob, weak_canonical_term,
 )
-from selcalc.monads import make_monad
+from selcalc.monads import k_gamma, make_monad
 from selcalc.rewards import STRUCTURES
-from selcalc.selection import denote, embed_outcome, observe, zero_gamma
+from selcalc.selection import (
+    denote, embed_outcome, gamma_from_table, kappa_term, observe, zero_gamma,
+)
 from selcalc.strategies import select_program
 from selcalc.syntax import (
     BOOL, FF, TT, App, Arrow, Fst, If, Lam, Or, Pair, Prod, Program, Rew,
@@ -29,7 +34,7 @@ from selcalc.syntax import (
     alpha_eq, fold_term, free_vars, nodes, parse, parse_program, pretty,
     pretty_program, substitute, typecheck,
 )
-from selcalc.testgen import GenConfig, gen_program
+from selcalc.testgen import GenConfig, gamma_tables, gen_program
 from smallstep import (
     free_vars as reference_free_vars, substitute as reference_substitute,
 )
@@ -161,6 +166,29 @@ def capturing_binders(t, var, val):
 
     fold_term(t, lambda s, kids, env: None, bind)
     return found
+
+
+@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("mode", ["rewards", "prob"])
+def test_denotation_is_adequate_under_sampled_valuations(seed, mode):
+    """Under each of six sampled valuations gamma, the denotation of a
+    generated program, shifted by gamma, equals the operational outcome of
+    the program under the context that grants gamma's rewards, in each
+    monad of the mode: the denotation at a nonzero valuation is checked
+    against the machine, not only against another denotation."""
+    cfg = GenConfig(seed=seed, max_term_size=25, mode=mode)
+    config = cfg.lang()
+    m = gen_program(cfg, BOOL, config=config)
+    consts = config.constants_of("Bool")
+    monads = [make_monad(name, config.structure)
+              for name in (["W"] if mode == "rewards" else ["DW", "T2", "T3"])]
+    for table in gamma_tables("Bool", config, count=6, seed=seed):
+        gamma = gamma_from_table(table, config)
+        out = observe(App(kappa_term(consts, table), m), config)
+        for mon in monads:
+            got = k_gamma(gamma, denote(m, config, mon)(gamma), mon)
+            assert got == embed_outcome(out, config, mon), (
+                mon.name, table, pretty(m))
 
 
 def check_substitution(t, var, val):

@@ -263,3 +263,65 @@ def test_a_hole_fails_only_when_its_computation_is_built():
     for run in (lambda: fn.fn(TT), lambda: pair(zero_gamma(config))):
         with pytest.raises(ValueError, match="cannot denote Hole"):
             run()
+
+
+def counting_binds(base):
+    class Counting(base):
+        binds = 0
+
+        def bind(self, u, f):
+            self.binds += 1
+            return super().bind(u, f)
+    return Counting
+
+
+ONES, TWOS = " + ".join(["1"] * 30), " + ".join(["2"] * 20)
+
+
+@pytest.mark.parametrize("src", [
+    f"({ONES}) . tt or ({TWOS}) . ff",
+    f"let y : Bool = ({ONES}) . tt in (y or (2 . ff))",
+    f"mode prob; ({ONES}) . tt +[1/2] ((2 . ff) or (3 . tt))",
+])
+def test_valuations_rerun_only_the_choices(src):
+    # a fragment with no choice has one value under every valuation, so
+    # 64 valuations cost about what one does, not 64 times as much
+    p = parse_program(src)
+    base = WMonad if p.config.mode == "rewards" else DWMonad
+    gammas = [gamma_from_table(w, p.config)
+              for w in gamma_tables("Bool", p.config, 64)]
+    binds = []
+    for gs in (gammas[:1], gammas):
+        mon = counting_binds(base)(p.config.structure)
+        assert agree_at(p.term, p.term, p.config, mon, gs)
+        binds.append(mon.binds)
+    assert binds[1] < 4 * binds[0], binds
+
+
+@pytest.mark.parametrize("src", [
+    "<1 . tt, (fun (x:Bool) -> 2 . x) ff>",
+    "let f : Bool -> Bool = fun (x:Bool) -> if x then 1 . ff else tt in f (f tt)",
+    "mode prob; (1 . tt) +[1/3] snd <ff, 2 . tt>",
+])
+def test_a_program_without_choice_never_reads_its_continuation(src):
+    def gamma(x):
+        raise AssertionError(f"continuation read at {x!r}")
+
+    p = parse_program(src)
+    for name in ["W"] if p.config.mode == "rewards" else ["DW", "T2", "T3"]:
+        mon = make_monad(name, p.config.structure)
+        d = denote(p.term, p.config, mon)
+        assert d(gamma) == d(zero_gamma(p.config)) == d(gamma)
+
+
+def test_an_error_without_choice_raises_on_every_run():
+    # a reward outside the structure fails when a run first reaches it,
+    # not when the denotation is built, and no run keeps the failure
+    from selcalc.rewards import STRUCTURES
+    from selcalc.syntax import LangConfig, Rew, RewConst
+    config = LangConfig(structure=STRUCTURES["NonNegAdd"])
+    mon = make_monad("W", config.structure)
+    d = denote(Pair(TT, Rew(RewConst(F(-1)), TT)), config, mon)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a NonNegAdd reward"):
+            d(zero_gamma(config))
