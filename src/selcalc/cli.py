@@ -20,9 +20,9 @@ from pathlib import Path
 import click
 
 from .equations import (
-    NoDistinguishingContext, _impurity_witness, _pure_value, canon_rewards,
-    decide_pure_prob, distinguish_rewards, separate_prob, weak_canon_prob,
-    weak_canonical_term,
+    NoDistinguishingContext, canon_rewards, decide_pure_prob,
+    decide_pure_rewards, distinguish_rewards, rewards_impurity_witness,
+    separate_prob, weak_canon_prob, weak_canonical_term,
 )
 from .monads import atoms, default_monad, make_monad
 from .operational import BudgetExceeded, StuckTerm, eval_effect, trace_eval
@@ -356,11 +356,10 @@ def pure(mode, monad_name, structure_name, as_json, file):
     config, term = prog.config, prog.term
     mname = _check_monad(monad_name, config, _PROB_ONLY)
     if config.mode == "rewards":
-        cf = canon_rewards(term, config)  # one form serves both questions
-        c, witness = _pure_value(cf, config.structure), None
+        c, witness = decide_pure_rewards(term, config), None
         if c is None:
             try:
-                witness = _impurity_witness(cf, config.structure)
+                witness = rewards_impurity_witness(term, config)
             except ValueError:
                 witness = None
     else:

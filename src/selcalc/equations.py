@@ -27,7 +27,7 @@ from .strategies import best_outcomes, check_cap
 from .syntax import (
     App, Base, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, PChoice,
     Pair, Prod, Rew, RewConst, Snd, Star, Term, TT, FF, UNIT, Var, alpha_eq,
-    alpha_key, fold_term, is_value, pretty, replace_at, subterm_at,
+    alpha_key, fold_term, is_value, kept, pretty, replace_at, subterm_at,
 )
 
 
@@ -43,11 +43,18 @@ def canon_rewards(m: Term, config: LangConfig) -> list[tuple[Fraction, Term]]:
     one's and otherwise deleting it and appending the later entry.  Both
     moves are instances of the choice axioms, so the result is provably
     equal to the program.
+
+    The node m keeps the form (``syntax.kept``) for as long as it lives,
+    keyed by the config object: a later call with the same config folds
+    nothing, and each call returns a list of its own.
     """
-    st = config.structure
-    return best_outcomes(check_cap(eval_effect(m, config)), make_monad("W", st),
-                         lambda u: alpha_key(u[1]),
-                         lambda u, v: not st.leq(v[0], u[0]))
+    def fold():
+        st = config.structure
+        return best_outcomes(check_cap(eval_effect(m, config)),
+                             make_monad("W", st), lambda u: alpha_key(u[1]),
+                             lambda u, v: not st.leq(v[0], u[0]))
+
+    return list(kept(m, "_canon", config, None, fold))
 
 
 def canonical_term(cf: list[tuple[Fraction, Term]]) -> Term:
@@ -67,26 +74,21 @@ def decide_equiv_rewards(m: Term, n: Term, config: LangConfig) -> bool:
 
 def decide_pure_rewards(m: Term, config: LangConfig) -> Term | None:
     """The value this program is equivalent to, if any: a single canonical
-    entry carrying the zero reward."""
-    return _pure_value(canon_rewards(m, config), config.structure)
-
-
-def _pure_value(cf, st) -> Term | None:
-    return cf[0][1] if len(cf) == 1 and cf[0][0] == st.zero else None
+    entry carrying the zero reward.  It reads the form m keeps."""
+    cf = canon_rewards(m, config)
+    pure = len(cf) == 1 and cf[0][0] == config.structure.zero
+    return cf[0][1] if pure else None
 
 
 def rewards_impurity_witness(m: Term, config: LangConfig
                              ) -> dict[str, Fraction] | None:
     """A valuation table under which the program's denotation differs from
     the unit of its zero-valuation winner, or None when the program is
-    pure.  Canonical values must be constants."""
-    return _impurity_witness(canon_rewards(m, config), config.structure)
-
-
-def _impurity_witness(cf, st) -> dict[str, Fraction] | None:
-    """rewards_impurity_witness, over the program's canonical form cf."""
-    if _pure_value(cf, st) is not None:
+    pure.  Canonical values must be constants.  It reads the form m
+    keeps."""
+    if decide_pure_rewards(m, config) is not None:
         return None
+    cf, st = canon_rewards(m, config), config.structure
     if not all(isinstance(v, Const) for _, v in cf):
         raise ValueError("witness construction needs constant-valued programs")
     names = [v.name for _, v in cf]
@@ -231,10 +233,17 @@ def weak_canon_prob(m: Term, config: LangConfig,
     """Weak canonical form: the strategy outcomes of the program, each a
     distribution of (reward, value) atoms normalized in the chosen monad,
     with later duplicates dropped.  Each is built in that monad directly,
-    which gives the image of its DW outcome under the morphism ``theta``."""
-    monad = make_monad(monad_name, config.structure)
-    return best_outcomes(check_cap(eval_effect(m, config)), monad,
-                         lambda b: b, lambda b, later: False)
+    which gives the image of its DW outcome under the morphism ``theta``.
+
+    The node m keeps the form (``syntax.kept``) for as long as it lives,
+    keyed by the config object and the monad name: a later call with both
+    the same folds nothing, and each call returns a list of its own."""
+    def fold():
+        monad = make_monad(monad_name, config.structure)
+        return best_outcomes(check_cap(eval_effect(m, config)), monad,
+                             lambda b: b, lambda b, later: False)
+
+    return list(kept(m, "_weak_canon", config, monad_name, fold))
 
 
 def _dw_chain(atoms: list[tuple[Fraction, Fraction, Term]]) -> Term:

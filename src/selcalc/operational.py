@@ -37,7 +37,8 @@ from __future__ import annotations
 
 from .syntax import (
     FF, TT, App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice,
-    Rew, RewConst, Snd, Star, Term, Var, substitute,
+    Rew, RewConst, Snd, Star, Term, Var, is_effect_value_with, kept,
+    substitute,
 )
 
 
@@ -283,7 +284,23 @@ def eval_effect(t: Term, config: LangConfig, budget: int = DEFAULT_BUDGET) -> Te
     of ordinary steps across all branches.  Redexes fire in the order of
     the small-step relation, branches left before right, so the result and
     the step count are the ones that relation gives; a repeated state is
-    evaluated once and its subtree shared."""
+    evaluated once and its subtree shared.
+
+    An input that already is an effect value the machine accepts takes no
+    step and comes back as itself, with whatever subtrees it shares.  Any
+    other input keeps its effect value on the node (``syntax.kept``) for
+    as long as the node lives, keyed by the config object and the budget:
+    a later call with both the same returns it without running the
+    machine, and any other call runs the machine again.  Errors are never
+    kept: they raise on every call."""
+    if is_effect_value_with(t, config.mode == "prob",
+                            config.structure.contains):
+        return t
+    return kept(t, "_effect", config, budget,
+                lambda: _run(t, config, budget))
+
+
+def _run(t: Term, config: LangConfig, budget: int) -> Term:
     try:
         next(_machine(t, config, budget, False))
     except StopIteration as finished:

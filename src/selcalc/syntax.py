@@ -13,7 +13,11 @@ Terms and types are nodes of one layer with one walk, ``fold_term``:
 alpha-equivalence, typechecking, printing and type rank are folds on it,
 and one base class compares, hashes and ``repr``s both.  Each term node
 keeps its free variables once asked for them, so substitution walks only
-down to the occurrences of its variable.  The walks, the effect fold
+down to the occurrences of its variable.  A node also keeps, through
+``kept``, its effect value (``_effect``) and its canonical forms
+(``_canon``, ``_weak_canon``) once they are built, each with the config
+object it was built for; none of this takes part in its equality, hash
+or ``repr``, and all of it dies with the node.  The walks, the effect fold
 ``fold_effect`` and the parser, whose one loop reads terms and types from
 their grammars' tables, keep explicit stacks, so nesting uses no Python
 recursion.
@@ -349,13 +353,32 @@ def is_value(t: Term) -> bool:
 def is_effect_value(t: Term) -> bool:
     """Value, or an operation applied to evaluated parameters and effect
     value continuations."""
-    def nothing(*_):
-        return None
+    return is_effect_value_with(t, True, None)
 
-    try:
-        fold_effect(t, nothing, nothing, nothing, nothing)
-    except ValueError:
-        return False
+
+def is_effect_value_with(t: Term, prob: bool, contains) -> bool:
+    """Whether t is an effect value whose ``+[p]`` nodes are allowed by
+    ``prob`` and whose rewards all pass ``contains``, unless it is None.
+    One walk on an explicit stack, which visits a shared node once."""
+    seen, stack = set(), [t]
+    while stack:
+        s = stack.pop()
+        cls = type(s)
+        if cls is Or or cls is PChoice or cls is Rew:
+            if id(s) in seen:
+                continue
+            seen.add(id(s))
+            if cls is Rew:
+                if type(s.param) is not RewConst or (
+                        contains is not None and not contains(s.param.value)):
+                    return False
+                stack.append(s.body)
+            elif cls is Or or prob:
+                stack += (s.right, s.left)
+            else:
+                return False
+        elif not is_value(s):
+            return False
     return True
 
 
@@ -399,6 +422,27 @@ def fold_effect(e: Term, leaf, or_, rew, pchoice=None):
         else:
             raise ValueError(f"not an effect value: {type(t).__name__} node")
     return done[0]
+
+
+### what a node keeps
+
+def kept(t: Term, slot: str, config: LangConfig, arg, make):
+    """``make()``, kept on the node t in the attribute ``slot`` with the
+    config object and the ``arg`` it was made for.  A later call with the
+    same config object and an equal ``arg`` returns the kept result and
+    calls nothing; any other call makes a new result and keeps that
+    instead, so a slot holds one result.  Nothing is kept when ``make``
+    raises, and what is kept dies with the node.  The key is the config
+    object, not its contents, and the node, not its structure: equal but
+    distinct nodes share nothing.  Nothing in the library changes a
+    config once made; a caller that does must not reuse what was kept
+    under it."""
+    got = getattr(t, slot, None)
+    if got is not None and got[0] is config and got[1] == arg:
+        return got[2]
+    value = make()
+    object.__setattr__(t, slot, (config, arg, value))
+    return value
 
 
 ### free variables, substitution, alpha-equivalence

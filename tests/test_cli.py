@@ -386,16 +386,16 @@ def test_pure_negative_with_witness(sel, capsys):
 
 
 def test_pure_canonicalises_an_impure_program_once(sel, capsys, monkeypatch):
-    import selcalc.cli
+    # the verdict and the witness both read the form the program keeps,
+    # so the canonicalising fold runs once
     import selcalc.equations
-    real, calls = selcalc.equations.canon_rewards, []
+    real, calls = selcalc.equations.best_outcomes, []
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    for module in (selcalc.cli, selcalc.equations):
-        monkeypatch.setattr(module, "canon_rewards", counting)
+    monkeypatch.setattr(selcalc.equations, "best_outcomes", counting)
     rc, out, _ = run(capsys, "pure", sel("ff or ((-1) . (tt or ff))"))
     assert rc == 1 and "witness" in out
     assert len(calls) == 1
