@@ -20,9 +20,9 @@ from pathlib import Path
 import click
 
 from .equations import (
-    NoDistinguishingContext, canon_rewards, decide_pure_prob,
-    decide_pure_rewards, distinguish_rewards, rewards_impurity_witness,
-    separate_prob, weak_canon_prob, weak_canonical_term,
+    NoDistinguishingContext, canon, decide_pure_prob, decide_pure_rewards,
+    distinguish_rewards, rewards_impurity_witness, separate_prob,
+    weak_canonical_term,
 )
 from .monads import atoms, default_monad, make_monad
 from .operational import BudgetExceeded, StuckTerm, eval_effect, trace_eval
@@ -173,27 +173,39 @@ def _check_monad(mname: str | None, config: LangConfig,
 
 ### suite names
 
+# suite -> (family, mode, the --monad values it takes).  A family name
+# with --mode (rewards by default) names the first of its suites in that
+# mode that takes the --monad given, or else the first; a suite not listed
+# belongs to no family and takes neither option.
+_SUITE_OPTIONS = {
+    "adequacy-rewards": ("adequacy", "rewards", ()),
+    "adequacy-prob-T1": ("adequacy", "prob", ("DW",)),
+    "adequacy-prob-T2": ("adequacy", "prob", ("T2",)),
+    "adequacy-prob-T3": ("adequacy", "prob", ("T3",)),
+    "axioms-fig3": ("axioms", "rewards", ()),
+    "axioms-fig4": ("axioms", "prob", ()),
+    "purity-rewards": ("purity", "rewards", ()),
+    "purity-prob": ("purity", "prob", ("DW", "T2", "T3")),
+}
+
+
 def _resolve_suite(name: str, mode: str | None, monad: str | None) -> str:
-    if name in SUITES:
-        return name
-    mode = mode or "rewards"
-    monad = {"T1": "DW"}.get(monad, monad)
-    fallbacks = {
-        ("adequacy", "rewards"): "adequacy-rewards",
-        ("adequacy", "prob"): {None: "adequacy-prob-T1", "DW": "adequacy-prob-T1",
-                               "T2": "adequacy-prob-T2", "T3": "adequacy-prob-T3"},
-        ("axioms", "rewards"): "axioms-fig3",
-        ("axioms", "prob"): "axioms-fig4",
-        ("purity", "rewards"): "purity-rewards",
-        ("purity", "prob"): "purity-prob",
-    }
-    hit = fallbacks.get((name, mode))
-    if isinstance(hit, dict):
-        hit = hit.get(monad)
-    if hit is None:
-        raise click.UsageError(
-            f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    return hit
+    """The registered suite --suite names; a usage error when the name is
+    unknown or --mode or --monad contradicts the suite."""
+    if name not in SUITES:
+        family = [s for s, (f, md, _) in _SUITE_OPTIONS.items()
+                  if f == name and md == (mode or "rewards")]
+        if not family:
+            raise click.UsageError(
+                f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+        name = next((s for s in family if monad in _SUITE_OPTIONS[s][2]),
+                    family[0])
+    _, suite_mode, monads = _SUITE_OPTIONS.get(name, (None, None, ()))
+    if mode is not None and mode != suite_mode:
+        raise click.UsageError(f"suite {name} does not run in mode {mode}")
+    if monad is not None and monad not in monads:
+        raise click.UsageError(f"suite {name} does not take --monad {monad}")
+    return name
 
 
 ### commands
@@ -277,17 +289,14 @@ def eval_cmd(semantics, monad_name, gamma_arg, oracle, trace, mode,
     return 0
 
 
-@_cli.command()
+@_cli.command("canon")
 @_decision_options
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-def canon(mode, monad_name, structure_name, as_json, file):
+def canon_cmd(mode, monad_name, structure_name, as_json, file):
     """Print the canonical form of FILE."""
     prog, _ = _load(file, mode, structure_name)
-    config, term = prog.config, prog.term
-    mname = _check_monad(monad_name, config, _PROB_ONLY)
-    c = weak_canonical_term(canon_rewards(term, config)
-                            if config.mode == "rewards"
-                            else weak_canon_prob(term, config, mname), mname)
+    mname = _check_monad(monad_name, prog.config, _PROB_ONLY)
+    c = weak_canonical_term(canon(prog.term, prog.config, mname), mname)
     _echo(as_json, {"canonical": pretty(c)}, pretty(c))
     return 0
 
@@ -430,7 +439,8 @@ def gen(seed, size, type_text, mode, structure_name, max_order, count):
 @click.option("--json", "as_json", is_flag=True)
 def check(suite, mode, monad_name, seed, cases, jobs, as_json):
     """Run a property suite and report pass counts."""
-    name = _resolve_suite(suite, mode, monad_name)
+    mn = {"T1": "DW"}.get(monad_name, monad_name)
+    name = _resolve_suite(suite, mode, mn)
     n = SUITES[name][1] if cases is None else cases
     if n < 0:
         raise click.UsageError("--cases must be nonnegative")
@@ -439,7 +449,6 @@ def check(suite, mode, monad_name, seed, cases, jobs, as_json):
         _echo(as_json, {"suite": name, "passed": 0, "total": 0, "ok": True},
               "0/0 OK")
         return 0
-    mn = {"T1": "DW"}.get(monad_name, monad_name)
     res = run_suite(name, seed, n, mn, jobs)
     _echo(as_json, {"suite": name, "passed": res.passed, "total": res.total,
                     "ok": res.ok, "failures": res.failures},

@@ -1,6 +1,9 @@
 """Equational reasoning: canonical forms, equivalence and purity decisions,
 distinguishing contexts, and named rewrite axioms.
 
+Both calculi share one canonical form, ``canon(m, config, monad_name)``,
+whose key comes from the auxiliary monad; forms compare up to renaming.
+
 Rewards mode has a complete story: every program of base type normalizes to
 an or-chain of rewarded values with no value repeated, two programs are
 contextually equivalent exactly when their canonical forms coincide, and
@@ -20,7 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monads import atoms, make_monad, vdis
+from .monads import atoms, make_monad
 from .operational import eval_effect
 from .rewards import ONE, ZERO
 from .strategies import best_outcomes, check_cap
@@ -31,30 +34,37 @@ from .syntax import (
 )
 
 
-### canonical forms, rewards mode
+### canonical forms
+
+def canon(m: Term, config: LangConfig, monad_name: str) -> list:
+    """Canonical form of a program in the auxiliary monad ``monad_name``:
+    its strategy outcomes in that monad, in strategy order, one per key
+    under the rule of ``strategies.best_outcomes``, so it equals the
+    program.  The key is the value up to renaming in W and the outcome
+    itself in DW, T2 and T3.  MR has no canonical form (ValueError).  The
+    node m keeps the form (``syntax.kept``), keyed by the config object and
+    the monad name, and each call returns a list of its own."""
+    if monad_name == "MR":
+        raise ValueError("monad MR has no canonical form")
+
+    def fold():
+        monad = make_monad(monad_name, config.structure)
+        key = ((lambda u: alpha_key(u[1])) if monad_name == "W"
+               else (lambda u: u))
+        return best_outcomes(check_cap(eval_effect(m, config)), monad, key)
+
+    return list(kept(m, "_canon", config, monad_name, fold))
+
 
 def canon_rewards(m: Term, config: LangConfig) -> list[tuple[Fraction, Term]]:
-    """Canonical form of a rewards-mode program: an ordered list of
-    (reward, value) entries with no value repeated.
+    """Canonical form of a rewards-mode program: ``canon`` in W."""
+    return canon(m, config, "W")
 
-    The entries start as the strategy outcomes in strategy order, which
-    pushes accumulated rewards to the leaves; deduplication folds left to
-    right, keeping the earlier entry when its reward is at least the later
-    one's and otherwise deleting it and appending the later entry.  Both
-    moves are instances of the choice axioms, so the result is provably
-    equal to the program.
 
-    The node m keeps the form (``syntax.kept``) for as long as it lives,
-    keyed by the config object: a later call with the same config folds
-    nothing, and each call returns a list of its own.
-    """
-    def fold():
-        st = config.structure
-        return best_outcomes(check_cap(eval_effect(m, config)),
-                             make_monad("W", st), lambda u: alpha_key(u[1]),
-                             lambda u, v: not st.leq(v[0], u[0]))
-
-    return list(kept(m, "_canon", config, None, fold))
+def weak_canon_prob(m: Term, config: LangConfig,
+                    monad_name: str = "DW") -> list:
+    """Weak canonical form of a probabilistic program: ``canon``."""
+    return canon(m, config, monad_name)
 
 
 def canonical_term(cf: list[tuple[Fraction, Term]]) -> Term:
@@ -62,22 +72,42 @@ def canonical_term(cf: list[tuple[Fraction, Term]]) -> Term:
     return weak_canonical_term(cf, "W")
 
 
+def _same_form(a: list, b: list, monad) -> bool:
+    """Whether two canonical forms in ``monad`` agree entry by entry up to
+    renaming of bound variables: each entry is compared through
+    ``monad.map(alpha_key, u)``, which in W is its (reward, key) pair and
+    in T2 and T3 also gathers or pools the values equal up to renaming."""
+    return len(a) == len(b) and all(
+        monad.map(alpha_key, u) == monad.map(alpha_key, v)
+        for u, v in zip(a, b))
+
+
 def canon_equal(a: list[tuple[Fraction, Term]], b: list[tuple[Fraction, Term]]) -> bool:
-    return (len(a) == len(b)
-            and all(c1 == c2 and alpha_eq(v1, v2)
-                    for (c1, v1), (c2, v2) in zip(a, b)))
+    return _same_form(a, b, make_monad("W"))
 
 
 def decide_equiv_rewards(m: Term, n: Term, config: LangConfig) -> bool:
     return canon_equal(canon_rewards(m, config), canon_rewards(n, config))
 
 
+def _first_best(cf: list, monad) -> int:
+    """The index of the first entry of greatest ``expect0``."""
+    scores = [monad.expect0(u) for u in cf]
+    return scores.index(max(scores))
+
+
+def _unit_value(u, monad_name: str, st):
+    """x when u is the unit on x, one atom carrying the zero reward."""
+    listed = atoms(u, monad_name)
+    pure = len(listed) == 1 and listed[0][1] == st.zero
+    return listed[0][2] if pure else None
+
+
 def decide_pure_rewards(m: Term, config: LangConfig) -> Term | None:
-    """The value this program is equivalent to, if any: a single canonical
-    entry carrying the zero reward.  It reads the form m keeps."""
+    """The value this program is equivalent to, if any: its canonical form
+    is one entry, the unit on that value.  It reads the form m keeps."""
     cf = canon_rewards(m, config)
-    pure = len(cf) == 1 and cf[0][0] == config.structure.zero
-    return cf[0][1] if pure else None
+    return _unit_value(cf[0], "W", config.structure) if len(cf) == 1 else None
 
 
 def rewards_impurity_witness(m: Term, config: LangConfig
@@ -93,11 +123,9 @@ def rewards_impurity_witness(m: Term, config: LangConfig
         raise ValueError("witness construction needs constant-valued programs")
     names = [v.name for _, v in cf]
     zero_table = {name: st.zero for name in names}
-    best, i0 = cf[0][0], 0
-    for k, (c, _) in enumerate(cf[1:], start=1):
-        if not st.leq(c, best):
-            best, i0 = c, k
-    if cf[i0][0] != st.zero:
+    i0 = _first_best(cf, make_monad("W", st))
+    best = cf[i0][0]
+    if _unit_value(cf[i0], "W", st) is None:
         # the winner itself carries a nonzero reward
         return zero_table
     # boost some other entry past the zero-table winner
@@ -228,24 +256,6 @@ def distinguish_rewards(m: Term, n: Term, config: LangConfig) -> Term | None:
 
 ### weak canonical forms, probabilistic mode
 
-def weak_canon_prob(m: Term, config: LangConfig,
-                    monad_name: str = "DW") -> list:
-    """Weak canonical form: the strategy outcomes of the program, each a
-    distribution of (reward, value) atoms normalized in the chosen monad,
-    with later duplicates dropped.  Each is built in that monad directly,
-    which gives the image of its DW outcome under the morphism ``theta``.
-
-    The node m keeps the form (``syntax.kept``) for as long as it lives,
-    keyed by the config object and the monad name: a later call with both
-    the same folds nothing, and each call returns a list of its own."""
-    def fold():
-        monad = make_monad(monad_name, config.structure)
-        return best_outcomes(check_cap(eval_effect(m, config)), monad,
-                             lambda b: b, lambda b, later: False)
-
-    return list(kept(m, "_weak_canon", config, monad_name, fold))
-
-
 def _dw_chain(atoms: list[tuple[Fraction, Fraction, Term]]) -> Term:
     """Weighted rewarded values rendered as a right-nested probabilistic
     chain, built from the last atom outward; each atom is (probability,
@@ -290,13 +300,13 @@ def separate_prob(m: Term, n: Term, config: LangConfig,
     """``decide_equiv_prob``'s verdict with the valuation table behind a
     False: (True, None), (False, the first separating table) or (None,
     None).  The tables tried are the programs' 64 ``default_tables``."""
-    wm = weak_canon_prob(m, config, monad_name)
-    wn = weak_canon_prob(n, config, monad_name)
-    if wm == wn:
+    _refuse_w(monad_name, "decide_equiv_rewards")
+    monad = make_monad(monad_name, config.structure)
+    if _same_form(canon(m, config, monad_name), canon(n, config, monad_name),
+                  monad):
         return True, None
     from .selection import denote, gamma_from_table
     from .testgen import default_tables
-    monad = make_monad(monad_name, config.structure)
     dm = denote(m, config, monad)
     dn = denote(n, config, monad)
     for w in default_tables(m, n, config):
@@ -314,13 +324,10 @@ class PurityResult:
     witness: dict[str, Fraction] | None  # valuation table when impure
 
 
-def _branch_view(b, zero: Fraction):
-    """(value distribution, reward floor, unit flag) of a normalized branch.
-    The floor satisfies: expected reward under any valuation is at least
-    floor combined with the average valuation."""
-    atoms = b.items()
-    unit = len(atoms) == 1 and atoms[0][0][0] == zero
-    return vdis(b), min(r for (r, _), _ in atoms), unit
+def _refuse_w(monad_name: str, rewards_decider: str) -> None:
+    if monad_name == "W":
+        raise ValueError("the probabilistic deciders read DW, T2 or T3; "
+                         f"use {rewards_decider} for W")
 
 
 def decide_pure_prob(m: Term, config: LangConfig,
@@ -334,35 +341,35 @@ def decide_pure_prob(m: Term, config: LangConfig,
     better than the constant, which is returned as an impurity witness.
 
     Raises ConditionCUnavailable when a competing branch's reward floor is
-    below zero and the structure has no discrimination witness, and
-    NoDistinguishingContext when the program is not of a finite base type.
+    below zero and the structure has no discrimination witness,
+    NoDistinguishingContext when the program is not of a finite base type,
+    and ValueError in W, whose decider is ``decide_pure_rewards``.
     """
+    _refuse_w(monad_name, "decide_pure_rewards")
     st = config.structure
-    monad = make_monad(monad_name, config.structure)
-    branches = weak_canon_prob(m, config, monad_name)
-    zero_g = lambda x: st.zero
-    scores = [monad.expect(b, zero_g) for b in branches]
-    best = max(scores)
-    i0 = scores.index(best)
-    vd0, _, unit0 = _branch_view(branches[i0], st.zero)
-    if not all(isinstance(x, Const) for x in vd0.support()):
+    branches = canon(m, config, monad_name)
+    i0 = _first_best(branches, make_monad(monad_name, st))
+    listed0 = atoms(branches[i0], monad_name)
+    if not all(isinstance(x, Const) for _, _, x in listed0):
         raise NoDistinguishingContext(
             "purity decision applies to programs of base type")
-    consts = config.constants_of(vd0.support()[0].base)
+    consts = config.constants_of(listed0[0][2].base)
 
     def table(cbar_name: str, on_cbar: Fraction, elsewhere: Fraction):
         return {c.name: (on_cbar if c.name == cbar_name else elsewhere)
                 for c in consts}
 
-    if not unit0:
+    cbar = _unit_value(branches[i0], monad_name, st)
+    if cbar is None:
         return PurityResult(None, {c.name: st.zero for c in consts})
-    cbar = vd0.support()[0]
 
     for i, b in enumerate(branches):
         if i == i0:
             continue
-        vd, floor, _ = _branch_view(b, st.zero)
-        off_mass = sum(vd.prob(x) for x in vd.support() if x != cbar)
+        listed = atoms(b, monad_name)
+        # the branch expects at least floor ⊕ the average valuation
+        floor = min(r for _, r, _ in listed)
+        off_mass = sum(p for p, _, x in listed if x != cbar)
         if off_mass == 0:
             continue
         if off_mass == 1:

@@ -249,6 +249,10 @@ class WMonad(Monad):
         r, s = u
         return self.structure.add(r, s)
 
+    def expect0(self, u) -> Fraction:
+        """The reward: expectation at the zero valuation."""
+        return u[0]
+
 
 class DWMonad(Monad):
     """Distributions over reward-and-value pairs, with probabilistic choice
@@ -289,6 +293,10 @@ class DWMonad(Monad):
         add = self.structure.add
         return self.structure.mean(
             [(p, add(r, gamma(x))) for (r, x), p in u._w.items()])
+
+    def expect0(self, u: Dist) -> Fraction:
+        """The mean reward: expectation at the zero valuation."""
+        return self.structure.mean([(p, r) for (r, _), p in u._w.items()])
 
     def pchoice(self, p: Fraction, u, v):
         if p == 1:

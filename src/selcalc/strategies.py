@@ -9,7 +9,8 @@ option.
 
 ``select_bruteforce`` lists every strategy's outcome and is the reference
 oracle; ``select_fast`` and the canonical forms share ``best_outcomes``,
-one fold that keeps each subtree's outcomes one per key.
+one fold that keeps each subtree's outcomes one per key, replacing one
+only by a strictly better one, so a single key keeps the selected outcome.
 """
 
 from __future__ import annotations
@@ -76,19 +77,21 @@ def outcomes(e: Term, config: LangConfig, cap: int = DEFAULT_CAP) -> list:
                             pchoice if monad.has_pchoice else None))
 
 
-def best_outcomes(e: Term, monad, key, prefer_later) -> list:
+def best_outcomes(e: Term, monad, key) -> list:
     """The strategy outcomes of an effect value in ``monad``, in strategy
     order, one per key: a later outcome with a listed key replaces the
-    listed one, moving to the end, when ``prefer_later(listed, later)``,
-    and is dropped otherwise.  Reducing each node's list as it is folded
-    gives the same list, since an ``or`` lists its sides in order and
-    reward and ``+[p]`` act on each outcome alone.  Keys are computed only
-    where lists meet."""
+    listed one, moving to the end, exactly when its ``monad.expect0`` (its
+    expected reward at the zero valuation) is strictly greater, and is
+    dropped otherwise.  Reducing each node's list as it is folded gives
+    the same list, since an ``or`` lists its sides in order and reward and
+    ``+[p]`` act on each outcome alone.  Keys are computed only where
+    lists meet, and scores only where keys meet."""
     def merge(outs):
         kept = {}
         for u in outs:
             k = key(u)
-            if k not in kept or prefer_later(kept[k], u):
+            old = kept.get(k)
+            if old is None or monad.expect0(u) > monad.expect0(old):
                 kept.pop(k, None)
                 kept[k] = u
         return list(kept.values())
@@ -131,9 +134,7 @@ def select_fast(e: Term, config: LangConfig):
     """Outcome of the optimal strategy: the first outcome with the
     greatest expected reward, kept by one fold of the effect value."""
     monad = make_monad(default_monad(config.mode), config.structure)
-    return best_outcomes(
-        e, monad, lambda u: None,
-        lambda u, v: outcome_score(v, config) > outcome_score(u, config))[0]
+    return best_outcomes(e, monad, lambda u: None)[0]
 
 
 def select_program(m: Term, config: LangConfig):

@@ -14,9 +14,9 @@ alpha-equivalence, typechecking, printing and type rank are folds on it,
 and one base class compares, hashes and ``repr``s both.  Each term node
 keeps its free variables once asked for them, so substitution walks only
 down to the occurrences of its variable.  A node also keeps, through
-``kept``, its effect value (``_effect``) and its canonical forms
-(``_canon``, ``_weak_canon``) once they are built, each with the config
-object it was built for; none of this takes part in its equality, hash
+``kept``, its effect value (``_effect``) and its canonical form
+(``_canon``) once they are built, each with the config object it was
+built for; none of this takes part in its equality, hash
 or ``repr``, and all of it dies with the node.  The walks, the effect fold
 ``fold_effect`` and the parser, whose one loop reads terms and types from
 their grammars' tables, keep explicit stacks, so nesting uses no Python

@@ -1,7 +1,11 @@
-"""Selection and both canonical forms are one keyed fold of the effect
-value, ``strategies.best_outcomes``.  Checked here against the reference
-route it replaced: list every strategy's outcome, map each through
-``theta``, then deduplicate the whole list."""
+"""Selection and the canonical form in every monad are one keyed fold of
+the effect value, ``strategies.best_outcomes``, with one keep rule: a
+later outcome replaces the listed one of its key exactly when its
+``expect0`` is strictly greater.  Checked here against the reference
+route it replaced (list every strategy's outcome, map each through
+``theta``, then deduplicate the whole list), and selection against the
+form: the selected outcome is the form's first entry of greatest
+``expect0``."""
 
 import time
 from fractions import Fraction as F
@@ -10,20 +14,21 @@ import pytest
 
 from selcalc.cli import main
 from selcalc.equations import (
-    canon_rewards, canonical_term, decide_pure_prob, decide_pure_rewards,
+    canon, canon_rewards, canonical_term, decide_pure_prob, decide_pure_rewards,
     rewards_impurity_witness, weak_canon_prob,
 )
-from selcalc.monads import make_monad, theta
+from selcalc.monads import default_monad, make_monad, theta
 from selcalc.operational import eval_effect
 from selcalc.rewards import STRUCTURES
 from selcalc.strategies import (
-    StrategyCapExceeded, best_outcomes, check_cap, outcomes, strategy_count,
+    StrategyCapExceeded, best_outcomes, check_cap, outcomes, select_bruteforce,
+    select_fast, strategy_count,
 )
 from selcalc.syntax import (
-    BOOL, Arrow, Or, Prod, Rew, RewConst, TT, FF, alpha_eq, parse_program,
-    pretty,
+    BOOL, Arrow, Or, PChoice, Prod, Rew, RewConst, TT, FF, alpha_eq,
+    parse_program, pretty,
 )
-from selcalc.testgen import GenConfig, gen_program
+from selcalc.testgen import GenConfig, gen_program, gen_tie_effect
 
 TARGETS = [BOOL, Prod(BOOL, BOOL), Arrow(BOOL, BOOL)]
 MOST_STRATEGIES = 1 << 12  # the reference lists every strategy
@@ -99,16 +104,67 @@ def test_weak_canon_prob_matches_the_listing_reference(name, monad_name):
 
 
 def test_a_preferred_later_outcome_moves_to_the_end():
-    # values tt, ff, tt with rewards 1, 0, 2: the second tt wins its key
-    # and is listed after ff
+    # values tt, ff, tt with rewards 1, 0, 2: the second tt scores strictly
+    # more, so it replaces the first tt and is listed after ff
     e = Or(Or(Rew(RewConst(F(1)), TT), FF), Rew(RewConst(F(2)), TT))
     monad = make_monad("W")
-    better = lambda u, v: v[0] > u[0]
-    assert best_outcomes(e, monad, lambda u: u[1], better) == [
+    assert best_outcomes(e, monad, lambda u: u[1]) == [
         (F(0), FF), (F(2), TT)]
-    assert best_outcomes(e, monad, lambda u: u[1], lambda u, v: False) == [
-        (F(1), TT), (F(0), FF)]
-    assert best_outcomes(e, monad, lambda u: None, better) == [(F(2), TT)]
+    assert best_outcomes(e, monad, lambda u: u) == [
+        (F(1), TT), (F(0), FF), (F(2), TT)]
+    assert best_outcomes(e, monad, lambda u: None) == [(F(2), TT)]
+    # an equal score keeps the listed outcome where it is
+    tie = Or(Or(Rew(RewConst(F(2)), FF), TT), Rew(RewConst(F(2)), TT))
+    assert best_outcomes(tie, monad, lambda u: None) == [(F(2), FF)]
+    # in DW the score is the mean reward: 1/2 and 3/2 average to 1, which
+    # ties with 1 . ff and loses to 3/2 . ff
+    mixed = PChoice(F(1, 2), Rew(RewConst(F(1, 2)), TT),
+                    Rew(RewConst(F(3, 2)), FF))
+    dw = make_monad("DW")
+    assert best_outcomes(Or(mixed, Rew(RewConst(F(1)), FF)), dw,
+                         lambda u: None) == [first(mixed, dw)]
+    assert best_outcomes(Or(mixed, Rew(RewConst(F(3, 2)), FF)), dw,
+                         lambda u: None) == [dw.reward(F(3, 2), dw.unit(FF))]
+
+
+def first(e, monad):
+    """The one outcome of a choice-free effect value."""
+    [u] = best_outcomes(e, monad, lambda u: u)
+    return u
+
+
+def first_best(form, monad):
+    """The first entry of greatest expected reward at the zero valuation."""
+    scores = [monad.expect0(u) for u in form]
+    return form[scores.index(max(scores))]
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+@pytest.mark.parametrize("mode", ["rewards", "prob"])
+def test_selection_is_the_first_best_entry_of_the_form(name, mode):
+    # the strategy-order lemma: the kept form lists the first outcome of
+    # greatest score, in strategy order, before any other maximal entry
+    monad_name = default_monad(mode)
+    monad = make_monad(monad_name, STRUCTURES[name])
+    seen = 0
+    for m, config in generated(STRUCTURES[name], mode):
+        assert select_fast(eval_effect(m, config), config) == first_best(
+            canon(m, config, monad_name), monad), pretty(m)
+        seen += 1
+    assert seen >= 30
+
+
+@pytest.mark.parametrize("mode", ["rewards", "prob"])
+def test_selection_is_the_first_best_entry_of_the_form_on_ties(mode):
+    cfg = GenConfig(seed=3, mode=mode)
+    config, rng = cfg.lang(), cfg.rng()
+    monad_name = default_monad(mode)
+    monad = make_monad(monad_name, config.structure)
+    for _ in range(150):
+        e = gen_tie_effect(cfg, rng, max_ops=5, config=config)
+        best = first_best(canon(e, config, monad_name), monad)
+        assert select_fast(e, config) == best, pretty(e)
+        assert select_bruteforce(e, config) == best, pretty(e)
 
 
 def test_canonical_forms_keep_the_strategy_cap(tmp_path, capsys):

@@ -459,6 +459,37 @@ def test_check_t1_alias(capsys):
     assert doc["ok"] is True
 
 
+@pytest.mark.parametrize("args, suite", [
+    (("adequacy-prob-T2", "--monad", "T3"), "adequacy-prob-T2"),
+    (("adequacy-rewards", "--mode", "prob"), "adequacy-rewards"),
+    (("monad-laws", "--monad", "T2"), "monad-laws"),
+    (("purity-rewards", "--monad", "T3"), "purity-rewards"),
+    (("argmax-lemmas", "--mode", "prob"), "argmax-lemmas"),
+    (("axioms", "--mode", "prob", "--monad", "T2"), "axioms-fig4"),
+])
+def test_check_refuses_options_that_contradict_the_suite(capsys, args, suite):
+    rc, out, err = run(capsys, "check", "--suite", *args, "--cases", "1",
+                       "--json")
+    assert (rc, out) == (3, "")
+    assert f"suite {suite} does not" in err
+
+
+@pytest.mark.parametrize("args, suite", [
+    (("adequacy-prob-T2", "--monad", "T2"), "adequacy-prob-T2"),
+    (("adequacy-prob-T1", "--monad", "T1", "--mode", "prob"),
+     "adequacy-prob-T1"),
+    (("adequacy", "--mode", "prob", "--monad", "T3"), "adequacy-prob-T3"),
+    (("purity", "--mode", "prob", "--monad", "T2"), "purity-prob"),
+    (("purity-prob", "--monad", "T3"), "purity-prob"),
+    (("purity-rewards", "--mode", "rewards"), "purity-rewards"),
+])
+def test_check_accepts_options_that_fit_the_suite(capsys, args, suite):
+    rc, out, _ = run(capsys, "check", "--suite", *args, "--cases", "1",
+                     "--json")
+    assert rc == 0
+    assert json.loads(out)["suite"] == suite
+
+
 def test_check_zero_cases_warns(capsys):
     rc, out, err = run(capsys, "check", "--suite", "monad-laws", "--cases", "0")
     assert rc == 0
@@ -634,6 +665,30 @@ def test_equiv_reordered_functions_is_indeterminate(sel, capsys):
                        sel(f"{g} or {f}", "b.sel"))
     assert rc == 2
     assert err.startswith("indeterminate:") and "internal error" not in err
+
+
+ID_X = "fun (x:Bool) -> x"
+ID_Y = "fun (y:Bool) -> y"
+
+
+@pytest.mark.parametrize("monad", ["DW", "T2", "T3"])
+def test_prob_equiv_ignores_renaming_of_bound_variables(sel, capsys, monad):
+    a = sel("mode prob; " + ID_X, "a.sel")
+    b = sel("mode prob; " + ID_Y, "b.sel")
+    assert run(capsys, "equiv", "--monad", monad, a, b) == (
+        0, "equivalent\n", "")
+    mixed = sel(f"mode prob; ({ID_X}) +[1/2] ({ID_Y})", "c.sel")
+    assert run(capsys, "equiv", "--monad", monad, a, mixed)[0] == 0
+
+
+def test_prob_equiv_gathers_renamed_values_in_t2_and_t3(sel, capsys):
+    a = sel(f"mode prob; (1 . ({ID_X})) +[1/2] (3 . ({ID_Y}))", "a.sel")
+    b = sel(f"mode prob; 2 . ({ID_X})", "b.sel")
+    for monad in ("T2", "T3"):
+        assert run(capsys, "equiv", "--monad", monad, a, b)[0] == 0
+    rc, _, err = run(capsys, "equiv", "--monad", "DW", a, b)
+    assert rc == 2
+    assert "not sampled at a function type" in err
 
 
 def test_equiv_unequal_lambdas_is_indeterminate(sel, capsys):

@@ -3,10 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from selcalc.equations import (
-    AXIOMS, NoMatch, PurityResult, apply_axiom, canon_equal, canon_rewards,
+    AXIOMS, NoMatch, PurityResult, apply_axiom, canon, canon_equal,
+    canon_rewards,
     canonical_term, decide_equiv_prob, decide_equiv_rewards, decide_pure_prob,
     decide_pure_rewards, distinguish_rewards, replace_at,
-    rewards_impurity_witness, subterm_at, weak_canon_prob,
+    rewards_impurity_witness, separate_prob, subterm_at, weak_canon_prob,
     weak_canonical_term,
 )
 from selcalc.monads import make_monad
@@ -120,6 +121,24 @@ def test_weak_canon_prob_sound_under_dw():
     gs = default_gammas(t, c, cfg, count=32, seed=11)
     assert agree_at(t, c, cfg, mon, gs)
     assert weak_canon_prob(c, cfg) == branches
+
+
+def test_canon_in_w_lists_each_value_once_whatever_it_is_called():
+    t, cfg = term("(1 . tt) or ff or (2 . tt)")
+    assert canon(t, cfg, "W") == [(F(0), FF), (F(2), TT)]
+    assert weak_canon_prob(t, cfg, "W") == canon_rewards(t, cfg)
+
+
+def test_monads_with_no_canonical_rule_are_refused():
+    t, cfg = term("(1 . tt) or ff")
+    with pytest.raises(ValueError, match="MR has no canonical form"):
+        canon(t, cfg, "MR")
+    with pytest.raises(ValueError, match="use decide_pure_rewards for W"):
+        decide_pure_prob(t, cfg, "W")
+    with pytest.raises(ValueError, match="use decide_equiv_rewards for W"):
+        separate_prob(t, t, cfg, "W")
+    with pytest.raises(ValueError, match="use decide_equiv_rewards for W"):
+        decide_equiv_prob(t, t, cfg, "W")
 
 
 def test_decide_equiv_prob_commutativity():
