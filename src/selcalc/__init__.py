@@ -20,8 +20,8 @@ from .operational import (
     BudgetExceeded, DEFAULT_BUDGET, StuckTerm, eval_effect, trace_eval,
 )
 from .strategies import (
-    StrategyCapExceeded, argmax, max_by, outcome_score, select_bruteforce,
-    select_fast, select_program,
+    StrategyCapExceeded, argmax, max_by, select_bruteforce, select_fast,
+    select_program,
 )
 from .monads import (
     Dist, MRVal, atom_key, cond_reward, expect0, k_gamma, make_monad,
@@ -29,8 +29,7 @@ from .monads import (
 )
 from .selection import (
     ConstElem, FnElem, PairElem, RewElem, UnitElem, agree_at, denote,
-    denote_value, embed_outcome, gamma_from_table, kappa_term, observe,
-    zero_gamma,
+    embed_outcome, gamma_from_table, kappa_term, observe, zero_gamma,
 )
 from .equations import (
     AXIOMS, NoMatch, PurityResult, apply_axiom, canon_equal, canon_rewards,

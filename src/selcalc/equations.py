@@ -26,7 +26,7 @@ from fractions import Fraction
 from .monads import atoms, make_monad
 from .operational import eval_effect
 from .rewards import ONE, ZERO
-from .strategies import best_outcomes, check_cap
+from .strategies import argmax, best_outcomes, check_cap
 from .syntax import (
     App, Base, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, PChoice,
     Pair, Prod, Rew, RewConst, Snd, Star, Term, TT, FF, UNIT, Var, alpha_eq,
@@ -90,12 +90,6 @@ def decide_equiv_rewards(m: Term, n: Term, config: LangConfig) -> bool:
     return canon_equal(canon_rewards(m, config), canon_rewards(n, config))
 
 
-def _first_best(cf: list, monad) -> int:
-    """The index of the first entry of greatest ``expect0``."""
-    scores = [monad.expect0(u) for u in cf]
-    return scores.index(max(scores))
-
-
 def _unit_value(u, monad_name: str, st):
     """x when u is the unit on x, one atom carrying the zero reward."""
     listed = atoms(u, monad_name)
@@ -123,7 +117,8 @@ def rewards_impurity_witness(m: Term, config: LangConfig
         raise ValueError("witness construction needs constant-valued programs")
     names = [v.name for _, v in cf]
     zero_table = {name: st.zero for name in names}
-    i0 = _first_best(cf, make_monad("W", st))
+    w = make_monad("W", st)
+    i0 = argmax(range(len(cf)), lambda i: w.expect0(cf[i]))
     best = cf[i0][0]
     if _unit_value(cf[i0], "W", st) is None:
         # the winner itself carries a nonzero reward
@@ -348,7 +343,8 @@ def decide_pure_prob(m: Term, config: LangConfig,
     _refuse_w(monad_name, "decide_pure_rewards")
     st = config.structure
     branches = canon(m, config, monad_name)
-    i0 = _first_best(branches, make_monad(monad_name, st))
+    monad = make_monad(monad_name, st)
+    i0 = argmax(range(len(branches)), lambda i: monad.expect0(branches[i]))
     listed0 = atoms(branches[i0], monad_name)
     if not all(isinstance(x, Const) for _, _, x in listed0):
         raise NoDistinguishingContext(

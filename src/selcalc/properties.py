@@ -30,8 +30,7 @@ from .selection import (
     zero_gamma,
 )
 from .strategies import (
-    argmax, max_by, outcome_score, select_bruteforce, select_fast,
-    select_program,
+    argmax, max_by, select_bruteforce, select_fast, select_program,
 )
 from .syntax import App, BOOL, FF, Or, PChoice, Rew, RewConst, TT, plug, pretty
 from .testgen import (
@@ -476,8 +475,7 @@ def _suite_mr_fullab(seed, cases, monad, lo, hi) -> SuiteResult:
         assert (me == mf) == (canon_map(e) == canon_map(f)), \
             f"reward-observation equality mismatch: {pretty(e)} / {pretty(f)}"
         if i % 2:
-            se = outcome_score(select_fast(e, config), config)
-            sf = outcome_score(select_fast(f, config), config)
+            se, sf = select_fast(e, config)[0], select_fast(f, config)[0]
             assert se == sf, f"swap changed the optimal reward on {pretty(e)}"
 
     return _run_cases(lo, hi, one)

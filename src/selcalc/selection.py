@@ -25,7 +25,9 @@ Semantic values are the syntax's own ground values (constants, reward
 constants, ``*`` and pairs of semantic values) plus functions, ``FnElem``;
 so the denotation and the operational semantics share one carrier at base
 types, and built-in function symbols have one table,
-``operational._eval_fn``.
+``operational._eval_fn``.  ``embed_outcome`` carries an operational
+outcome into the monad by binding it to what ``denote`` gives each value,
+so an embedded function value is the same closure the denotation builds.
 """
 
 from __future__ import annotations
@@ -304,27 +306,13 @@ def _compiler(config: LangConfig, monad):
     return node, as_sel
 
 
-def denote_value(v: Term, config: LangConfig, monad):
-    """Denotation of a closed value: the value itself, with each lambda,
-    also inside pairs, turned into an FnElem.  A fold, None at non-values."""
-    def node(s, kids, _):
-        if type(s) is Lam:
-            return FnElem(lambda a: denote(s.body, config, monad, {s.var: a}), s, ())
-        if type(s) is Pair and None not in kids:
-            return Pair(*kids)
-        return s if type(s) in (Const, RewConst, Star) else None
-
-    value = fold_term(v, node)
-    if value is None:
-        raise ValueError(f"not a value: {v!r}")
-    return value
-
-
-def denote(t: Term, config: LangConfig, monad, env: dict | None = None):
+def denote(t: Term, config: LangConfig, monad):
     """The computation t denotes: a function from a reward continuation to
-    a value of monad.  One fold compiles t; the result runs under env."""
+    a value of monad.  One fold compiles t.  A closed value denotes the
+    unit on its semantic value under every valuation, a ``fun`` as its
+    closure, an ``FnElem``."""
     node, as_sel = _compiler(config, monad)
-    return as_sel(fold_term(t, node))(env or {})
+    return as_sel(fold_term(t, node))({})
 
 
 ### observation (operational summaries) and embedding
@@ -345,13 +333,14 @@ def observe(m: Term, config: LangConfig, monad_name: str | None = None):
 
 
 def embed_outcome(out, config: LangConfig, monad):
-    """Map an operational outcome (atoms: syntactic values) to the monad's
-    carrier over semantic values."""
-    if config.mode == "rewards":
-        r, v = out
-        return (r, denote_value(v, config, monad))
-    dw = out.map(lambda rx: (rx[0], denote_value(rx[1], config, monad)))
-    return theta(dw, monad)
+    """An operational outcome (atoms: syntactic values) in the monad's
+    carrier over semantic values: the outcome, through ``theta`` in prob
+    mode, bound to what ``denote`` gives each value.  A closed value
+    denotes the unit on its semantic value under every valuation, and
+    ``theta`` is a monad morphism, so this maps each value in place."""
+    u = out if config.mode == "rewards" else theta(out, monad)
+    zero = zero_gamma(config)
+    return monad.bind(u, lambda v: denote(v, config, monad)(zero))
 
 
 def agree_at(m: Term, n: Term, config: LangConfig, monad, gammas) -> bool:

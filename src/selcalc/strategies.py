@@ -7,18 +7,20 @@ outer component major for probabilistic pairs); selection picks the least
 strategy maximizing expected reward, so ties resolve to the leftmost
 option.
 
-``select_bruteforce`` lists every strategy's outcome and is the reference
-oracle; ``select_fast`` and the canonical forms share ``best_outcomes``,
-one fold that keeps each subtree's outcomes one per key, replacing one
-only by a strictly better one, so a single key keeps the selected outcome.
+An outcome lives in the mode's auxiliary monad, W or DW, and its score is
+``monad.expect0``, its expected reward at the zero valuation; no other
+scorer exists.  ``select_bruteforce`` lists every strategy's outcome and
+picks with ``argmax``, the least maximizer; it is the reference oracle.
+``select_fast`` and the canonical forms share ``best_outcomes``, one fold
+that keeps each subtree's outcomes one per key, replacing one only by a
+strictly better one, so a single key keeps the selected outcome.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
-from .monads import default_monad, expect0, make_monad
+from .monads import default_monad, make_monad
 from .operational import eval_effect
 from .syntax import LangConfig, Term, fold_effect
 
@@ -104,13 +106,6 @@ def best_outcomes(e: Term, monad, key) -> list:
                        pchoice if monad.has_pchoice else None)
 
 
-def outcome_score(out, config: LangConfig) -> Fraction:
-    """Expected reward of an outcome, ignoring values."""
-    if config.mode == "rewards":
-        return out[0]
-    return expect0(out, config.structure)
-
-
 ### selection
 
 def argmax(candidates, score):
@@ -125,9 +120,10 @@ def max_by(score, u, v):
 
 def select_bruteforce(m: Term, config: LangConfig, cap: int = DEFAULT_CAP):
     """Evaluate to an effect value, list every strategy's outcome, and
-    take the first with the greatest expected reward."""
-    e = eval_effect(m, config)
-    return argmax(outcomes(e, config, cap), lambda u: outcome_score(u, config))
+    take the first with the greatest ``monad.expect0``, in the mode's
+    monad."""
+    monad = make_monad(default_monad(config.mode), config.structure)
+    return argmax(outcomes(eval_effect(m, config), config, cap), monad.expect0)
 
 
 def select_fast(e: Term, config: LangConfig):

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .equations import AXIOMS, NoDistinguishingContext
-from .monads import Dist, mrval, t2val
+from .monads import Dist, default_monad, make_monad, mrval, t2val
 from .rewards import DEFAULT_STRUCTURE, Rational, RewardStructure
 from .selection import gamma_from_table
-from .strategies import outcome_score, select_fast
+from .strategies import select_fast
 from .syntax import (
     App, Arrow, BOOL, Base, FnApp, Fst, If, LangConfig, Lam, Or, Pair,
     PChoice, Prod, REW, Rew, RewConst, Snd, Star, Term, Type, UNIT, Var,
@@ -321,8 +321,10 @@ def gen_tie_effect(cfg: GenConfig, rng: random.Random | None = None,
     a = gen_effect_value(cfg, rng, max_ops, base, config)
     b = gen_effect_value(cfg, rng, max_ops, base, config)
 
+    monad = make_monad(default_monad(config.mode), config.structure)
+
     def best(e):
-        return outcome_score(select_fast(e, config), config)
+        return monad.expect0(select_fast(e, config))
 
     delta = best(a) - best(b)
     if delta != 0:

@@ -10,7 +10,7 @@ from selcalc.equations import decide_pure_prob
 from selcalc.monads import Dist, cond_reward, make_monad, t2val, vdis
 from selcalc.properties import run_suite
 from selcalc.selection import ConstElem, denote, gamma_from_table, observe, zero_gamma
-from selcalc.strategies import outcome_score, select_program
+from selcalc.strategies import select_program
 from selcalc.syntax import FF, TT, parse_program
 
 TT_E = ConstElem("tt", "Bool", 0)
@@ -50,7 +50,7 @@ def test_criterion_02_probabilistic_choice_example():
 
     (sel, config), dt = timed(work)
     assert sel == Dist([(F(1, 2), (F(5), TT)), (F(1, 2), (F(6), FF))])
-    assert outcome_score(sel, config) == F(11, 2)
+    assert make_monad("DW", config.structure).expect0(sel) == F(11, 2)
     assert dt < 0.010, f"took {dt * 1000:.2f} ms"
 
 

@@ -21,8 +21,8 @@ from selcalc.monads import default_monad, make_monad, theta
 from selcalc.operational import eval_effect
 from selcalc.rewards import STRUCTURES
 from selcalc.strategies import (
-    StrategyCapExceeded, best_outcomes, check_cap, outcomes, select_bruteforce,
-    select_fast, strategy_count,
+    StrategyCapExceeded, argmax, best_outcomes, check_cap, outcomes,
+    select_bruteforce, select_fast, strategy_count,
 )
 from selcalc.syntax import (
     BOOL, Arrow, Or, PChoice, Prod, Rew, RewConst, TT, FF, alpha_eq,
@@ -133,12 +133,6 @@ def first(e, monad):
     return u
 
 
-def first_best(form, monad):
-    """The first entry of greatest expected reward at the zero valuation."""
-    scores = [monad.expect0(u) for u in form]
-    return form[scores.index(max(scores))]
-
-
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
 @pytest.mark.parametrize("mode", ["rewards", "prob"])
 def test_selection_is_the_first_best_entry_of_the_form(name, mode):
@@ -148,8 +142,8 @@ def test_selection_is_the_first_best_entry_of_the_form(name, mode):
     monad = make_monad(monad_name, STRUCTURES[name])
     seen = 0
     for m, config in generated(STRUCTURES[name], mode):
-        assert select_fast(eval_effect(m, config), config) == first_best(
-            canon(m, config, monad_name), monad), pretty(m)
+        assert select_fast(eval_effect(m, config), config) == argmax(
+            canon(m, config, monad_name), monad.expect0), pretty(m)
         seen += 1
     assert seen >= 30
 
@@ -162,7 +156,7 @@ def test_selection_is_the_first_best_entry_of_the_form_on_ties(mode):
     monad = make_monad(monad_name, config.structure)
     for _ in range(150):
         e = gen_tie_effect(cfg, rng, max_ops=5, config=config)
-        best = first_best(canon(e, config, monad_name), monad)
+        best = argmax(canon(e, config, monad_name), monad.expect0)
         assert select_fast(e, config) == best, pretty(e)
         assert select_bruteforce(e, config) == best, pretty(e)
 

@@ -172,10 +172,10 @@ EXPORTS = """
     SelTypeError Snd Star TT Term Type UNIT Var alpha_eq is_effect_value
     is_value parse_program plug pretty type_rank typecheck BudgetExceeded
     DEFAULT_BUDGET StuckTerm eval_effect trace_eval StrategyCapExceeded
-    argmax max_by outcome_score select_bruteforce select_fast select_program
+    argmax max_by select_bruteforce select_fast select_program
     Dist MRVal atom_key cond_reward expect0 k_gamma make_monad
     mr_of_effect mrval t2val theta vdis ConstElem FnElem PairElem RewElem
-    UnitElem agree_at denote denote_value embed_outcome gamma_from_table
+    UnitElem agree_at denote embed_outcome gamma_from_table
     kappa_term observe zero_gamma AXIOMS NoMatch PurityResult apply_axiom
     canon_equal canon_rewards canonical_term decide_equiv_prob
     decide_equiv_rewards decide_pure_prob decide_pure_rewards
@@ -227,7 +227,6 @@ eval_effect(t, config, budget)
 trace_eval(t, config)
 argmax(candidates, score)
 max_by(score, u, v)
-outcome_score(out, config)
 select_bruteforce(m, config, cap)
 select_fast(e, config)
 select_program(m, config)
@@ -249,8 +248,7 @@ PairElem(fst, snd)
 RewElem(value)
 UnitElem()
 agree_at(m, n, config, monad, gammas)
-denote(t, config, monad, env)
-denote_value(v, config, monad)
+denote(t, config, monad)
 embed_outcome(out, config, monad)
 gamma_from_table(table, config)
 kappa_term(consts, table)

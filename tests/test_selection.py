@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from selcalc.monads import DWMonad, Dist, WMonad, make_monad, t2val, k_gamma
+from selcalc.monads import (
+    DWMonad, Dist, WMonad, atoms, make_monad, t2val, k_gamma,
+)
 from selcalc.selection import (
-    ConstElem, agree_at, denote, denote_value, embed_outcome,
-    gamma_from_table, kappa_term, observe, zero_gamma,
+    ConstElem, FnElem, agree_at, denote, embed_outcome, gamma_from_table,
+    kappa_term, observe, read_back, zero_gamma,
 )
 from selcalc.syntax import (
     App, BOOL, TT, Hole, Lam, Pair, parse_program, pretty, typecheck,
@@ -60,12 +62,50 @@ def test_e2_t3_denotation():
     assert got == t2val(Dist([(F(4, 5), tt), (F(1, 5), ff)]), lambda _: F(9, 5))
 
 
-def test_denote_value_pairs_and_functions():
+def test_embed_outcome_ground_pair():
     p = parse_program("<tt, 2>")
     mon = make_monad("W", p.config.structure)
-    v = denote_value(p.term, p.config, mon)
+    _, v = embed_outcome(observe(p.term, p.config), p.config, mon)
     assert v.fst == ConstElem("tt", "Bool", 0)
     assert v.snd.value == F(2)
+
+
+def fn_elems(u, monad_name):
+    """The function values a monad value holds, also inside pairs, keyed
+    by their read-back."""
+    found, work = {}, [x for _, _, x in atoms(u, monad_name)]
+    while work:
+        x = work.pop()
+        if type(x) is FnElem:
+            found[x] = x
+        elif type(x) is Pair:
+            work += [x.fst, x.snd]
+    return found
+
+
+FN_PROB = ("mode prob; (fun (x:Bool) -> 1 . x) +[1/2] "
+           "(fun (y:Bool) -> (3 . ff) or y)")
+
+
+@pytest.mark.parametrize("src,monad_name", [
+    ("fun (x:Bool) -> 1 . x", "W"),
+    ("<fun (x:Bool) -> (2 . x) or (1 . ff), tt>", "W"),
+    ("let k : Rew = 1 or 2 in fun (x:Bool) -> k . x", "W"),
+    (FN_PROB, "DW"), (FN_PROB, "T2"), (FN_PROB, "T3"),
+])
+@pytest.mark.parametrize("table", [None, {"ff": F(5)}])
+def test_embedded_function_applies_like_denoted(src, monad_name, table):
+    p = parse_program(src)
+    mon = make_monad(monad_name, p.config.structure)
+    zero = zero_gamma(p.config)
+    gamma = zero if table is None else gamma_from_table(table, p.config)
+    embedded = fn_elems(
+        embed_outcome(observe(p.term, p.config), p.config, mon), monad_name)
+    denoted = fn_elems(denote(p.term, p.config, mon)(zero), monad_name)
+    assert embedded and embedded.keys() == denoted.keys()
+    for f in embedded:
+        assert embedded[f].fn(TT)(gamma) == denoted[f].fn(TT)(gamma), \
+            pretty(read_back(f))
 
 
 def test_observe_matches_denotation_at_zero():

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from selcalc.monads import Dist
+from selcalc.monads import Dist, default_monad, make_monad
+from selcalc.rewards import STRUCTURES
 from selcalc.strategies import (
-    StrategyCapExceeded, argmax, max_by, outcome_score, select_bruteforce,
-    select_fast, select_program,
+    StrategyCapExceeded, argmax, max_by, select_bruteforce, select_fast,
+    select_program,
 )
 from selcalc.syntax import FF, Or, Rew, RewConst, TT, parse_program, pretty
 from selcalc.testgen import GenConfig, gen_effect_value, gen_tie_effect
@@ -54,12 +55,17 @@ def test_prob_choice_keeps_distinct_reward_atoms():
     assert out == Dist([(F(1, 2), (F(1), TT)), (F(1, 2), (F(3), TT))])
 
 
+def score(out, config):
+    """The expected reward of an outcome, in the mode's monad."""
+    return make_monad(default_monad(config.mode), config.structure).expect0(out)
+
+
 def test_outcome_score():
     p = parse_program("(5 . tt) or (6 . ff)")
-    assert outcome_score((F(6), FF), p.config) == F(6)
+    assert score((F(6), FF), p.config) == F(6)
     q = parse_program("mode prob;\ntt +[1/2] ff")
     d = Dist([(F(1, 2), (F(1), TT)), (F(1, 2), (F(3), FF))])
-    assert outcome_score(d, q.config) == F(2)
+    assert score(d, q.config) == F(2)
 
 
 def test_bruteforce_agrees_on_examples():
@@ -84,11 +90,14 @@ def test_bruteforce_refuses_more_strategies_than_its_cap():
 
 @pytest.mark.parametrize("seed", range(80))
 def test_fast_matches_bruteforce_random(seed):
+    # every structure per seed, so the ids stay one per seed
     mode = "prob" if seed % 2 else "rewards"
-    cfg = GenConfig(seed=seed, mode=mode)
-    config = cfg.lang()
-    e = gen_effect_value(cfg, max_ops=10, config=config)
-    assert select_fast(e, config) == select_bruteforce(e, config), pretty(e)
+    for name, structure in sorted(STRUCTURES.items()):
+        cfg = GenConfig(seed=seed, mode=mode, structure=structure)
+        config = cfg.lang()
+        e = gen_effect_value(cfg, max_ops=10, config=config)
+        assert select_fast(e, config) == select_bruteforce(e, config), \
+            (name, pretty(e))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -101,7 +110,7 @@ def test_forced_ties_resolve_left(seed):
     assert fast == select_bruteforce(e, config)
     # both arms reach the winning score; left-bias picks the left arm
     left = select_fast(e.left, config)
-    assert outcome_score(fast, config) == outcome_score(left, config)
+    assert score(fast, config) == score(left, config)
     assert fast == left
 
 

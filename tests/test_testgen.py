@@ -10,7 +10,7 @@ from selcalc.equations import apply_axiom
 from selcalc.monads import make_monad
 from selcalc.operational import eval_effect
 from selcalc.selection import agree_at
-from selcalc.strategies import outcome_score, select_fast
+from selcalc.strategies import select_fast
 from selcalc.syntax import (
     BOOL, Arrow, Or, Prod, is_effect_value, pretty, typecheck,
 )
@@ -85,11 +85,12 @@ def test_tie_effects_actually_tie():
     cfg = GenConfig(seed=8)
     config = cfg.lang()
     rng = cfg.rng()
+    w = make_monad("W", config.structure)
     for _ in range(40):
         e = gen_tie_effect(cfg, rng, config=config)
         assert isinstance(e, Or)
-        left = outcome_score(select_fast(e.left, config), config)
-        right = outcome_score(select_fast(e.right, config), config)
+        left = w.expect0(select_fast(e.left, config))
+        right = w.expect0(select_fast(e.right, config))
         assert left == right
         assert select_fast(e, config) == select_fast(e.left, config)
 
