@@ -26,7 +26,7 @@ from .equations import (
 )
 from .monads import atoms, default_monad, make_monad
 from .operational import BudgetExceeded, StuckTerm, eval_effect, trace_eval
-from .properties import SUITES, run_suite
+from .properties import SUITES, run_suite, suite_monad
 from .rewards import (
     ConditionCUnavailable, DEFAULT_STRUCTURE, STRUCTURES, parse_reward,
 )
@@ -67,33 +67,23 @@ def _outcome_atoms(u, monad_name: str) -> list[dict[str, str]]:
             for p, r, v in atoms(u, monad_name)]
 
 
-def _monad_value_json(u, monad_name: str):
-    listed = atoms(u, monad_name)
+def _monad_value(u, monad_name: str) -> tuple[dict, str]:
+    """A monad value's JSON fields and its text."""
+    listed = [(p, r, _sem_str(v)) for p, r, v in atoms(u, monad_name)]
     if monad_name == "W":
         [(_, r, v)] = listed
-        return {"reward": str(r), "value": _sem_str(v)}
+        return {"reward": str(r), "value": v}, f"reward {r}, value {v}"
     if monad_name == "DW":
-        return {"outcome": _outcome_atoms(u, monad_name)}
-    dist = [{"prob": str(p), "value": _sem_str(x)} for p, _, x in listed]
+        return ({"outcome": _outcome_atoms(u, monad_name)},
+                "; ".join(f"{p}: reward {r}, value {v}" for p, r, v in listed))
+    dist = [{"prob": str(p), "value": v} for p, _, v in listed]
+    text = "dist: " + ", ".join(f"{p} {v}" for p, _, v in listed)
     if monad_name == "T3":
-        return {"dist": dist, "reward": str(listed[0][1])}
-    return {"dist": dist, "rewards": [{"value": _sem_str(x), "reward": str(r)}
-                                      for _, r, x in listed]}
-
-
-def _monad_value_text(u, monad_name: str) -> str:
-    listed = atoms(u, monad_name)
-    if monad_name == "W":
-        [(_, r, v)] = listed
-        return f"reward {r}, value {_sem_str(v)}"
-    if monad_name == "DW":
-        return "; ".join(f"{p}: reward {r}, value {_sem_str(v)}"
-                         for p, r, v in listed)
-    dist = ", ".join(f"{p} {_sem_str(x)}" for p, _, x in listed)
-    if monad_name == "T3":
-        return f"dist: {dist}; reward {listed[0][1]}"
-    rew = ", ".join(f"{_sem_str(x)} -> {r}" for _, r, x in listed)
-    return f"dist: {dist}; rewards: {rew}"
+        r = listed[0][1]
+        return {"dist": dist, "reward": str(r)}, f"{text}; reward {r}"
+    return ({"dist": dist, "rewards": [{"value": v, "reward": str(r)}
+                                       for _, r, v in listed]},
+            f"{text}; rewards: " + ", ".join(f"{v} -> {r}" for _, r, v in listed))
 
 
 def _table_str(table: dict[str, Fraction]) -> str:
@@ -173,39 +163,28 @@ def _check_monad(mname: str | None, config: LangConfig,
 
 ### suite names
 
-# suite -> (family, mode, the --monad values it takes).  A family name
-# with --mode (rewards by default) names the first of its suites in that
-# mode that takes the --monad given, or else the first; a suite not listed
-# belongs to no family and takes neither option.
-_SUITE_OPTIONS = {
-    "adequacy-rewards": ("adequacy", "rewards", ()),
-    "adequacy-prob-T1": ("adequacy", "prob", ("DW",)),
-    "adequacy-prob-T2": ("adequacy", "prob", ("T2",)),
-    "adequacy-prob-T3": ("adequacy", "prob", ("T3",)),
-    "axioms-fig3": ("axioms", "rewards", ()),
-    "axioms-fig4": ("axioms", "prob", ()),
-    "purity-rewards": ("purity", "rewards", ()),
-    "purity-prob": ("purity", "prob", ("DW", "T2", "T3")),
-}
-
-
-def _resolve_suite(name: str, mode: str | None, monad: str | None) -> str:
-    """The registered suite --suite names; a usage error when the name is
-    unknown or --mode or --monad contradicts the suite."""
+def _resolve_suite(name: str, mode: str | None,
+                   monad: str | None) -> tuple[str, str | None]:
+    """The registered suite --suite names, and its monad.  A name prefix
+    two or more suites share, with --mode (rewards by default), names the
+    first of them of that calculus that takes the --monad given, or else
+    the first; a usage error when --mode or --monad contradicts it."""
     if name not in SUITES:
-        family = [s for s, (f, md, _) in _SUITE_OPTIONS.items()
-                  if f == name and md == (mode or "rewards")]
-        if not family:
+        members = [s for s in SUITES if s.split("-")[0] == name]
+        family = [s for s in members
+                  if SUITES[s].calculus == (mode or "rewards")]
+        if len(members) < 2 or not family:
             raise click.UsageError(
                 f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-        name = next((s for s in family if monad in _SUITE_OPTIONS[s][2]),
+        name = next((s for s in family if monad in SUITES[s].monads),
                     family[0])
-    _, suite_mode, monads = _SUITE_OPTIONS.get(name, (None, None, ()))
-    if mode is not None and mode != suite_mode:
+    if mode is not None and mode != SUITES[name].calculus:
         raise click.UsageError(f"suite {name} does not run in mode {mode}")
-    if monad is not None and monad not in monads:
-        raise click.UsageError(f"suite {name} does not take --monad {monad}")
-    return name
+    try:
+        return name, suite_monad(name, monad)
+    except ValueError:
+        raise click.UsageError(
+            f"suite {name} does not take --monad {monad}") from None
 
 
 ### commands
@@ -279,13 +258,13 @@ def eval_cmd(semantics, monad_name, gamma_arg, oracle, trace, mode,
         out = select_bruteforce(term, config) if oracle else \
             select_program(term, config)
         _echo(as_json, {"outcome": _outcome_atoms(out, mname)},
-              _monad_value_text(out, mname))
+              _monad_value(out, mname)[1])
         return 0
 
     gam = _load_gamma(gamma_arg, config)
     u = denote(term, config, make_monad(mname, config.structure))(gam)
-    _echo(as_json, {"monad": mname, **_monad_value_json(u, mname)},
-          _monad_value_text(u, mname))
+    doc, text = _monad_value(u, mname)
+    _echo(as_json, {"monad": mname, **doc}, text)
     return 0
 
 
@@ -333,7 +312,6 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
             return emit(True, ["equivalent"])
         a = select_program(plug(ctx, m), config)
         b = select_program(plug(ctx, n), config)
-        left, right = _outcome_atoms(a, mname), _outcome_atoms(b, mname)
     else:
         verdict, table = separate_prob(m, n, config, mname)
         if verdict is True:
@@ -345,14 +323,15 @@ def equiv(mode, monad_name, structure_name, as_json, file_a, file_b):
             ctx = App(kappa_term(config.constants_of(ta.name), table), ctx)
         a = observe(plug(ctx, m), config, mname)
         b = observe(plug(ctx, n), config, mname)
-        left, right = _monad_value_json(a, mname), _monad_value_json(b, mname)
+    (left, text_a), (right, text_b) = (_monad_value(u, mname) for u in (a, b))
+    if config.mode == "rewards":  # a selected outcome lists its atoms
+        left, right = _outcome_atoms(a, mname), _outcome_atoms(b, mname)
     lines = ["inequivalent", f"context: {pretty(ctx)}"]
     extra = {"context": pretty(ctx)}
     if table is not None:
         lines.append(f"gamma: {_table_str(table)}")
         extra["gamma"] = {k: str(v) for k, v in table.items()}
-    lines += [f"context[A]: {_monad_value_text(a, mname)}",
-              f"context[B]: {_monad_value_text(b, mname)}"]
+    lines += [f"context[A]: {text_a}", f"context[B]: {text_b}"]
     return emit(False, lines, {**extra, "left": left, "right": right})
 
 
@@ -439,9 +418,9 @@ def gen(seed, size, type_text, mode, structure_name, max_order, count):
 @click.option("--json", "as_json", is_flag=True)
 def check(suite, mode, monad_name, seed, cases, jobs, as_json):
     """Run a property suite and report pass counts."""
-    mn = {"T1": "DW"}.get(monad_name, monad_name)
-    name = _resolve_suite(suite, mode, mn)
-    n = SUITES[name][1] if cases is None else cases
+    name, mn = _resolve_suite(suite, mode,
+                              {"T1": "DW"}.get(monad_name, monad_name))
+    n = SUITES[name].cases if cases is None else cases
     if n < 0:
         raise click.UsageError("--cases must be nonnegative")
     if n == 0:

@@ -19,18 +19,21 @@ provably picks something else.
 from __future__ import annotations
 
 import operator
+import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .monads import atoms, make_monad
 from .operational import eval_effect
-from .rewards import ONE, ZERO
+from .rewards import ONE, ZERO, Rational
+from .selection import denote, gamma_from_table
 from .strategies import argmax, best_outcomes, check_cap
 from .syntax import (
     App, Base, Const, FnApp, Fst, Hole, If, LangConfig, Lam, Or, PChoice,
     Pair, Prod, Rew, RewConst, Snd, Star, Term, TT, FF, UNIT, Var, alpha_eq,
     alpha_key, fold_term, is_value, kept, pretty, replace_at, subterm_at,
+    type_rank, typecheck,
 )
 
 
@@ -280,6 +283,44 @@ def weak_canonical_term(branches: list, monad_name: str) -> Term:
     return t
 
 
+### probabilistic equivalence, and the valuations it samples
+
+GAMMA_POOL = tuple(Rational(n) for n in range(-3, 4)) + (
+    Rational(1, 2), Rational(-1, 2), Rational(1, 3), Rational(-1, 3))
+
+
+def gamma_tables(base: str, config: LangConfig, count: int = 64,
+                 seed: int = 0) -> list[dict[str, Rational]]:
+    """A batch of valuation tables over a finite base type.  The zero table
+    always comes first; the rest draw entries from ``GAMMA_POOL``
+    (restricted to the structure's carrier)."""
+    consts = config.constants_of(base)
+    entries = [r for r in GAMMA_POOL if config.structure.contains(r)]
+    rng = random.Random(seed)
+    z = config.structure.zero
+    tables = [{c.name: z for c in consts}]
+    for _ in range(max(count - 1, 0)):
+        tables.append({c.name: rng.choice(entries) for c in consts})
+    return tables
+
+
+def default_tables(m: Term, n: Term, config: LangConfig,
+                   count: int = 64, seed: int = 0) -> list[dict[str, Rational]]:
+    """Sampled valuation tables for comparing two programs of a finite
+    base type.  At any other first-order type only the zero table is
+    drawn, since ``gamma_from_table`` scores every value it does not name
+    zero.  Raises NoDistinguishingContext at a function type."""
+    ty = typecheck(m, config=config)
+    ty2 = typecheck(n, config=config)
+    if ty != ty2:
+        raise ValueError(f"type mismatch: {ty} vs {ty2}")
+    if isinstance(ty, Base) and ty.name in config.bases:
+        return gamma_tables(ty.name, config, count, seed)
+    if type_rank(ty) > 0:
+        raise NoDistinguishingContext("valuations are not sampled at a function type")
+    return [{}]
+
+
 def decide_equiv_prob(m: Term, n: Term, config: LangConfig,
                       monad_name: str = "DW") -> bool | None:
     """True when the weak canonical forms coincide; False when a sampled
@@ -300,8 +341,6 @@ def separate_prob(m: Term, n: Term, config: LangConfig,
     if _same_form(canon(m, config, monad_name), canon(n, config, monad_name),
                   monad):
         return True, None
-    from .selection import denote, gamma_from_table
-    from .testgen import default_tables
     dm = denote(m, config, monad)
     dn = denote(n, config, monad)
     for w in default_tables(m, n, config):

@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .rewards import ONE, ZERO, Rational, RewardStructure, DEFAULT_STRUCTURE
+from .syntax import fold_effect
 
 
 ### generic sorting key for distribution atoms
@@ -364,7 +365,7 @@ class T3Monad(T2Monad):
         """Pool the rewards of all atoms into their expectation."""
         if len({r for r, _ in u._w}) == 1:
             return u
-        pooled = expect0(u, self.structure)
+        pooled = self.expect0(u)
         return _image(lambda rx: (pooled, rx[1]), u._w.items())
 
 
@@ -443,7 +444,7 @@ def cond_reward(u: Dist, x, structure: RewardStructure = DEFAULT_STRUCTURE) -> F
 
 def expect0(u: Dist, structure: RewardStructure = DEFAULT_STRUCTURE) -> Fraction:
     """Expected reward, ignoring values (expectation at the zero valuation)."""
-    return structure.mean([(p, r) for (r, _), p in u._w.items()])
+    return DWMonad(structure).expect0(u)
 
 
 def k_gamma(gamma, u, monad):
@@ -458,7 +459,5 @@ def k_gamma(gamma, u, monad):
 def mr_of_effect(e, structure: RewardStructure = DEFAULT_STRUCTURE) -> MRVal:
     """Fold an effect value of the rewards calculus into a value set tagged
     with best rewards."""
-    from .syntax import fold_effect
-
     m = MRMonad(structure)
     return fold_effect(e, m.unit, m.or_op, m.reward)

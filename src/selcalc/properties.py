@@ -2,12 +2,10 @@
 full-abstraction and axiom-soundness theorems and of the algebra under
 them (monad laws, the DW-to-T2/T3 morphism, injective reward shifts).
 
-``SUITES`` is the one registry.  Each entry names a runner
-``runner(seed, cases, monad, lo, hi)`` that checks cases ``lo..hi-1``, the
-default case count, and a part count: a suite runs ``cases * parts`` cases
-(the monad laws once per monad, the axiom suites once per axiom).  Case
-``i`` draws from its own RNG seeded by ``(seed, i)``, so a report does not
-depend on how ``run_suite`` splits cases over worker processes.
+``SUITES`` describes each suite once (``Suite``).  Its builder sets up once
+per slice of cases and returns the check of case ``i``, which draws from
+its own RNG seeded by ``(seed, i)``, so a report does not depend on how
+``run_suite`` splits cases over worker processes.
 """
 
 from __future__ import annotations
@@ -16,11 +14,11 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from functools import partial
+from typing import Callable, NamedTuple
 
 from .equations import (
     apply_axiom, canon_rewards, canonical_term, decide_equiv_rewards,
-    decide_pure_prob, decide_pure_rewards, distinguish_rewards,
+    decide_pure_prob, decide_pure_rewards, distinguish_rewards, gamma_tables,
     rewards_impurity_witness, weak_canon_prob, weak_canonical_term,
 )
 from .monads import default_monad, k_gamma, make_monad, mr_of_effect, mrval, theta
@@ -35,7 +33,7 @@ from .strategies import (
 from .syntax import App, BOOL, FF, Or, PChoice, Rew, RewConst, TT, plug, pretty
 from .testgen import (
     AXIOM_MONADS, FIG3_AXIOMS, FIG4_AXIOMS, PROB_POOL, GenConfig,
-    default_gammas, gamma_tables, gen_axiom_instance, gen_effect_value,
+    default_gammas, gen_axiom_instance, gen_effect_value,
     gen_equivalent_pair, gen_kleisli, gen_monad_value, gen_program,
     gen_tie_effect, or_swap,
 )
@@ -74,10 +72,10 @@ def _run_cases(lo: int, hi: int, fn) -> SuiteResult:
     return SuiteResult(passed, hi - lo, failures)
 
 
-def _suite_adequacy(seed, cases, monad, lo, hi, mode, monad_name) -> SuiteResult:
+def _suite_adequacy(seed, cases, mode, monad):
     cfg = GenConfig(seed=seed, max_term_size=40, max_order=2, mode=mode)
     config = cfg.lang()
-    mon = make_monad(monad_name, config.structure)
+    mon = make_monad(monad, config.structure)
     zero = zero_gamma(config)
 
     def one(i):
@@ -86,10 +84,10 @@ def _suite_adequacy(seed, cases, monad, lo, hi, mode, monad_name) -> SuiteResult
         rhs = embed_outcome(observe(m, config), config, mon)
         assert lhs == rhs, f"adequacy gap on {pretty(m)}: {lhs} vs {rhs}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_local_vs_brute(seed, cases, monad, lo, hi) -> SuiteResult:
+def _suite_local_vs_brute(seed, cases, mode, monad):
     cfg_r = GenConfig(seed=seed, mode="rewards")
     cfg_p = GenConfig(seed=seed + 1, mode="prob")
     conf_r, conf_p = cfg_r.lang(), cfg_p.lang()
@@ -106,10 +104,10 @@ def _suite_local_vs_brute(seed, cases, monad, lo, hi) -> SuiteResult:
         brute = select_bruteforce(e, config)
         assert fast == brute, f"{pretty(e)}: fast {fast} vs brute {brute}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_monad_laws(seed, cases, monad, lo, hi) -> SuiteResult:
+def _suite_monad_laws(seed, cases, mode, monad):
     st = DEFAULT_STRUCTURE
     names = ("W", "DW", "T2", "T3", "MR")
     doms = (("a", "b", "c"), ("p", "q"), ("x", "y", "z"))
@@ -130,10 +128,10 @@ def _suite_monad_laws(seed, cases, monad, lo, hi) -> SuiteResult:
         rhs = mon.bind(u, lambda y: mon.bind(f(y), g))
         assert lhs == rhs, f"{name}: associativity on {u}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_theta(seed, cases, monad, lo, hi) -> SuiteResult:
+def _suite_theta(seed, cases, mode, monad):
     st = DEFAULT_STRUCTURE
     dw = make_monad("DW", st)
     targets = (make_monad("T2", st), make_monad("T3", st))
@@ -161,10 +159,11 @@ def _suite_theta(seed, cases, monad, lo, hi) -> SuiteResult:
             assert mon.expect(th(u), gam) == dw.expect(u, gam), \
                 f"{mon.name}: expectation not preserved"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_axioms(seed, cases, monad, lo, hi, names, mode) -> SuiteResult:
+def _suite_axioms(seed, cases, mode, monad):
+    names = FIG3_AXIOMS if mode == "rewards" else FIG4_AXIOMS
     cfg = GenConfig(seed=seed, max_term_size=40, mode=mode)
     config = cfg.lang()
 
@@ -184,7 +183,7 @@ def _suite_axioms(seed, cases, monad, lo, hi, names, mode) -> SuiteResult:
             oa, ob = theta(oa, mon), theta(ob, mon)
         assert oa == ob, f"{name} operationally: {pretty(t)} vs {pretty(r)}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
 # A stored tie: two branches with equal rewards, and the same choice swapped
@@ -192,7 +191,7 @@ _TIE = Or(Rew(RewConst(ZERO), TT), Rew(RewConst(ZERO), FF))
 _SWAPPED_TIE = Or(_TIE.right, _TIE.left)
 
 
-def _suite_genax_or(seed, cases, monad, lo, hi) -> SuiteResult:
+def _suite_genax_or(seed, cases, mode, monad):
     cfg_r = GenConfig(seed=seed, max_term_size=12)
     cfg_p = GenConfig(seed=seed, max_term_size=12, mode="prob")
     conf_r, conf_p = cfg_r.lang(), cfg_p.lang()
@@ -227,10 +226,10 @@ def _suite_genax_or(seed, cases, monad, lo, hi) -> SuiteResult:
             want = max(mon.expect(dm(g), g), mon.expect(dn(g), g))
             assert mon.expect(d_or(g), g) == want, "expected reward of or != max"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_distributivity(seed, cases, monad, lo, hi) -> SuiteResult:
+def _suite_distributivity(seed, cases, mode, monad):
     cfg_r = GenConfig(seed=seed, max_term_size=10)
     cfg_p = GenConfig(seed=seed, max_term_size=10, mode="prob")
     conf_r, conf_p = cfg_r.lang(), cfg_p.lang()
@@ -258,10 +257,10 @@ def _suite_distributivity(seed, cases, monad, lo, hi) -> SuiteResult:
             pair_eq(PChoice(p, Or(m, n), l),
                     Or(PChoice(p, m, l), PChoice(p, n, l)), config, mon, gammas)
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_canon_sound(seed, cases, monad, lo, hi) -> SuiteResult:
+def _suite_canon_sound(seed, cases, mode, monad):
     cfg_r = GenConfig(seed=seed, max_term_size=25)
     cfg_p = GenConfig(seed=seed, max_term_size=20, mode="prob")
     conf_r, conf_p = cfg_r.lang(), cfg_p.lang()
@@ -293,13 +292,13 @@ def _suite_canon_sound(seed, cases, monad, lo, hi) -> SuiteResult:
         assert select_program(m, conf_r) == select_program(c, conf_r), \
             f"selection differs from canonical term on {pretty(m)}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_equiv_roundtrip(seed, cases, monad, lo, hi) -> SuiteResult:
-    cfg = GenConfig(seed=seed, max_term_size=25)
+def _suite_equiv_roundtrip(seed, cases, mode, monad):
+    cfg = GenConfig(seed=seed, max_term_size=25, mode=mode)
     config = cfg.lang()
-    mon = make_monad("W", config.structure)
+    mon = make_monad(monad, config.structure)
 
     def one(i):
         rng = _case_rng(seed, i)
@@ -318,13 +317,13 @@ def _suite_equiv_roundtrip(seed, cases, monad, lo, hi) -> SuiteResult:
             b = select_program(plug(ctx, n), config)
             assert a != b, f"context does not separate: {pretty(ctx)}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_purity_rewards(seed, cases, monad, lo, hi) -> SuiteResult:
-    cfg = GenConfig(seed=seed, max_term_size=14)
+def _suite_purity_rewards(seed, cases, mode, monad):
+    cfg = GenConfig(seed=seed, max_term_size=14, mode=mode)
     config = cfg.lang()
-    mon = make_monad("W", config.structure)
+    mon = make_monad(monad, config.structure)
     st = config.structure
 
     def one(i):
@@ -344,24 +343,23 @@ def _suite_purity_rewards(seed, cases, monad, lo, hi) -> SuiteResult:
             assert out != (st.zero, v0), \
                 f"witness fails on {pretty(m)}: {w} gives {out}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_purity_prob(seed, cases, monad, lo, hi) -> SuiteResult:
-    monad_name = monad or "DW"
-    cfg = GenConfig(seed=seed, max_term_size=14, mode="prob")
+def _suite_purity_prob(seed, cases, mode, monad):
+    cfg = GenConfig(seed=seed, max_term_size=14, mode=mode)
     config = cfg.lang()
-    mon = make_monad(monad_name, config.structure)
+    mon = make_monad(monad, config.structure)
 
     def one(i):
         m = gen_program(cfg, BOOL, _case_rng(seed, i), config)
-        res = decide_pure_prob(m, config, monad_name)
+        res = decide_pure_prob(m, config, monad)
         d = denote(m, config, mon)
         gammas = default_gammas(m, m, config, count=32, seed=seed * 389 + i)
         if res.constant is not None:
             cv = mon.unit(res.constant)
             assert all(d(g) == cv for g in gammas), \
-                f"claimed pure under {monad_name} but varies: {pretty(m)}"
+                f"claimed pure under {monad} but varies: {pretty(m)}"
             return
         at0 = d(zero_gamma(config))
         cand = next((c for c in config.constants_of("Bool")
@@ -373,7 +371,7 @@ def _suite_purity_prob(seed, cases, monad, lo, hi) -> SuiteResult:
         assert out != mon.unit(cand), \
             f"witness fails on {pretty(m)}: {res.witness}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
 def _unequal_pair(cfg, mon, atoms, rng):
@@ -387,7 +385,7 @@ def _unequal_pair(cfg, mon, atoms, rng):
     raise AssertionError(f"{mon.name}: no unequal pair drawn")
 
 
-def _suite_k_gamma(seed, cases, monad, lo, hi) -> SuiteResult:
+def _suite_k_gamma(seed, cases, mode, monad):
     st = DEFAULT_STRUCTURE
     cfg = GenConfig(seed=seed)
     atoms = ("a", "b", "c")
@@ -419,10 +417,10 @@ def _suite_k_gamma(seed, cases, monad, lo, hi) -> SuiteResult:
                 rhs = denote(App(kap, e), confx, mon)(zero_gamma(confx))
                 assert lhs == rhs, f"dispatcher square fails on {pretty(e)}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_char_bool(seed, cases, monad, lo, hi) -> SuiteResult:
+def _suite_char_bool(seed, cases, mode, monad):
     st = DEFAULT_STRUCTURE
     cfg = GenConfig(seed=seed)
     monads = [make_monad(x, st) for x in ("W", "DW", "T2", "T3", "MR")]
@@ -444,11 +442,11 @@ def _suite_char_bool(seed, cases, monad, lo, hi) -> SuiteResult:
             assert separated, \
                 f"{mon.name}: boolean maps cannot tell {u} from {v}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_mr_fullab(seed, cases, monad, lo, hi) -> SuiteResult:
-    cfg = GenConfig(seed=seed)
+def _suite_mr_fullab(seed, cases, mode, monad):
+    cfg = GenConfig(seed=seed, mode=mode)
     config = cfg.lang()
     st = config.structure
 
@@ -478,10 +476,10 @@ def _suite_mr_fullab(seed, cases, monad, lo, hi) -> SuiteResult:
             se, sf = select_fast(e, config)[0], select_fast(f, config)[0]
             assert se == sf, f"swap changed the optimal reward on {pretty(e)}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-def _suite_argmax(seed, cases, monad, lo, hi) -> SuiteResult:
+def _suite_argmax(seed, cases, mode, monad):
     def one(i):
         rng = _case_rng(seed, i)
         # a maximizer over a split order is the biased max of the parts
@@ -510,32 +508,41 @@ def _suite_argmax(seed, cases, monad, lo, hi) -> SuiteResult:
         assert whole2 == (ubar, loc[ubar]), \
             f"lex: {table}: {whole2} vs {(ubar, loc[ubar])}"
 
-    return _run_cases(lo, hi, one)
+    return one
 
 
-# name -> (runner, default cases, parts)
-SUITES: dict[str, tuple] = {
-    "adequacy-rewards": (partial(_suite_adequacy, mode="rewards", monad_name="W"), 500, 1),
-    "adequacy-prob-T1": (partial(_suite_adequacy, mode="prob", monad_name="DW"), 300, 1),
-    "adequacy-prob-T2": (partial(_suite_adequacy, mode="prob", monad_name="T2"), 300, 1),
-    "adequacy-prob-T3": (partial(_suite_adequacy, mode="prob", monad_name="T3"), 300, 1),
-    "local-vs-brute": (_suite_local_vs_brute, 300, 1),
-    "monad-laws": (_suite_monad_laws, 1000, 5),
-    "theta-morphism": (_suite_theta, 500, 1),
-    "axioms-fig3": (partial(_suite_axioms, names=FIG3_AXIOMS, mode="rewards"), 100,
-                    len(FIG3_AXIOMS)),
-    "axioms-fig4": (partial(_suite_axioms, names=FIG4_AXIOMS, mode="prob"), 50,
-                    len(FIG4_AXIOMS)),
-    "genax-or": (_suite_genax_or, 200, 1),
-    "distributivity": (_suite_distributivity, 200, 1),
-    "canon-sound": (_suite_canon_sound, 300, 1),
-    "equiv-roundtrip": (_suite_equiv_roundtrip, 200, 1),
-    "purity-rewards": (_suite_purity_rewards, 200, 1),
-    "purity-prob": (_suite_purity_prob, 200, 1),
-    "k-gamma-injective": (_suite_k_gamma, 500, 1),
-    "char-bool": (_suite_char_bool, 200, 1),
-    "mr-fullab": (_suite_mr_fullab, 300, 1),
-    "argmax-lemmas": (_suite_argmax, 500, 1),
+class Suite(NamedTuple):
+    """``build(seed, cases, mode, monad)`` gets the suite's calculus and the
+    monad ``suite_monad`` resolves.  A run checks ``cases * parts`` cases:
+    the monad laws once per monad, the axiom suites once per axiom."""
+    build: Callable
+    cases: int             # by default
+    parts: int
+    calculus: str | None   # "rewards" or "prob"; None for both or neither
+    monads: tuple          # one run may ask for these, the first by default;
+                           # none when the suite loops over its own
+
+
+SUITES: dict[str, Suite] = {
+    "adequacy-rewards": Suite(_suite_adequacy, 500, 1, "rewards", ("W",)),
+    "adequacy-prob-T1": Suite(_suite_adequacy, 300, 1, "prob", ("DW",)),
+    "adequacy-prob-T2": Suite(_suite_adequacy, 300, 1, "prob", ("T2",)),
+    "adequacy-prob-T3": Suite(_suite_adequacy, 300, 1, "prob", ("T3",)),
+    "local-vs-brute": Suite(_suite_local_vs_brute, 300, 1, None, ()),
+    "monad-laws": Suite(_suite_monad_laws, 1000, 5, None, ()),
+    "theta-morphism": Suite(_suite_theta, 500, 1, None, ()),
+    "axioms-fig3": Suite(_suite_axioms, 100, len(FIG3_AXIOMS), "rewards", ()),
+    "axioms-fig4": Suite(_suite_axioms, 50, len(FIG4_AXIOMS), "prob", ()),
+    "genax-or": Suite(_suite_genax_or, 200, 1, None, ()),
+    "distributivity": Suite(_suite_distributivity, 200, 1, None, ()),
+    "canon-sound": Suite(_suite_canon_sound, 300, 1, None, ()),
+    "equiv-roundtrip": Suite(_suite_equiv_roundtrip, 200, 1, "rewards", ("W",)),
+    "purity-rewards": Suite(_suite_purity_rewards, 200, 1, "rewards", ("W",)),
+    "purity-prob": Suite(_suite_purity_prob, 200, 1, "prob", ("DW", "T2", "T3")),
+    "k-gamma-injective": Suite(_suite_k_gamma, 500, 1, None, ()),
+    "char-bool": Suite(_suite_char_bool, 200, 1, None, ()),
+    "mr-fullab": Suite(_suite_mr_fullab, 300, 1, "rewards", ()),
+    "argmax-lemmas": Suite(_suite_argmax, 500, 1, None, ()),
 }
 
 
@@ -544,11 +551,21 @@ def suites() -> list[str]:
     return list(SUITES)
 
 
+def suite_monad(name: str, monad: str | None = None) -> str | None:
+    """The monad a run of suite ``name`` reads: ``monad``, by default the
+    first the suite declares.  Raises ValueError for one it does not."""
+    declared = SUITES[name].monads
+    if monad is not None and monad not in declared:
+        raise ValueError(f"suite {name} does not take monad {monad}")
+    return monad or next(iter(declared), None)
+
+
 def _suite_slice(name: str, seed: int, cases: int, monad: str | None,
                  lo: int, hi: int) -> SuiteResult:
     """Cases lo..hi-1 of a suite; each failure names its suite, seed and
     case index, so it can be found again."""
-    res = SUITES[name][0](seed, cases, monad, lo, hi)
+    suite = SUITES[name]
+    res = _run_cases(lo, hi, suite.build(seed, cases, suite.calculus, monad))
     res.failures = [f"{name} seed {seed} {f}" for f in res.failures]
     return res
 
@@ -557,10 +574,10 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None,
               monad: str | None = None, jobs: int | None = None) -> SuiteResult:
     """Run a property suite, fanning cases out over a process pool.  Case
     results are reduced in index order, so the report does not depend on
-    scheduling."""
-    _, default_cases, parts = SUITES[name]
-    n = default_cases if cases is None else cases
-    total = n * parts
+    scheduling.  Raises ValueError for a monad the suite does not declare."""
+    monad = suite_monad(name, monad)
+    n = SUITES[name].cases if cases is None else cases
+    total = n * SUITES[name].parts
     if jobs is None:
         jobs = min(os.cpu_count() or 1, 8)
     if jobs <= 1 or total < 2 * jobs:

@@ -41,7 +41,7 @@ from .monads import make_monad, theta
 from .operational import _eval_fn, eval_effect
 from .strategies import max_by, select_fast
 from .syntax import (
-    FF, TT, App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice,
+    TT, App, Const, FnApp, Fst, If, LangConfig, Lam, Or, Pair, PChoice,
     Hole, Rew, RewConst, Snd, Star, Term, Var, fold_term, make_dispatcher,
     substitute,
 )
@@ -52,7 +52,6 @@ from .syntax import (
 # Ground semantic values are the syntax's values; these names stay as
 # aliases of their classes.
 ConstElem, RewElem, UnitElem, PairElem = Const, RewConst, Star, Pair
-TT_ELEM, FF_ELEM = TT, FF
 
 
 @dataclass(frozen=True, eq=False)

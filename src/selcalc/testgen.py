@@ -1,5 +1,6 @@
-"""Seeded random generators: programs, effect values, valuation tables,
-monad values, and axiom instances.
+"""Seeded random generators: programs, effect values, valuations, monad
+values, and axiom instances; the valuation tables are sampled in
+``equations`` and re-exported here.
 
 Everything is deterministic under the configured seed, so any failing case
 replays.  Program generation is size-bounded and weighted so that choice,
@@ -14,7 +15,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
-from .equations import AXIOMS, NoDistinguishingContext
+from .equations import (
+    AXIOMS, GAMMA_POOL, apply_axiom, default_tables, gamma_tables,
+)
 from .monads import Dist, default_monad, make_monad, mrval, t2val
 from .rewards import DEFAULT_STRUCTURE, Rational, RewardStructure
 from .selection import gamma_from_table
@@ -22,11 +25,8 @@ from .strategies import select_fast
 from .syntax import (
     App, Arrow, BOOL, Base, FnApp, Fst, If, LangConfig, Lam, Or, Pair,
     PChoice, Prod, REW, Rew, RewConst, Snd, Star, Term, Type, UNIT, Var,
-    fold_effect, nodes, replace_at, subterm_at, type_rank, typecheck,
+    fold_effect, nodes, replace_at, subterm_at, type_rank,
 )
-
-GAMMA_POOL = tuple(Rational(n) for n in range(-3, 4)) + (
-    Rational(1, 2), Rational(-1, 2), Rational(1, 3), Rational(-1, 3))
 
 PROB_POOL = (Rational(1, 2), Rational(1, 3), Rational(2, 3), Rational(1, 4),
              Rational(3, 4), Rational(2, 5), Rational(3, 5), Rational(1, 5))
@@ -45,10 +45,8 @@ class GenConfig:
         if self.max_term_size < 1:
             raise ValueError("max_term_size must be at least 1")
 
-    def lang(self, bases: dict[str, tuple[str, ...]] | None = None) -> LangConfig:
-        if bases is None:
-            return LangConfig(mode=self.mode, structure=self.structure)
-        return LangConfig(mode=self.mode, bases=bases, structure=self.structure)
+    def lang(self) -> LangConfig:
+        return LangConfig(mode=self.mode, structure=self.structure)
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -58,39 +56,7 @@ class GenConfig:
         return [r for r in GAMMA_POOL if self.structure.contains(r)]
 
 
-### valuation tables
-
-def gamma_tables(base: str, config: LangConfig, count: int = 64,
-                 seed: int = 0) -> list[dict[str, Rational]]:
-    """A batch of valuation tables over a finite base type.  The zero table
-    always comes first; the rest draw entries from ``GAMMA_POOL``
-    (restricted to the structure's carrier)."""
-    consts = config.constants_of(base)
-    entries = [r for r in GAMMA_POOL if config.structure.contains(r)]
-    rng = random.Random(seed)
-    z = config.structure.zero
-    tables = [{c.name: z for c in consts}]
-    for _ in range(max(count - 1, 0)):
-        tables.append({c.name: rng.choice(entries) for c in consts})
-    return tables
-
-
-def default_tables(m: Term, n: Term, config: LangConfig,
-                   count: int = 64, seed: int = 0) -> list[dict[str, Rational]]:
-    """Sampled valuation tables for comparing two programs of a finite
-    base type.  At any other first-order type only the zero table is
-    drawn, since ``gamma_from_table`` scores every value it does not name
-    zero.  Raises NoDistinguishingContext at a function type."""
-    ty = typecheck(m, config=config)
-    ty2 = typecheck(n, config=config)
-    if ty != ty2:
-        raise ValueError(f"type mismatch: {ty} vs {ty2}")
-    if isinstance(ty, Base) and ty.name in config.bases:
-        return gamma_tables(ty.name, config, count, seed)
-    if type_rank(ty) > 0:
-        raise NoDistinguishingContext("valuations are not sampled at a function type")
-    return [{}]
-
+### valuations
 
 def default_gammas(m: Term, n: Term, config: LangConfig,
                    count: int = 64, seed: int = 0):
@@ -483,8 +449,6 @@ def gen_equivalent_pair(cfg: GenConfig, rng: random.Random | None = None,
                         config: LangConfig | None = None) -> tuple[Term, Term]:
     """A pair of provably equivalent programs: an axiom instance and its
     rewrite, optionally under a shared context."""
-    from .equations import apply_axiom
-
     rng = rng or cfg.rng()
     config = config or cfg.lang()
     names = FIG3_AXIOMS if config.mode == "rewards" else tuple(

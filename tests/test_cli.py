@@ -490,6 +490,34 @@ def test_check_accepts_options_that_fit_the_suite(capsys, args, suite):
     assert json.loads(out)["suite"] == suite
 
 
+@pytest.mark.parametrize("suite", ["equiv-roundtrip", "mr-fullab"])
+def test_check_rewards_only_suites_take_mode_rewards(capsys, suite):
+    rc, out, _ = run(capsys, "check", "--suite", suite, "--mode", "rewards",
+                     "--cases", "2", "--json")
+    assert rc == 0
+    assert json.loads(out)["suite"] == suite
+    rc, out, err = run(capsys, "check", "--suite", suite, "--mode", "prob",
+                       "--cases", "1")
+    assert (rc, out) == (3, "")
+    assert f"suite {suite} does not run in mode prob" in err
+
+
+@pytest.mark.parametrize("suite, monad", [("adequacy-prob-T2", "T3"),
+                                          ("monad-laws", "T2")])
+def test_run_suite_refuses_a_monad_the_suite_does_not_declare(suite, monad):
+    from selcalc.properties import run_suite
+    with pytest.raises(ValueError, match=f"suite {suite} does not take"):
+        run_suite(suite, cases=1, monad=monad, jobs=1)
+
+
+def test_run_suite_resolves_the_declared_default_monad():
+    from selcalc.properties import suite_monad
+    assert suite_monad("purity-prob") == "DW"
+    assert suite_monad("purity-prob", "T3") == "T3"
+    assert suite_monad("adequacy-rewards") == "W"
+    assert suite_monad("monad-laws") is None
+
+
 def test_check_zero_cases_warns(capsys):
     rc, out, err = run(capsys, "check", "--suite", "monad-laws", "--cases", "0")
     assert rc == 0
@@ -571,15 +599,16 @@ def test_eval_gamma_zero_denominator(sel, capsys, tmp_path):
 def test_raising_case_fails_alone(monkeypatch):
     from selcalc import properties
 
-    def fake_suite(seed, cases, monad, lo, hi):
+    def fake_suite(seed, cases, mode, monad):
         def one(i):
             if i == 2:
                 raise ValueError("boom")
             if i == 4:
                 raise AssertionError("four")
-        return properties._run_cases(lo, hi, one)
+        return one
 
-    monkeypatch.setitem(properties.SUITES, "fake", (fake_suite, 6, 1))
+    monkeypatch.setitem(properties.SUITES, "fake",
+                        properties.Suite(fake_suite, 6, 1, None, ()))
     res = properties.run_suite("fake", seed=9, jobs=1)
     assert (res.passed, res.total) == (4, 6)
     assert res.failures == ["fake seed 9 case 2: ValueError: boom",

@@ -211,7 +211,8 @@ def test_constant_renaming_commutes_with_selection():
 
 def test_sel_bind_runs_each_continuation_once_per_valuation():
     from collections import Counter
-    from selcalc.selection import TT_ELEM, FF_ELEM, sel_bind, sel_or, sel_unit
+    from selcalc.selection import sel_bind, sel_or, sel_unit
+    from selcalc.syntax import FF
     mon = make_monad("W", parse_program("tt").config.structure)
     calls = Counter()
 
@@ -219,14 +220,14 @@ def test_sel_bind_runs_each_continuation_once_per_valuation():
         calls[x] += 1
         return sel_unit(mon, x)
 
-    either = sel_or(mon, sel_unit(mon, TT_ELEM), sel_unit(mon, FF_ELEM))
+    either = sel_or(mon, sel_unit(mon, TT), sel_unit(mon, FF))
     f = sel_bind(mon, either, k)
     gamma = gamma_from_table({"ff": F(1)}, parse_program("tt").config)
-    assert f(gamma) == (F(0), FF_ELEM)
-    assert calls == {TT_ELEM: 1, FF_ELEM: 1}
+    assert f(gamma) == (F(0), FF)
+    assert calls == {TT: 1, FF: 1}
     # the memo lives for one run: a second valuation calls k afresh
-    assert f(zero_gamma(parse_program("tt").config)) == (F(0), TT_ELEM)
-    assert calls == {TT_ELEM: 2, FF_ELEM: 2}
+    assert f(zero_gamma(parse_program("tt").config)) == (F(0), TT)
+    assert calls == {TT: 2, FF: 2}
     # a k that ignores x returns one computation, which each run runs once
     runs = []
 
@@ -235,8 +236,8 @@ def test_sel_bind_runs_each_continuation_once_per_valuation():
         return either(g)
 
     h = sel_bind(mon, either, lambda x: shared)
-    assert h(gamma) == (F(0), FF_ELEM) and len(runs) == 1
-    assert h(zero_gamma(parse_program("tt").config)) == (F(0), TT_ELEM)
+    assert h(gamma) == (F(0), FF) and len(runs) == 1
+    assert h(zero_gamma(parse_program("tt").config)) == (F(0), TT)
     assert len(runs) == 2
 
 
