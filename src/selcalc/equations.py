@@ -23,10 +23,11 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .monads import atoms, make_monad
 from .operational import eval_effect
-from .rewards import ONE, ZERO, Rational
+from .rewards import ONE, ZERO, Rational, RewardStructure
 from .selection import denote, gamma_from_table
 from .strategies import argmax, best_outcomes, check_cap
 from .syntax import (
@@ -289,13 +290,20 @@ GAMMA_POOL = tuple(Rational(n) for n in range(-3, 4)) + (
     Rational(1, 2), Rational(-1, 2), Rational(1, 3), Rational(-1, 3))
 
 
+@cache
+def _gamma_pool(structure: RewardStructure) -> tuple[Rational, ...]:
+    """The rewards of ``GAMMA_POOL`` in the structure's carrier, in order;
+    worked out once per structure."""
+    return tuple(r for r in GAMMA_POOL if structure.contains(r))
+
+
 def gamma_tables(base: str, config: LangConfig, count: int = 64,
                  seed: int = 0) -> list[dict[str, Rational]]:
     """A batch of valuation tables over a finite base type.  The zero table
     always comes first; the rest draw entries from ``GAMMA_POOL``
     (restricted to the structure's carrier)."""
     consts = config.constants_of(base)
-    entries = [r for r in GAMMA_POOL if config.structure.contains(r)]
+    entries = _gamma_pool(config.structure)
     rng = random.Random(seed)
     z = config.structure.zero
     tables = [{c.name: z for c in consts}]

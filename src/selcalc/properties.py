@@ -574,7 +574,12 @@ def run_suite(name: str, seed: int = 0, cases: int | None = None,
               monad: str | None = None, jobs: int | None = None) -> SuiteResult:
     """Run a property suite, fanning cases out over a process pool.  Case
     results are reduced in index order, so the report does not depend on
-    scheduling.  Raises ValueError for a monad the suite does not declare."""
+    scheduling.  Raises ValueError for an unknown suite, a negative case
+    count, or a monad the suite does not declare."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+    if cases is not None and cases < 0:
+        raise ValueError(f"cases must be nonnegative, got {cases}")
     monad = suite_monad(name, monad)
     n = SUITES[name].cases if cases is None else cases
     total = n * SUITES[name].parts

@@ -306,16 +306,12 @@ class LangConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if "Bool" not in self.bases:
             self.bases = {**BUILTIN_BASES, **self.bases}
-        self._const_table = {}
+        self._const_table = {}  # one Const per declared constant, by name
         for base, consts in self.bases.items():
             for i, c in enumerate(consts):
                 if c in self._const_table:
                     raise ValueError(f"constant {c!r} declared twice")
-                self._const_table[c] = (base, i)
-
-    def constant(self, name: str) -> Const:
-        base, i = self._const_table[name]
-        return Const(name, base, i)
+                self._const_table[c] = Const(c, base, i)
 
     def has_constant(self, name: str) -> bool:
         return name in self._const_table
@@ -623,13 +619,12 @@ def fold_term(t: Term, node, bind=None, env=None):
         if kids is None:
             emit(node(s, (), env))
             continue
-        kids = kids(s)
-        saved = None
         if cls is Lam:
-            saved = (env[s.var],) if s.var in env else ()
+            push((s, len(done), (env[s.var],) if s.var in env else ()))
             env[s.var] = s.ty if bind is None else bind(s, env)
-        push((s, len(done), saved))
-        work.extend(reversed(kids))
+        else:
+            push((s, len(done), None))
+        work += kids(s)[::-1]
     return done[0]
 
 
@@ -697,7 +692,7 @@ def _kid(s: Term, kids, i: int, want: Type | None = None) -> Type:
     so a node reports the first failure in the order it looks at them."""
     k = kids[i]
     if type(k) is not _Fail:
-        if want is None or k == want:
+        if want is None or k is want or k == want:
             return k
         k = _Fail(f"expected {want}, got {k}")
     k.legs.append(f"arg{i}" if type(s) is FnApp else _LEGS[type(s)][i])
@@ -712,77 +707,81 @@ def typecheck(t: Term, env: dict[str, Type] | None = None,
     each node's type, or the failure it passes up, comes from its
     children's."""
     config = config or LangConfig()
-
-    def rule(s, kids, env):
-        cls = type(s)
-        if cls is Var:
-            if s.name not in env:
-                raise _Fail(f"unbound variable {s.name}")
-            return env[s.name]
-        if cls is Const:
-            return Base(s.base)
-        if cls is App:
-            fty = _kid(s, kids, 0)
-            if not isinstance(fty, Arrow):
-                raise _Fail(f"application of non-function of type {fty}")
-            _kid(s, kids, 1, fty.arg)
-            return fty.res
-        if cls is Lam:
-            return Arrow(s.ty, _kid(s, kids, 0))
-        if cls is Rew:
-            _kid(s, kids, 0, REW)
-            return _kid(s, kids, 1)
-        if cls is RewConst:
-            try:
-                config.structure.check_member(s.value)
-            except ValueError as e:
-                raise _Fail(str(e)) from None
-            return REW
-        if cls is If or cls is Or or cls is PChoice:
-            if cls is PChoice and config.mode != "prob":
-                raise _Fail("probabilistic choice needs mode prob")
-            if cls is PChoice and not (0 <= s.weight <= 1):
-                raise _Fail(f"choice weight {s.weight} outside [0,1]")
-            if cls is If:
-                _kid(s, kids, 0, BOOL)
-            a, b = _kid(s, kids, len(kids) - 2), _kid(s, kids, len(kids) - 1)
-            if a != b:
-                what = {If: "", Or: "or ", PChoice: "+[p] "}[cls]
-                raise _Fail(f"{what}branches disagree: {a} vs {b}")
-            return a
-        if cls is Pair:
-            return Prod(_kid(s, kids, 0), _kid(s, kids, 1))
-        if cls is Fst or cls is Snd:
-            ty = _kid(s, kids, 0)
-            if not isinstance(ty, Prod):
-                raise _Fail(f"{'fst' if cls is Fst else 'snd'} applied to {ty}")
-            return ty.fst if cls is Fst else ty.snd
-        if cls is FnApp and s.sym == "==" and len(kids) == 2:
-            t1, t2 = _kid(s, kids, 0), _kid(s, kids, 1)
-            if not (isinstance(t1, Base) and t1 == t2 and t1.name != "Rew"
-                    and t1.name in config.bases):
-                raise _Fail(f"== needs two values of one finite base, got {t1}, {t2}")
-            return BOOL
-        if cls is FnApp:
-            if s.sym not in FN_SIGNATURES:
-                raise _Fail(f"unknown function symbol {s.sym}")
-            arg_tys, res = FN_SIGNATURES[s.sym]
-            if len(kids) != len(arg_tys):
-                raise _Fail(f"{s.sym} expects {len(arg_tys)} arguments")
-            for i, want in enumerate(arg_tys):
-                _kid(s, kids, i, want)
-            if s.sym == "oplus" and (s.weight is None or not (0 <= s.weight <= 1)):
-                raise _Fail("oplus weight must lie in [0,1]")
-            return res
-        if cls is Star:
-            return UNIT
-        if cls is Hole:
-            raise _Fail("hole in complete program")
-        raise _Fail(f"unrecognized term {s!r}")
+    check_member = config.structure.check_member
+    bases = {"Bool": BOOL, "Rew": REW}  # the type of each constant's base
 
     def node(s, kids, env):
+        # the classes most frequent in programs come first
+        cls = type(s)
         try:
-            return rule(s, kids, env)
+            if cls is RewConst:
+                try:
+                    check_member(s.value)
+                except ValueError as e:
+                    raise _Fail(str(e)) from None
+                return REW
+            if cls is FnApp:
+                if s.sym == "==" and len(kids) == 2:
+                    t1, t2 = _kid(s, kids, 0), _kid(s, kids, 1)
+                    if not (isinstance(t1, Base) and t1 == t2 and t1.name != "Rew"
+                            and t1.name in config.bases):
+                        raise _Fail(f"== needs two values of one finite base, "
+                                    f"got {t1}, {t2}")
+                    return BOOL
+                if s.sym not in FN_SIGNATURES:
+                    raise _Fail(f"unknown function symbol {s.sym}")
+                arg_tys, res = FN_SIGNATURES[s.sym]
+                if len(kids) != len(arg_tys):
+                    raise _Fail(f"{s.sym} expects {len(arg_tys)} arguments")
+                for i, want in enumerate(arg_tys):
+                    _kid(s, kids, i, want)
+                if s.sym == "oplus" and (s.weight is None or not (0 <= s.weight <= 1)):
+                    raise _Fail("oplus weight must lie in [0,1]")
+                return res
+            if cls is Const:
+                ty = bases.get(s.base)
+                if ty is None:
+                    ty = bases[s.base] = Base(s.base)
+                return ty
+            if cls is Var:
+                if s.name not in env:
+                    raise _Fail(f"unbound variable {s.name}")
+                return env[s.name]
+            if cls is App:
+                fty = _kid(s, kids, 0)
+                if not isinstance(fty, Arrow):
+                    raise _Fail(f"application of non-function of type {fty}")
+                _kid(s, kids, 1, fty.arg)
+                return fty.res
+            if cls is Lam:
+                return Arrow(s.ty, _kid(s, kids, 0))
+            if cls is Rew:
+                _kid(s, kids, 0, REW)
+                return _kid(s, kids, 1)
+            if cls is If or cls is Or or cls is PChoice:
+                if cls is PChoice and config.mode != "prob":
+                    raise _Fail("probabilistic choice needs mode prob")
+                if cls is PChoice and not (0 <= s.weight <= 1):
+                    raise _Fail(f"choice weight {s.weight} outside [0,1]")
+                if cls is If:
+                    _kid(s, kids, 0, BOOL)
+                a, b = _kid(s, kids, len(kids) - 2), _kid(s, kids, len(kids) - 1)
+                if a is not b and a != b:
+                    what = {If: "", Or: "or ", PChoice: "+[p] "}[cls]
+                    raise _Fail(f"{what}branches disagree: {a} vs {b}")
+                return a
+            if cls is Pair:
+                return Prod(_kid(s, kids, 0), _kid(s, kids, 1))
+            if cls is Fst or cls is Snd:
+                ty = _kid(s, kids, 0)
+                if not isinstance(ty, Prod):
+                    raise _Fail(f"{'fst' if cls is Fst else 'snd'} applied to {ty}")
+                return ty.fst if cls is Fst else ty.snd
+            if cls is Star:
+                return UNIT
+            if cls is Hole:
+                raise _Fail("hole in complete program")
+            raise _Fail(f"unrecognized term {s!r}")
         except _Fail as fail:
             return fail
 
@@ -821,32 +820,42 @@ _KEYWORDS = {"or", "if", "then", "else", "fun", "let", "in", "fst", "snd",
              "oplus", "base", "mode", "rewards", "prob", "structure"}
 
 
-# one token after any whitespace and comments, named by its kind; the
-# alternatives are tried in order.  \d is a decimal digit (one int()
-# reads), \w a letter, digit or numeral, or '_'; a name starts with a
-# letter or '_', so a numeral that is no decimal digit, such as '²', is
-# a name's first character only to be refused by _lex
-_TOKEN = re.compile(r"(?:\s+|#[^\n]*)*(?:(?P<rat>-?\d+(?:/\d+)?)"
-                    r"|(?P<ident>[^\W\d][\w']*)|(?P<hole>\[-\])"
-                    f"|(?P<punct>{'|'.join(map(re.escape, _PUNCT))})"
-                    r"|(?P<eof>\Z)|(?P<bad>.))", re.S)
+# the text of one token after any whitespace and comments; the
+# alternatives are tried in order: a numeral, a name, the hole, a
+# punctuation mark, the end of the input, any other character.  \d is a
+# decimal digit (one int() reads), \w a letter, digit or numeral, or '_';
+# a name starts with a letter or '_', so a numeral that is no decimal
+# digit, such as '²', is a name's first character only to be refused by
+# _lex
+_TOKEN = re.compile(r"(?:\s+|#[^\n]*)*(-?\d+(?:/\d+)?|[^\W\d][\w']*|\[-\]"
+                    f"|{'|'.join(map(re.escape, _PUNCT))}|\\Z|.)", re.S)
+
+# the token of each text that is always the same token: keywords,
+# punctuation, the hole, and the empty text at the end of the input
+_FIXED = {**{p: ("punct", p) for p in _PUNCT},
+          **{w: ("kw", w) for w in _KEYWORDS},
+          "[-]": ("hole", "[-]"), "": ("eof", "")}
 
 
 def _lex(src: str) -> list[tuple[str, str]]:
+    """The (kind, text) tokens of src, ending with ("eof", "").  Any
+    other text is a name when it starts with a letter or '_', and a
+    numeral when it starts with a decimal digit or is '-' and more."""
     toks = []
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        text = m[kind]
-        if kind == "ident":
-            if text in _KEYWORDS:
-                kind = "kw"
-            elif not (text[0].isalpha() or text[0] == "_"):
-                kind = "bad"
-        if kind == "bad":
-            raise SelSyntaxError(f"unexpected character {text[0]!r} at "
-                                 f"offset {m.start(m.lastgroup)}")
-        toks.append((kind, text))
-        if kind == "eof":  # \Z may match again, empty, after trailing space
+    for text in _TOKEN.findall(src):
+        tok = _FIXED.get(text)
+        if tok is None:
+            c = text[0]
+            if c.isalpha() or c == "_":
+                tok = ("ident", text)
+            elif c.isdecimal() or (c == "-" and len(text) > 1):
+                tok = ("rat", text)
+            else:  # findall keeps no offsets: match again to find it
+                at = list(_TOKEN.finditer(src))[len(toks)].start(1)
+                raise SelSyntaxError(
+                    f"unexpected character {c!r} at offset {at}")
+        toks.append(tok)
+        if not text:  # \Z may match again, empty, after trailing space
             return toks
 
 
@@ -859,6 +868,9 @@ class SelSyntaxError(Exception):
 # precedence levels, loosest to tightest, shared by parser and printer
 _P_TOP, _P_OR, _P_PC, _P_CMP, _P_ADD, _P_REW, _P_APP, _P_ATOM = range(8)
 
+# The parser knows a keyword or punctuation token by its text alone: no
+# name, numeral, hole or end of input has the text of one.
+
 # infix operator: (the minimum level of its right operand, whether it
 # associates left); '==' and '<=' do not associate, '.' nests rightwards
 _INFIX = {"or": (_P_PC, True), "+[": (_P_CMP, True), "==": (_P_ADD, False),
@@ -869,206 +881,196 @@ _INFIX = {"or": (_P_PC, True), "+[": (_P_CMP, True), "==": (_P_ADD, False),
 _TYPE_INFIX = {"->": (_P_TOP, False), "*": (_P_ATOM, True)}
 
 # each construction with subterms, by its opening token or operator
-# ("app" is juxtaposition): (the level of the term it makes, the token
-# (kind, text) that must follow each of its parts or None, the function
-# making the term from its data and parts); an operator's first part is
-# its left operand.  A construction opens only in a context whose minimum
-# level is at most its own, so if, fun and let open only at the top.
+# ("app" is juxtaposition): (the level of the term it makes, the texts of
+# the tokens that must follow each of its parts, the function making the
+# term from its data and parts); an operator's first part is its left
+# operand, a binder's is its type.  A construction opens only in a
+# context whose minimum level is at most its own, so if, fun and let
+# open only at the top.
 _CONSTRUCTS = {
-    "(": (_P_ATOM, (("punct", ")"),), lambda _, t: t),
-    "<": (_P_ATOM, (("punct", ","), ("punct", ">")), lambda _, a, b: Pair(a, b)),
-    "oplus": (_P_ATOM, (("punct", ","), ("punct", ")")),
+    "(": (_P_ATOM, ((")",),), lambda _, t: t),
+    "<": (_P_ATOM, ((",",), (">",)), lambda _, a, b: Pair(a, b)),
+    "oplus": (_P_ATOM, ((",",), (")",)),
               lambda p, a, b: FnApp("oplus", (a, b), p)),
-    "fst": (_P_ATOM, (None,), lambda _, t: Fst(t)),
-    "snd": (_P_ATOM, (None,), lambda _, t: Snd(t)),
-    "if": (_P_TOP, (("kw", "then"), ("kw", "else"), None),
-           lambda _, c, a, b: If(c, a, b)),
-    "fun": (_P_TOP, (None,), lambda d, body: Lam(*d, body)),
-    "let": (_P_TOP, (("kw", "in"), None), lambda d, m, n: App(Lam(*d, n), m)),
-    "app": (_P_APP, (None, None), lambda _, f, a: App(f, a)),
-    "or": (_P_OR, (None, None), lambda _, a, b: Or(a, b)),
-    "+[": (_P_PC, (None, None), PChoice),
-    "==": (_P_CMP, (None, None), lambda _, a, b: FnApp("==", (a, b))),
-    "<=": (_P_CMP, (None, None), lambda _, a, b: FnApp("<=", (a, b))),
-    "+": (_P_ADD, (None, None), lambda _, a, b: FnApp("+", (a, b))),
-    ".": (_P_REW, (None, None), lambda _, a, b: Rew(a, b)),
-    "->": (_P_TOP, (None, None), lambda _, a, b: Arrow(a, b)),
-    "*": (_P_APP, (None, None), lambda _, a, b: Prod(a, b)),
+    "fst": (_P_ATOM, ((),), lambda _, t: Fst(t)),
+    "snd": (_P_ATOM, ((),), lambda _, t: Snd(t)),
+    "if": (_P_TOP, (("then",), ("else",), ()), lambda _, c, a, b: If(c, a, b)),
+    "fun": (_P_TOP, ((")", "->"), ()), Lam),
+    "let": (_P_TOP, (("=",), ("in",), ()),
+            lambda x, ty, m, n: App(Lam(x, ty, n), m)),
+    "app": (_P_APP, ((), ()), lambda _, f, a: App(f, a)),
+    "or": (_P_OR, ((), ()), lambda _, a, b: Or(a, b)),
+    "+[": (_P_PC, ((), ()), PChoice),
+    "==": (_P_CMP, ((), ()), lambda _, a, b: FnApp("==", (a, b))),
+    "<=": (_P_CMP, ((), ()), lambda _, a, b: FnApp("<=", (a, b))),
+    "+": (_P_ADD, ((), ()), lambda _, a, b: FnApp("+", (a, b))),
+    ".": (_P_REW, ((), ()), lambda _, a, b: Rew(a, b)),
+    "->": (_P_TOP, ((), ()), lambda _, a, b: Arrow(a, b)),
+    "*": (_P_APP, ((), ()), lambda _, a, b: Prod(a, b)),
 }
 
 # the tokens that open a construction of a term
-_OPENERS = {("punct", "("), ("punct", "<"), ("kw", "fst"), ("kw", "snd"),
-            ("kw", "oplus"), ("kw", "if"), ("kw", "fun"), ("kw", "let")}
+_OPENERS = {"(", "<", "fst", "snd", "oplus", "if", "fun", "let"}
 
-# the tokens that begin an atom, the argument of an application: those
-# of a primary, (kind, None) standing for every token of its kind, and
-# those opening a construction of level _P_ATOM
-_ARG_STARTS = {("ident", None), ("rat", None), ("hole", None), ("punct", "*"),
-               *(tok for tok in _OPENERS if _CONSTRUCTS[tok[1]][0] == _P_ATOM)}
+# the tokens that begin an atom, the argument of an application: the
+# kinds of the primaries (and '*'), and the texts of the tokens opening
+# a construction of level _P_ATOM; no kind is the text of a keyword or
+# punctuation
+_ARG_STARTS = {"ident", "rat", "hole", "*",
+               *(v for v in _OPENERS if _CONSTRUCTS[v][0] == _P_ATOM)}
+
+# a grammar: (its infix operators, the tokens that open its
+# constructions, the tokens that begin a juxtaposed argument); types have
+# no juxtaposition, and their primaries are type names
+_TERM = (_INFIX, _OPENERS, _ARG_STARTS)
+_TYPE = (_TYPE_INFIX, {"("}, set())
+
+# the built-in types by name; any other type name is a declared base
+_TYPE_NAMES = {"Unit": UNIT, "Rew": REW, "Bool": BOOL}
 
 
-class _Parser:
-    def __init__(self, toks: list[tuple[str, str]], config: LangConfig):
-        self.toks = toks
-        self.pos = 0
-        self.config = config
+def _expected(want: str, toks, i: int, start: int) -> SelSyntaxError:
+    """The error for token i, which is not want; start numbers token 0."""
+    return SelSyntaxError(f"expected {want!r}, found {toks[i][1]!r} "
+                          f"(token {i + 1 - start})")
 
-    def peek(self) -> tuple[str, str]:
-        return self.toks[min(self.pos, len(self.toks) - 1)]
 
-    def next(self) -> tuple[str, str]:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+def _expect(toks, i: int, texts, start: int) -> int:
+    """The index past the tokens of texts, which must start at token i."""
+    for text in texts:
+        if toks[i][1] != text:
+            raise _expected(text, toks, i, start)
+        i += 1
+    return i
 
-    def expect(self, kind: str, text: str | None = None) -> str:
-        k, v = self.next()
-        if k != kind or (text is not None and v != text):
-            want = text or kind
-            raise SelSyntaxError(f"expected {want!r}, found {v!r} (token {self.pos})")
-        return v
 
-    def rational(self) -> Fraction:
-        text = self.expect("rat")
-        num, _, den = text.partition("/")
-        try:
-            n, d = int(num), int(den or 1)
-        except ValueError:  # past Python's int/str digit limit
-            raise SelSyntaxError(f"numeral {text[:20]}... has too many digits "
-                                 f"(token {self.pos})") from None
-        if d == 0:
-            raise SelSyntaxError(
-                f"zero denominator in {text!r} (token {self.pos})")
-        g = gcd(n, d)
-        return _rational(n // g, d // g)
+def _numeral(toks, i: int, start: int) -> Fraction:
+    """The rational of numeral token i."""
+    kind, text = toks[i]
+    if kind != "rat":
+        raise _expected("rat", toks, i, start)
+    try:
+        if "/" not in text:  # an integer is in lowest terms
+            return _rational(int(text), 1)
+        num, den = text.split("/")
+        n, d = int(num), int(den)
+    except ValueError:  # past Python's int/str digit limit
+        raise SelSyntaxError(f"numeral {text[:20]}... has too many digits "
+                             f"(token {i + 1 - start})") from None
+    if d == 0:
+        raise SelSyntaxError(
+            f"zero denominator in {text!r} (token {i + 1 - start})")
+    g = gcd(n, d)
+    return _rational(n // g, d // g)
 
-    def phrase(self, grammar) -> Term | Type:
-        """The longest term (or type) of the grammar, ``_Parser.TERM`` or
-        ``_Parser.TYPE``, at the current token.  term := if/fun/let |
-        orterm, where orterm is built from atoms by juxtaposition and the
-        operators of _INFIX; a type is built from names and parentheses by
-        those of _TYPE_INFIX.  Precedence climbing over an explicit stack
-        of pending constructions, each frame holding (kind, the minimum
-        level of its context, its data, its parts so far), so nesting
-        uses no Python recursion."""
-        infix, openers, arg_starts, primary = grammar
-        stack = []
-        m = _P_TOP
-        while True:
-            frame = self.opening(m, openers)
-            if frame is not None:
-                stack.append(frame)
-                m = _P_ATOM if frame[0] in ("fst", "snd") else _P_TOP
+
+def _parse(toks: list[tuple[str, str]], config: LangConfig, grammar,
+           start: int = 0):
+    """The phrase of the grammar, ``_TERM`` or ``_TYPE``, that spans toks
+    from token start, which messages number 0, and whether it has a
+    probabilistic choice.  term := if/fun/let | orterm, where orterm is
+    built from atoms by juxtaposition and the operators of _INFIX; a type
+    is built from names and parentheses by those of _TYPE_INFIX.
+    Precedence climbing over an explicit stack of pending constructions,
+    each frame holding (kind, the minimum level of its context, its data,
+    its parts so far, the grammar of its context), so nesting uses no
+    Python recursion; a binder's type is read by the same loop."""
+    consts = config._const_table
+    infix, openers, args = grammar
+    stack = []
+    m = _P_TOP
+    i = start
+    prob = False
+    while True:
+        # an operand: the construction it opens, or a primary
+        k, v = toks[i]
+        i += 1
+        if v in openers and _CONSTRUCTS[v][0] >= m:
+            data = None
+            if v == "oplus":
+                i = _expect(toks, i, ("[",), start)
+                data = _numeral(toks, i, start)
+                i = _expect(toks, i + 1, ("]", "("), start)
+                prob = True
+            elif v == "fun" or v == "let":
+                if v == "fun":
+                    i = _expect(toks, i, ("(",), start)
+                if toks[i][0] != "ident":
+                    raise _expected("ident", toks, i, start)
+                data = toks[i][1]
+                i = _expect(toks, i + 1, (":",), start)
+                stack.append((v, m, data, [], grammar))
+                infix, openers, args = grammar = _TYPE
+                m = _P_TOP
                 continue
-            left, level = primary(self), _P_ATOM
-            while True:
-                k, v = self.peek()
-                op = infix.get(v) if k in ("kw", "punct") else None
-                if op is not None:
-                    at = _CONSTRUCTS[v][0]
-                    if at >= m and (level >= at if op[1] else level > at):
-                        self.next()
-                        p = None
-                        if v == "+[":
-                            p = self.rational()
-                            self.expect("punct", "]")
-                        stack.append((v, m, p, [left]))
-                        m = op[0]
-                        break
-                if (m <= _P_APP <= level and ((k, None) in arg_starts
-                                               or (k, v) in arg_starts)):
-                    stack.append(("app", m, None, [left]))
-                    m = _P_ATOM
+            stack.append((v, m, data, [], grammar))
+            m = _P_ATOM if v == "fst" or v == "snd" else _P_TOP
+            continue
+        if grammar is _TYPE:
+            if k != "ident":
+                raise SelSyntaxError(f"expected a type, found {v!r}")
+            left = _TYPE_NAMES.get(v)
+            if left is None:
+                if v not in config.bases:
+                    raise SelSyntaxError(f"unknown type {v}")
+                left = Base(v)
+        elif k == "ident":
+            left = consts.get(v) or Var(v)
+        elif k == "rat":
+            left = RewConst(_numeral(toks, i - 1, start))
+        elif k == "hole":
+            left = Hole()
+        elif v == "*":
+            left = Star()
+        else:
+            raise SelSyntaxError(f"unexpected token {v!r} (token {i - 1 - start})")
+        level = _P_ATOM
+        # the operators and closing tokens after it
+        while True:
+            k, v = toks[i]
+            op = infix.get(v)
+            if op is not None:
+                at = _CONSTRUCTS[v][0]
+                if at >= m and (level >= at if op[1] else level > at):
+                    i += 1
+                    p = None
+                    if v == "+[":
+                        p = _numeral(toks, i, start)
+                        i = _expect(toks, i + 1, ("]",), start)
+                        prob = True
+                    stack.append((v, m, p, [left], grammar))
+                    m = op[0]
                     break
-                if not stack:
-                    return left
-                kind, m, data, parts = stack.pop()
-                parts.append(left)
-                level, closers, build = _CONSTRUCTS[kind]
-                if closers[len(parts) - 1] is not None:
-                    self.expect(*closers[len(parts) - 1])
-                if len(parts) < len(closers):
-                    stack.append((kind, m, data, parts))
-                    m = _P_TOP
-                    break
-                left = build(data, *parts)
-
-    def opening(self, m: int, openers):
-        """At a token of openers that opens a construction in a context of
-        minimum level m, consume it up to the construction's first part and
-        return its frame; otherwise None."""
-        k, v = self.peek()
-        if (k, v) not in openers or _CONSTRUCTS[v][0] < m:
-            return None
-        self.next()
-        data = None
-        if v == "oplus":
-            self.expect("punct", "[")
-            data = self.rational()
-            self.expect("punct", "]")
-            self.expect("punct", "(")
-        elif v in ("fun", "let"):
-            if v == "fun":
-                self.expect("punct", "(")
-            x = self.expect("ident")
-            self.expect("punct", ":")
-            data = (x, self.phrase(self.TYPE))
-            for closer in ((")", "->") if v == "fun" else ("=",)):
-                self.expect("punct", closer)
-        return (v, m, data, [])
-
-    def primary(self) -> Term:
-        """An atom without subterms: a rational, hole, name or ``*``."""
-        k, v = self.peek()
-        if k == "rat":
-            return RewConst(self.rational())
-        if k == "hole":
-            self.next()
-            return Hole()
-        if k == "ident":
-            self.next()
-            return self.config.constant(v) if self.config.has_constant(v) else Var(v)
-        if k == "punct" and v == "*":
-            self.next()
-            return Star()
-        raise SelSyntaxError(f"unexpected token {v!r} (token {self.pos})")
-
-    def type_name(self) -> Type:
-        """A type without subtypes: Unit, Rew or a declared base."""
-        k, v = self.next()
-        if k != "ident":
-            raise SelSyntaxError(f"expected a type, found {v!r}")
-        if v == "Unit":
-            return UNIT
-        if v == "Rew":
-            return REW
-        if v in self.config.bases:
-            return Base(v)
-        raise SelSyntaxError(f"unknown type {v}")
-
-    # a grammar: (its infix operators, the tokens that open its
-    # constructions, the tokens that begin a juxtaposed argument, its
-    # primary); types have no juxtaposition
-    TERM = (_INFIX, _OPENERS, _ARG_STARTS, primary)
-    TYPE = (_TYPE_INFIX, {("punct", "(")}, (), type_name)
-
-
-def _parse(toks: list[tuple[str, str]], config: LangConfig, grammar):
-    """The phrase of the grammar that spans toks."""
-    parser = _Parser(toks, config)
-    out = parser.phrase(grammar)
-    parser.expect("eof")
-    return out
+            if m <= _P_APP <= level and (k in args or v in args):
+                stack.append(("app", m, None, [left], grammar))
+                m = _P_ATOM
+                break
+            if not stack:
+                if k != "eof":
+                    raise _expected("eof", toks, i, start)
+                return left, prob
+            kind, m, data, parts, context = stack.pop()
+            if context is not grammar:
+                infix, openers, args = grammar = context
+            parts.append(left)
+            level, closers, build = _CONSTRUCTS[kind]
+            if closers[len(parts) - 1]:
+                i = _expect(toks, i, closers[len(parts) - 1], start)
+            if len(parts) < len(closers):
+                stack.append((kind, m, data, parts, grammar))
+                m = _P_TOP
+                break
+            left = build(data, *parts)
 
 
 def parse(src: str, config: LangConfig | None = None) -> Term:
     """Parse a bare term (no prelude)."""
-    return _parse(_lex(src), config or LangConfig(mode="prob"), _Parser.TERM)
+    return _parse(_lex(src), config or LangConfig(mode="prob"), _TERM)[0]
 
 
 def parse_type(src: str, config: LangConfig | None = None) -> Type:
     """Parse a type over the bases of config."""
-    return _parse(_lex(src), config or LangConfig(), _Parser.TYPE)
+    return _parse(_lex(src), config or LangConfig(), _TYPE)[0]
 
 
 def parse_program(src: str, mode: str | None = None,
@@ -1134,19 +1136,17 @@ def parse_program(src: str, mode: str | None = None,
 
     # parse the body permissively, then settle the mode
     try:
-        scratch = LangConfig(mode="prob", bases=bases, structure=final_structure)
+        config = LangConfig(mode="prob", bases=bases, structure=final_structure)
     except ValueError as e:  # a constant declared twice
         raise SelSyntaxError(str(e)) from None
-    term = _parse(toks[pos:], scratch, _Parser.TERM)
-
-    # no prelude has these tokens; in a parsed term they are its PChoice and oplus
-    has_prob = ("punct", "+[") in toks or ("kw", "oplus") in toks
+    term, has_prob = _parse(toks, config, _TERM, pos)
     final_mode = mode or declared_mode
     if final_mode is None:
         final_mode = "prob" if has_prob else "rewards"
     elif final_mode == "rewards" and has_prob:
         raise SelSyntaxError("mode rewards has no probabilistic choice")
-    config = LangConfig(mode=final_mode, bases=bases, structure=final_structure)
+    if final_mode != config.mode:
+        config = LangConfig(mode=final_mode, bases=bases, structure=final_structure)
     return Program(config, term)
 
 

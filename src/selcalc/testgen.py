@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .equations import (
-    AXIOMS, GAMMA_POOL, apply_axiom, default_tables, gamma_tables,
+    AXIOMS, GAMMA_POOL, _gamma_pool, apply_axiom, default_tables, gamma_tables,
 )
 from .monads import Dist, default_monad, make_monad, mrval, t2val
 from .rewards import DEFAULT_STRUCTURE, Rational, RewardStructure
@@ -52,8 +52,8 @@ class GenConfig:
         return random.Random(self.seed)
 
     @property
-    def rewards(self) -> list[Rational]:
-        return [r for r in GAMMA_POOL if self.structure.contains(r)]
+    def rewards(self) -> tuple[Rational, ...]:
+        return _gamma_pool(self.structure)
 
 
 ### valuations

@@ -510,6 +510,20 @@ def test_run_suite_refuses_a_monad_the_suite_does_not_declare(suite, monad):
         run_suite(suite, cases=1, monad=monad, jobs=1)
 
 
+def test_run_suite_refuses_a_negative_case_count():
+    from selcalc.properties import run_suite
+    with pytest.raises(ValueError, match="cases must be nonnegative, got -3"):
+        run_suite("argmax-lemmas", cases=-3, jobs=1)
+    assert run_suite("argmax-lemmas", cases=0, jobs=1).total == 0
+
+
+def test_run_suite_refuses_an_unknown_suite_and_names_the_known_ones():
+    from selcalc.properties import SUITES, run_suite
+    with pytest.raises(ValueError, match="unknown suite 'nope'; known: ") as e:
+        run_suite("nope", cases=1, jobs=1)
+    assert all(name in str(e.value) for name in SUITES)
+
+
 def test_run_suite_resolves_the_declared_default_monad():
     from selcalc.properties import suite_monad
     assert suite_monad("purity-prob") == "DW"

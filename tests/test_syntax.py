@@ -1,7 +1,8 @@
 """Parser, printer, and typechecker behavior, including mode inference from
-the file prelude; the lexer against the character loop it replaced, and
-the work substitution does."""
+the file prelude; the lexer against the character loop it replaced, the
+parser on random token streams, and the work substitution does."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -302,6 +303,36 @@ def test_lexer_matches_the_character_loop_on_generated_programs(mode):
     "\x1c", "\u216b", "@"]), max_size=24))
 def test_lexer_matches_the_character_loop_on_random_text(pieces):
     same_tokens("".join(pieces))
+
+
+### the parser on random token streams
+
+# the grammar's own tokens: every punctuation mark and keyword, names of
+# constants, variables and types, numerals, the hole, and prelude pieces
+PARSER_PIECES = syntax._PUNCT + sorted(_KEYWORDS) + [
+    "tt", "ff", "x", "y", "f", "a", "b", "C", "Bool", "Rew", "Unit", "0",
+    "1", "-2", "1/2", "2/4", "3/0", "[-]", "fun (x:Bool) ->",
+    "let x : Bool =", "+[1/3]", "oplus[1/2](", "mode prob;",
+    "mode rewards;", "base C = {a, b};", "structure NonNegAdd;",
+]
+
+
+def test_parser_on_random_token_streams():
+    """parse_program raises nothing but SelSyntaxError on a random stream
+    of up to 12 pieces, and every program it returns prints with pretty
+    and parses back equal, in its mode."""
+    rng = random.Random(0)
+    parsed = 0
+    for _ in range(30000):
+        src = " ".join(rng.choices(PARSER_PIECES, k=rng.randint(1, 12)))
+        try:
+            p = parse_program(src)
+        except SelSyntaxError:
+            continue
+        parsed += 1
+        q = parse_program(pretty_program(p))
+        assert (q.term, q.config.mode) == (p.term, p.config.mode), src
+    assert parsed > 500
 
 
 ### the work substitution does
