@@ -12,7 +12,10 @@
 T2 and T3 are the images of DW under the comparison map ``theta``: their
 operations are DW's, with ``mix``, ``bind`` and ``map`` followed by the
 monad's ``normal`` map, so ``vdis``, ``cond_reward`` and ``expect0`` read
-values of all three.  All are parametric in a reward structure.  T2 and
+values of all three, and ``theta`` into each of DW, T2 and T3 is that
+monad's ``normal`` map (the identity on DW).  Every monad that has an
+expectation computes ``expect`` directly, without building the mapped
+value.  All are parametric in a reward structure.  T2 and
 T3 require the structure to declare the gathering and mixing laws
 respectively; their constructors refuse structures that do not.
 
@@ -214,16 +217,12 @@ def mrval(mapping: dict[Any, Fraction]) -> MRVal:
 ### the monads
 
 class Monad:
-    """An auxiliary monad over a reward structure.  Expectation at a
-    valuation is ``alpha(map(gamma, u))`` unless a monad sums it directly."""
+    """An auxiliary monad over a reward structure."""
     name: str
     has_pchoice = False
 
     def __init__(self, structure: RewardStructure = DEFAULT_STRUCTURE):
         self.structure = structure
-
-    def expect(self, u, gamma) -> Fraction:
-        return self.alpha(self.map(gamma, u))
 
 
 class WMonad(Monad):
@@ -250,6 +249,11 @@ class WMonad(Monad):
         r, s = u
         return self.structure.add(r, s)
 
+    def expect(self, u, gamma) -> Fraction:
+        """alpha(map(gamma, u)), without building the mapped pair."""
+        r, x = u
+        return self.structure.add(r, gamma(x))
+
     def expect0(self, u) -> Fraction:
         """The reward: expectation at the zero valuation."""
         return u[0]
@@ -263,6 +267,10 @@ class DWMonad(Monad):
 
     def unit(self, x) -> Dist:
         return Dist.unit((self.structure.zero, x))
+
+    def normal(self, u: Dist) -> Dist:
+        """A DW value is its own normal form."""
+        return u
 
     def mix(self, weighted) -> Dist:
         return Dist.mix(weighted)
@@ -423,9 +431,14 @@ def default_monad(mode: str) -> str:
 ### comparison map out of DW, and direct observation summaries
 
 def theta(u: Dist, monad) -> Any:
-    """Embed a distribution of reward-and-value pairs into another monad by
-    rebuilding it from unit, reward, and convex mixture."""
-    return monad.mix([(p, monad.reward(r, monad.unit(x))) for (r, x), p in u._w.items()])
+    """The comparison map out of DW: a distribution of reward-and-value
+    pairs in the normal form of monad, which is DW, T2 or T3 (``normal``;
+    the identity on DW).  It equals rebuilding u from the target's unit,
+    reward and convex mixture, because those are DW's followed by
+    ``normal``.  W and MR hold no distribution: ValueError."""
+    if not isinstance(monad, DWMonad):
+        raise ValueError(f"theta maps DW into DW, T2 or T3, not {monad.name}")
+    return monad.normal(u)
 
 
 def vdis(u: Dist) -> Dist:

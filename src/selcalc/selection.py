@@ -224,14 +224,10 @@ def _compiler(config: LangConfig, monad):
         (c, a, b), bind = runs, ops[1]
         return lambda env: bind(c(env), lambda v: a(env) if v == TT else b(env))
 
-    def fn_app(s, runs, ops):
-        unit, bind, _, _ = ops
-
-        def chain(env, i, acc):  # one level per argument, at most two
-            if i == len(runs):
-                return unit(_eval_fn(s.sym, acc, s.weight, config))
-            return bind(runs[i](env), lambda v: chain(env, i + 1, acc + [v]))
-        return lambda env: chain(env, 0, [])
+    def fn_app(s, runs, ops):  # every symbol takes two arguments
+        (f, g), (unit, bind, _, _), sym, weight = runs, ops, s.sym, s.weight
+        return lambda env: bind(f(env), lambda u: bind(
+            g(env), lambda v: unit(_eval_fn(sym, (u, v), weight, config))))
 
     def rew(s, runs, ops):
         (r, f), (_, bind, reward, _) = runs, ops

@@ -30,6 +30,12 @@ ALLOWED = {
     ("rewards.py", "RewardStructure.big_convex"):
         "a finite convex combination, which the monad and reward tests "
         "compute expectations with",
+    ("monads.py", "WMonad.alpha"):
+        "the expectation of a W value over rewards, which the monad tests "
+        "read as the reference for W's direct expect",
+    ("monads.py", "DWMonad.alpha"):
+        "the expectation of a DW value over rewards, which the monad tests "
+        "read as the reference for expect in DW, T2 and T3",
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,7 @@ def dists(draw, atoms=ATOMS):
 
 
 @st.composite
-def dw_values(draw, atoms=ATOMS):
+def dw_values(draw, atoms=ATOMS, rewards=rewards):
     support = draw(st.lists(st.tuples(rewards, st.sampled_from(atoms)),
                             min_size=1, max_size=3, unique=True))
     weights = draw(st.lists(st.integers(1, 5), min_size=len(support),
@@ -127,6 +128,69 @@ def test_theta_preserves_expectation(name):
         assert mon.expect(theta(u, mon), gam) == dw.expect(u, gam)
 
     pres()
+
+
+def ref_theta(u, mon):
+    """theta as the rebuild of u from the target's unit, reward and mix."""
+    return mon.mix([(p, mon.reward(r, mon.unit(x))) for (r, x), p in u.pairs])
+
+
+def structure_cases(names):
+    """(monad name, structure) for every structure each monad accepts."""
+    for name in names:
+        for structure in STRUCTURES.values():
+            try:
+                yield name, make_monad(name, structure)
+            except ValueError:
+                continue
+
+
+@pytest.mark.parametrize("name,mon", structure_cases(["DW", "T2", "T3"]),
+                         ids=lambda v: v if isinstance(v, str) else v.structure.name)
+def test_theta_is_the_rebuild_through_unit_reward_mix(name, mon):
+    @settings(max_examples=80, deadline=None)
+    @given(dw_values(rewards=rewards.filter(mon.structure.contains)))
+    def same(u):
+        got = theta(u, mon)
+        assert got == ref_theta(u, mon)
+        if name == "DW":
+            assert type(got) is Dist and got == u
+
+    same()
+
+
+@pytest.mark.parametrize("name", ["W", "MR"])
+def test_theta_refuses_monads_without_distributions(name):
+    u = Dist([(F(1, 2), (F(1), "a")), (F(1, 2), (F(0), "b"))])
+    with pytest.raises(ValueError, match=rf"^theta maps DW into DW, T2 or T3, not {name}$"):
+        theta(u, make_monad(name, ST))
+
+
+@pytest.mark.parametrize("structure", STRUCTURES.values(), ids=lambda s: s.name)
+def test_w_expect_is_alpha_of_the_mapped_pair(structure):
+    mon = make_monad("W", structure)
+
+    @settings(max_examples=80, deadline=None)
+    @given(monad_values("W"), st.fixed_dictionaries({x: rewards for x in ATOMS}))
+    def same(u, table):
+        gam = table.__getitem__
+        try:
+            want = mon.alpha(mon.map(gam, u))
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                mon.expect(u, gam)
+            return
+        assert mon.expect(u, gam) == want
+
+    same()
+
+
+def test_w_expect_refuses_a_negative_reward_in_nonneg_add():
+    mon = make_monad("W", STRUCTURES["NonNegAdd"])
+    with pytest.raises(ValueError, match=r"^-1 is not a NonNegAdd reward$"):
+        mon.expect((F(2), "a"), {"a": F(-1)}.__getitem__)
+    with pytest.raises(ValueError, match=r"^-1 is not a NonNegAdd reward$"):
+        mon.expect((F(-1), "a"), {"a": F(2)}.__getitem__)
 
 
 def test_dist_merges_and_sorts():

@@ -32,8 +32,6 @@ ALLOWED = {
         "the pattern's depth: an axiom's left-hand side is a few levels deep",
     ("monads.py", "atom_key"):
         "the tuple nesting of a distribution atom: (reward, value) pairs",
-    ("selection.py", "chain"):
-        "the arity of a built-in function symbol, at most two",
     ("testgen.py", "leaf"): "the target type's depth",
     ("testgen.py", "go"): "gen_effect_value's max_ops, the generation size",
     # the distinguishing context is quadratic in pair depth anyway

@@ -1,6 +1,7 @@
 """Denotational semantics in the selection monad, its agreement with the
 operational selection outcome, and reward-shifting contexts."""
 
+import gc
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,8 @@ from selcalc.selection import (
     kappa_term, observe, read_back, zero_gamma,
 )
 from selcalc.syntax import (
-    App, BOOL, TT, Hole, Lam, Pair, parse_program, pretty, typecheck,
+    App, BOOL, FnApp, TT, Hole, Lam, Pair, nodes, parse_program, pretty,
+    typecheck,
 )
 from selcalc.testgen import GenConfig, default_gammas, gamma_tables, gen_program
 
@@ -366,3 +368,36 @@ def test_an_error_without_choice_raises_on_every_run():
     for _ in range(2):
         with pytest.raises(ValueError, match="not a NonNegAdd reward"):
             d(zero_gamma(config))
+
+
+@pytest.mark.parametrize("name", ["W", "MR"])
+def test_prob_observe_refuses_monads_without_distributions(name):
+    p = parse_program(E2)
+    with pytest.raises(ValueError,
+                       match=rf"^theta maps DW into DW, T2 or T3, not {name}$"):
+        observe(p.term, p.config, name)
+
+
+def test_denotations_free_themselves_without_the_cyclic_collector():
+    programs = []
+    for mode, monad_name in (("rewards", "W"), ("prob", "DW")):
+        cfg = GenConfig(seed=3, max_term_size=30, mode=mode)
+        config, rng = cfg.lang(), cfg.rng()
+        mon = make_monad(monad_name, config.structure)
+        gammas = [gamma_from_table(w, config)
+                  for w in gamma_tables("Bool", config, 4)]
+        programs += [(gen_program(cfg, BOOL, rng, config), config, mon, gammas)
+                     for _ in range(40)]
+    assert {s.sym for m, *_ in programs for s in nodes(m)
+            if type(s) is FnApp} == {"+", "<=", "==", "oplus"}
+    gc.collect()
+    gc.disable()
+    try:
+        for m, config, mon, gammas in programs:
+            d = denote(m, config, mon)
+            for g in gammas:
+                d(g)
+            del d
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
