@@ -7,7 +7,8 @@ whose key comes from the auxiliary monad; forms compare up to renaming.
 Rewards mode has a complete story: every program of base type normalizes to
 an or-chain of rewarded values with no value repeated, two programs are
 contextually equivalent exactly when their canonical forms coincide, and
-differing canonical forms yield an explicit distinguishing context.
+differing canonical forms over ground values yield an explicit
+distinguishing context, under every reward structure.
 
 Probabilistic mode gets a weak canonical form (an or-chain of probabilistic
 reward-values, normalized per auxiliary monad), a sound but incomplete
@@ -146,110 +147,115 @@ def rewards_impurity_witness(m: Term, config: LangConfig
 
 class NoDistinguishingContext(Exception):
     """Raised when two programs' canonical forms differ but no context
-    separating them can be built: the reward structure has no procedure
-    for it, the values to tell apart are not ground, or (probabilistic
-    mode) valuations of the programs' type cannot be sampled."""
+    separating them can be built: the values to tell apart are not
+    ground, or (probabilistic mode) valuations of the programs' type
+    cannot be sampled."""
 
 
 def _ground_type(v: Term):
     """The type of a ground value (constants, ``*`` and pairs of them),
-    or None for any other value."""
-    match v:
-        case Const(_, base, _):
-            return Base(base)
-        case Star():
-            return UNIT
-        case Pair(a, b):
-            ta, tb = _ground_type(a), _ground_type(b)
-            return None if ta is None or tb is None else Prod(ta, tb)
-    return None
+    or None for any other value; one ``fold_term`` fold."""
+    def node(s, kids, env):
+        match s:
+            case Const(_, base, _):
+                return Base(base)
+            case Star():
+                return UNIT
+            case Pair():
+                return None if None in kids else Prod(*kids)
+        return None
+
+    return fold_term(v, node)
 
 
-def _equals(x: Term, v: Term) -> Term:
-    """A Bool term testing the ground value x against v, comparing
-    constants with ``==`` and pairs component by component (``*`` needs
-    no test)."""
-    match v:
-        case Const():
-            return FnApp("==", (x, v))
-        case Pair(a, b):
-            ta, tb = _equals(Fst(x), a), _equals(Snd(x), b)
-            return tb if ta == TT else ta if tb == TT else If(ta, tb, FF)
-    return TT
+def _leaf_test(x: Term, v0: Term, values: list[Term]) -> Term:
+    """A Bool term that holds when the ground value x is v0 and fails when
+    it is any other of ``values``.  For each such value in turn, x's
+    component at the first leaf (preorder, ``fst`` first) where that value
+    and v0 differ is compared with ``==`` against v0's constant there.
+    Each comparison is made once, in the order the values come; with none
+    the term is ``tt``."""
+    tests = {}
+    for w in values:
+        work = [(x, v0, w)]
+        while work:
+            at, u, u2 = work.pop()
+            if isinstance(u, Pair):
+                work += [(Snd(at), u.snd, u2.snd), (Fst(at), u.fst, u2.fst)]
+            elif u != u2:
+                tests[FnApp("==", (at, u))] = None
+                break
+    *outer, test = tests or [TT]
+    for t in reversed(outer):
+        test = If(t, test, FF)
+    return test
 
 
 def distinguish_rewards(m: Term, n: Term, config: LangConfig) -> Term | None:
     """A context C with a hole such that C[m] and C[n] have different
     optimal outcomes; None when the programs are equivalent.
 
-    The context compares the program's result against a chosen constant and
-    grants rewards placing that constant's entry just above or below the
+    The context tests the program's result against a chosen value and
+    grants rewards placing that value's entry just above or below the
     competition, so canonical forms that differ in entries, rewards, or
-    order become observably different.
+    order become observably different.  The structure's ⊕ (``st.add``)
+    must be a commutative monoid strictly increasing in each argument,
+    and the number ``zero + 1`` a member: it is the margin ``high`` each
+    placement wins by (1 under addition, 2 under multiplication).
+    Raises NoDistinguishingContext when the values to tell apart are not
+    ground.
     """
     a = canon_rewards(m, config)
     b = canon_rewards(n, config)
     if canon_equal(a, b):
         return None
     st = config.structure
-    if st.name != "AddRationals":
-        raise NoDistinguishingContext(
-            f"distinguishing contexts are built over AddRationals, not {st.name}")
-    low, high = ZERO, ONE
+    add, high = st.add, st.zero + 1
+    values = [v for _, v in a + b]
 
-    def find(entries, v):
-        for i, (c, w) in enumerate(entries):
-            if alpha_eq(w, v):
-                return i
-        return None
+    def ground_type(v):
+        ty = _ground_type(v)
+        if ty is None:
+            raise NoDistinguishingContext(
+                f"distinguishing contexts are built over ground values, not {pretty(v)}")
+        return ty
 
     def one_sided(a, b):
         """An entry of a whose value is missing in b, or is cheaper in a."""
-        for i0, (c, v) in enumerate(a):
-            j = find(b, v)
-            if j is None:
-                return i0
-            if c < b[j][0]:
-                return i0
-        return None
+        return next((i for i, (c, v) in enumerate(a)
+                     if not any(c >= d and alpha_eq(v, w) for d, w in b)), None)
 
     def context_value_gap(entries, i0, other):
         c0, v0 = entries[i0]
-        rest = [c for k, (c, _) in enumerate(entries) if k != i0]
-        rest += [c for c, _ in other]
-        cap = max(rest) if rest else ZERO
-        yes, no = Rew(RewConst(cap + high), TT), Rew(RewConst(c0 + low), TT)
-        ty = _ground_type(v0)
-        if ty is None:
-            raise NoDistinguishingContext(
-                f"distinguishing contexts are built over ground values, not {pretty(v0)}")
+        cap = max([c for k, (c, _) in enumerate(entries) if k != i0]
+                  + [c for c, _ in other])
+        yes, no = Rew(RewConst(add(cap, high)), TT), Rew(RewConst(c0), TT)
+        ty = ground_type(v0)
         if isinstance(v0, Const):
             return If(FnApp("==", (Hole(), v0)), yes, no)
-        return App(Lam("x", ty, If(_equals(Var("x"), v0), yes, no)), Hole())
+        return App(Lam("x", ty, If(_leaf_test(Var("x"), v0, values), yes, no)),
+                   Hole())
 
-    i0 = one_sided(a, b)
-    if i0 is not None:
-        return context_value_gap(a, i0, b)
-    j0 = one_sided(b, a)
-    if j0 is not None:
-        return context_value_gap(b, j0, a)
+    for entries, other in ((a, b), (b, a)):
+        i0 = one_sided(entries, other)
+        if i0 is not None:
+            return context_value_gap(entries, i0, other)
 
     # same entries, different order: split at the first differing position
     i = next(k for k in range(len(a)) if not (a[k][0] == b[k][0]
                                               and alpha_eq(a[k][1], b[k][1])))
     c_a, v_a = a[i]
     c_b, v_b = b[i]
-    ty = _ground_type(v_a)
-    if ty is None:
-        raise NoDistinguishingContext(
-            f"distinguishing contexts are built over ground values, not {pretty(v_a)}")
-    cap = max([c for c, _ in a] + [c for c, _ in b])
+    ty = ground_type(v_a)
+    cap = max(c for c, _ in a + b)
     x = Var("x")
-    body = If(_equals(x, v_a),
-              Rew(RewConst(cap + c_b + high), TT),
-              If(_equals(x, v_b),
-                 Rew(RewConst(cap + c_a + high), FF),
-                 Rew(RewConst(c_a + c_b + low), FF)))
+    # past the test for v_a, x is not v_a, so v_b's test need not reject it
+    on_b = Rew(RewConst(add(add(cap, c_a), high)), FF)
+    test_b = _leaf_test(x, v_b, [v for v in values if v != v_a])
+    if test_b != TT:
+        on_b = If(test_b, on_b, Rew(RewConst(add(c_a, c_b)), FF))
+    body = If(_leaf_test(x, v_a, values),
+              Rew(RewConst(add(add(cap, c_b), high)), TT), on_b)
     return App(Lam("x", ty, body), Hole())
 
 

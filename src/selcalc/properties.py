@@ -22,7 +22,7 @@ from .equations import (
     rewards_impurity_witness, weak_canon_prob, weak_canonical_term,
 )
 from .monads import default_monad, k_gamma, make_monad, mr_of_effect, mrval, theta
-from .rewards import DEFAULT_STRUCTURE, ZERO, Rational
+from .rewards import DEFAULT_STRUCTURE, STRUCTURES, ZERO, Rational
 from .selection import (
     agree_at, denote, embed_outcome, gamma_from_table, kappa_term, observe,
     zero_gamma,
@@ -296,11 +296,13 @@ def _suite_canon_sound(seed, cases, mode, monad):
 
 
 def _suite_equiv_roundtrip(seed, cases, mode, monad):
-    cfg = GenConfig(seed=seed, max_term_size=25, mode=mode)
-    config = cfg.lang()
-    mon = make_monad(monad, config.structure)
+    # case i runs under the (i mod 3)-th reward structure, by name
+    cfgs = [GenConfig(seed=seed, max_term_size=25, mode=mode,
+                      structure=STRUCTURES[name]) for name in sorted(STRUCTURES)]
+    setups = [(cfg, cfg.lang(), make_monad(monad, cfg.structure)) for cfg in cfgs]
 
     def one(i):
+        cfg, config, mon = setups[i % len(setups)]
         rng = _case_rng(seed, i)
         if i % 2:
             m, n = gen_equivalent_pair(cfg, rng, config)

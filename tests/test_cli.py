@@ -10,10 +10,12 @@ import selcalc
 
 from selcalc.cli import main
 from selcalc.properties import suites
+from selcalc.rewards import STRUCTURES
 from selcalc.selection import observe
 from selcalc.strategies import select_program
 from selcalc.syntax import (
-    BOOL, UNIT, Arrow, Prod, Program, parse_program, pretty_program, typecheck,
+    BOOL, UNIT, Arrow, Prod, Program, RewConst, fold_term, parse_program,
+    pretty_program, typecheck,
 )
 from selcalc.testgen import GenConfig, gen_program
 
@@ -669,13 +671,25 @@ def test_gen_out_of_range_is_a_usage_error(capsys, args):
 
 
 @pytest.mark.parametrize("structure", ["MulPositiveRationals", "NonNegAdd"])
-def test_equiv_without_context_procedure_is_indeterminate(sel, capsys,
-                                                          structure):
-    rc, out, err = run(capsys, "equiv",
-                       sel(f"structure {structure};\n(2 . tt) or (3 . ff)", "a.sel"),
-                       sel(f"structure {structure};\n(3 . tt) or (2 . ff)", "b.sel"))
-    assert rc == 2
-    assert err.startswith("indeterminate:") and "internal error" not in err
+def test_equiv_context_in_every_structure(sel, capsys, structure):
+    prelude = f"structure {structure};\n"
+    left, right = "(2 . tt) or (3 . ff)", "(3 . tt) or (2 . ff)"
+    files = [sel(prelude + left, "a.sel"), sel(prelude + right, "b.sel")]
+    rc, out, err = run(capsys, "equiv", "--json", *files)
+    assert rc == 1 and err == ""
+    ctx = json.loads(out)["context"]
+    rc, out, err = run(capsys, "distinguish", "--json", *files)
+    assert rc == 0 and json.loads(out)["context"] == ctx
+    rewards = fold_term(parse_program(prelude + ctx).term,
+                        lambda s, kids, env: ([s.value] if isinstance(s, RewConst)
+                                              else sum(kids, [])))
+    assert rewards and all(STRUCTURES[structure].contains(r) for r in rewards)
+    outcomes = []
+    for src in (left, right):
+        p = parse_program(prelude + plug_source(ctx, src))
+        assert typecheck(p.term, config=p.config) == BOOL
+        outcomes.append(select_program(p.term, p.config))
+    assert outcomes[0] != outcomes[1]
 
 
 def plug_source(context, src):

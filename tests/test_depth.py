@@ -7,6 +7,7 @@ so nesting depth is bounded by memory, not by Python's recursion limit.
 still nest once per level when they run; their current reach is pinned
 so that it cannot shrink unnoticed."""
 
+import json
 import random
 import sys
 from dataclasses import fields
@@ -191,6 +192,20 @@ def test_deep_product_types_print_in_type_errors(capsys, tmp_path):
     with pytest.raises(SelTypeError, match="or branches disagree"):
         typecheck(parse_program(
             f"{deep_pair('tt')} or {deep_pair('tt', N - 1)}").term)
+    assert sys.getrecursionlimit() == LIMIT
+
+
+def test_equiv_of_deep_pairs_tests_one_leaf(capsys, tmp_path):
+    # the context compares only the leaf where the two values differ, so
+    # it grows linearly with the pair depth
+    n = 1000
+    a, b = tmp_path / "a.sel", tmp_path / "b.sel"
+    a.write_text(deep_pair("(1 . tt or ff)", n))
+    b.write_text(deep_pair("(ff or 1 . tt)", n))
+    assert main(["equiv", "--json", str(a), str(b)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["context"]) < 20 * n
+    assert out["left"] != out["right"]
     assert sys.getrecursionlimit() == LIMIT
 
 

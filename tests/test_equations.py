@@ -11,6 +11,7 @@ from selcalc.equations import (
     weak_canonical_term,
 )
 from selcalc.monads import make_monad
+from selcalc.rewards import STRUCTURES
 from selcalc.selection import (
     agree_at, denote, gamma_from_table, observe, zero_gamma,
 )
@@ -225,15 +226,19 @@ def test_canonical_term_agrees_with_source(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_equiv_decision_matches_denotations(seed):
-    cfg_g = GenConfig(seed=seed, max_term_size=18)
-    config = cfg_g.lang()
-    m = gen_program(cfg_g, BOOL, config=config)
-    n = gen_program(cfg_g, BOOL, config=config)
-    mon = make_monad("W", config.structure)
-    gs = default_gammas(m, n, config, count=48, seed=seed * 7)
-    if decide_equiv_rewards(m, n, config):
-        assert agree_at(m, n, config, mon, gs)
-    else:
-        ctx = distinguish_rewards(m, n, config)
-        assert select_program(plug(ctx, m), config) != \
-            select_program(plug(ctx, n), config)
+    # each seed is tried under every structure; the two programs come from
+    # one rng, so they differ
+    for name, structure in sorted(STRUCTURES.items()):
+        cfg_g = GenConfig(seed=seed, max_term_size=18, structure=structure)
+        config = cfg_g.lang()
+        rng = cfg_g.rng()
+        m = gen_program(cfg_g, BOOL, rng, config)
+        n = gen_program(cfg_g, BOOL, rng, config)
+        mon = make_monad("W", structure)
+        gs = default_gammas(m, n, config, count=48, seed=seed * 7)
+        if decide_equiv_rewards(m, n, config):
+            assert agree_at(m, n, config, mon, gs), name
+        else:
+            ctx = distinguish_rewards(m, n, config)
+            assert select_program(plug(ctx, m), config) != \
+                select_program(plug(ctx, n), config), name

@@ -34,10 +34,6 @@ ALLOWED = {
         "the tuple nesting of a distribution atom: (reward, value) pairs",
     ("testgen.py", "leaf"): "the target type's depth",
     ("testgen.py", "go"): "gen_effect_value's max_ops, the generation size",
-    # the distinguishing context is quadratic in pair depth anyway
-    # (README, "Known limits")
-    ("equations.py", "_ground_type"): "the pair depth of a ground value",
-    ("equations.py", "_equals"): "the pair depth of a ground value",
 }
 
 

@@ -138,6 +138,24 @@ def test_declared_laws_hold_by_trial(name):
     assert gathers_through_convex(st, random.Random(0)) == st.gathering_verified
 
 
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_distinguishing_context_law(name):
+    # distinguish_rewards needs a commutative + that is strictly increasing
+    # in each argument, and zero + 1 in the carrier
+    s = STRUCTURES[name]
+    assert s.contains(s.zero + 1)
+    members = rationals.filter(s.contains)
+
+    @given(members, members, members)
+    def law(a, b, c):
+        assert s.add(a, b) == s.add(b, a)
+        if a < b:
+            assert s.add(a, c) < s.add(b, c)
+            assert s.add(c, a) < s.add(c, b)
+
+    law()
+
+
 @given(rationals, rationals, rationals)
 def test_add_monoid(a, b, c):
     assert ADD.add(ADD.add(a, b), c) == ADD.add(a, ADD.add(b, c))

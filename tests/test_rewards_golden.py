@@ -28,7 +28,7 @@ from selcalc.rewards import STRUCTURES
 from selcalc.syntax import BOOL, UNIT, Arrow, Prod, Program, pretty_program
 from selcalc.testgen import GenConfig, gen_program
 
-GOLDEN = "f3b5421308ccb2f25f808038be7e40e97f1ea41dbb3e733f28aa06dc98f5e989"
+GOLDEN = "08b6cb53f7d2a08452b5dc6fcac0df49249a070c38675a3b2bc2c577f6c6068a"
 SEEDS = range(12)
 TARGETS = [BOOL, UNIT, Prod(BOOL, BOOL), Arrow(BOOL, BOOL)]
 COMMANDS = (
